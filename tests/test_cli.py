@@ -171,3 +171,17 @@ def test_runconfig_roundtrip():
     assert back.tolerances == cfg.tolerances
     assert len(back.fields) == 11
     assert [f.name for f in back.fields] == [f.name for f in cfg.fields]
+
+
+def test_convergence_failure_prints_iterations(monkeypatch, capsys):
+    from functools import partial
+
+    from hodgelab import cli, spectral
+
+    monkeypatch.delenv("HODGELAB_SEED", raising=False)
+    monkeypatch.setattr(spectral, "solve_lowest",
+                        partial(spectral.solve_lowest, maxiter=1))
+    code = cli.main(["spectrum", "--kind", "icosphere", "--level", "2",
+                     "--form", "0", "--count", "6", "--tol", "1e-14"])
+    assert code == 2
+    assert "best residuals after 1 iterations:" in capsys.readouterr().err
