@@ -2,8 +2,10 @@
 
 Subcommands: ``mesh``, ``spectrum``, ``verify``, ``converge``. Exit codes are
 a stable contract: 0 success/pass, 1 usage or configuration error, 2
-verification or solver failure. The environment variable ``HODGELAB_SEED``
-overrides the configured seed. ``verify`` reads an optional JSON RunConfig
+verification or solver failure. The random seed comes from the environment
+variable ``HODGELAB_SEED`` if it is set, even when ``--seed`` is given, then
+from ``--seed``, then from the config; a seed that is not a non-negative
+integer is a usage error. ``verify`` reads an optional JSON RunConfig
 (see :mod:`hodgelab.config`, which owns the RunConfig type); flags override
 config values, and the defaults reproduce the acceptance setup exactly.
 """
@@ -11,6 +13,7 @@ config values, and the defaults reproduce the acceptance setup exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -45,6 +48,13 @@ def _surface_from_args(args) -> SurfaceSpec:
     return SurfaceSpec(kind="spheroid", level=args.level, a=args.a, c=args.c)
 
 
+def _finite_positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _add_surface_flags(parser, require_level=True):
     parser.add_argument("--kind", choices=["icosphere", "spheroid"],
                         default="icosphere")
@@ -57,10 +67,14 @@ def _add_surface_flags(parser, require_level=True):
 def _seed(args_seed: int | None, config_seed: int = 0) -> int:
     env = os.environ.get("HODGELAB_SEED")
     if env is not None:
-        return int(env)
-    if args_seed is not None:
-        return args_seed
-    return config_seed
+        source, seed = "HODGELAB_SEED", env
+    elif args_seed is not None:
+        source, seed = "--seed", args_seed
+    else:
+        source, seed = "the config seed", config_seed
+    if not str(seed).isdecimal():  # the generators reject negative seeds
+        raise ConfigError(f"{source} must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def cmd_mesh(args) -> int:
@@ -227,17 +241,7 @@ def cmd_verify(args) -> int:
             overrides["surface"] = surface
         if args.eigenpairs is not None:
             overrides["eigenpairs"] = args.eigenpairs
-        seed = _seed(args.seed, cfg.seed)
-        if overrides or seed != cfg.seed:
-            cfg = RunConfig(
-                surface=overrides.get("surface", cfg.surface),
-                eigenpairs=overrides.get("eigenpairs", cfg.eigenpairs),
-                levels=cfg.levels,
-                fields=cfg.fields,
-                tolerances=cfg.tolerances,
-                seed=seed,
-                report_path=cfg.report_path,
-            )
+        cfg = dataclasses.replace(cfg, seed=_seed(args.seed, cfg.seed), **overrides)
     except (OSError, json.JSONDecodeError, ConfigError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -264,12 +268,17 @@ def cmd_converge(args) -> int:
     ordered = sorted(levels)
     reordered = ordered != levels
     seed = _seed(args.seed)
+    try:
+        surfaces = [SurfaceSpec(kind=args.kind, level=level,
+                                radius=args.radius if args.radius is not None else 1.0,
+                                a=args.a, c=args.c) for level in ordered]
+    except MeshError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     rows = []
-    for level in ordered:
+    for surface in surfaces:
+        level = surface.level
         try:
-            surface = SurfaceSpec(kind=args.kind, level=level,
-                                  radius=args.radius if args.radius is not None else 1.0,
-                                  a=args.a, c=args.c)
             built = mesh_mod.build_surface(surface)
             if args.form == 0:
                 A, B = exterior.laplacian0(built)
@@ -324,7 +333,7 @@ def build_parser() -> _Parser:
     _add_surface_flags(p_spec)
     p_spec.add_argument("--form", type=int, default=0)
     p_spec.add_argument("--count", type=int, default=16)
-    p_spec.add_argument("--tol", type=float, default=1e-6)
+    p_spec.add_argument("--tol", type=_finite_positive, default=1e-6)
     p_spec.add_argument("--seed", type=int, default=None)
     p_spec.add_argument("--out", default=None, help="CSV output path")
     p_spec.set_defaults(func=cmd_spectrum)
@@ -352,7 +361,7 @@ def build_parser() -> _Parser:
     p_conv.add_argument("--form", type=int, default=0, choices=[0, 1])
     p_conv.add_argument("--count", type=int, default=16)
     p_conv.add_argument("--target", type=float, default=2.0)
-    p_conv.add_argument("--tol", type=float, default=1e-6)
+    p_conv.add_argument("--tol", type=_finite_positive, default=1e-6)
     p_conv.add_argument("--slack", type=float, default=0.0)
     p_conv.add_argument("--seed", type=int, default=None)
     p_conv.add_argument("--out", default=None, help="CSV output path")
@@ -365,7 +374,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except mesh_mod.ResourceGuardError as exc:
+    except (mesh_mod.ResourceGuardError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MeshError as exc:

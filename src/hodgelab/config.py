@@ -29,8 +29,8 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("bound_rel", "class_tol", "group_rel_gap", "solver_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"tolerance {name} must be > 0")
+            if not 0 < getattr(self, name) < np.inf:  # also rejects NaN
+                raise ConfigError(f"tolerance {name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,6 @@ def builtin_fields() -> list:
 class RunConfig:
     surface: SurfaceSpec
     eigenpairs: int = 16
-    levels: tuple = ()
     fields: tuple = tuple(builtin_fields())
     tolerances: Tolerances = Tolerances()
     seed: int = 0
@@ -80,7 +79,6 @@ class RunConfig:
         if self.eigenpairs < 1:
             raise ConfigError("eigenpairs must be >= 1")
         object.__setattr__(self, "fields", tuple(self.fields))
-        object.__setattr__(self, "levels", tuple(self.levels))
 
     def to_json_dict(self) -> dict:
         surf = {"kind": self.surface.kind, "level": self.surface.level}
@@ -92,7 +90,6 @@ class RunConfig:
         return {
             "surface": surf,
             "eigenpairs": self.eigenpairs,
-            "levels": list(self.levels),
             "fields": [
                 {"name": f.name, "kind": f.kind, **f.parameters} for f in self.fields
             ],
@@ -125,7 +122,6 @@ class RunConfig:
             return cls(
                 surface=surface,
                 eigenpairs=int(data.get("eigenpairs", 16)),
-                levels=tuple(data.get("levels", ())),
                 fields=tuple(fspecs),
                 tolerances=tol,
                 seed=int(data.get("seed", 0)),

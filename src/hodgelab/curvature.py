@@ -116,12 +116,6 @@ def ricci_apply(mesh: TriangleMesh, K, omega: Cochain) -> Cochain:
     return Cochain(degree=1, values=factor * omega.values)
 
 
-def ricci_edge_factors(mesh: TriangleMesh, K) -> np.ndarray:
-    """The per-edge scaling used by ricci_apply (endpoint mean of K)."""
-    K = np.asarray(K, dtype=float)
-    return 0.5 * (K[mesh.edges[:, 0]] + K[mesh.edges[:, 1]])
-
-
 def to_csv(bounds: CurvatureBounds) -> str:
     """Per-vertex curvature as CSV text with header 'vertex,K'."""
     lines = ["vertex,K"]

@@ -138,15 +138,8 @@ def _cotangents(mesh: TriangleMesh) -> np.ndarray:
     Entry [f, k] is the cotangent at corner k, which faces the edge joining
     corners k+1 and k+2.
     """
-    p = mesh.vertices[mesh.faces]
-    out = np.empty((mesh.n_faces, 3))
-    for k in range(3):
-        u = p[:, (k + 1) % 3] - p[:, k]
-        w = p[:, (k + 2) % 3] - p[:, k]
-        cross = np.linalg.norm(np.cross(u, w), axis=1)
-        dot = np.einsum("ij,ij->i", u, w)
-        out[:, k] = dot / cross
-    return out
+    cross, dot = mesh.corner_cross_dot()
+    return dot / cross
 
 
 def star1(mesh: TriangleMesh) -> SparseOperator:

@@ -52,18 +52,19 @@ class SurfaceSpec:
                 f"level {self.level} exceeds guard ({MAX_SUBDIVISION_LEVEL}); "
                 f"a level-{self.level} mesh would not fit the memory budget"
             )
+        # the chained comparisons are False for NaN and inf as well as for <= 0
         if self.kind == "icosphere":
-            if self.radius is None or self.radius <= 0:
-                raise MeshError("icosphere needs radius > 0")
-        else:
-            if self.a is None or self.c is None or self.a <= 0 or self.c <= 0:
-                raise MeshError("spheroid needs semi-axes a, c > 0")
+            if self.radius is None or not 0 < self.radius < np.inf:
+                raise MeshError("icosphere needs a finite radius > 0")
+        elif (self.a is None or self.c is None
+              or not (0 < self.a < np.inf and 0 < self.c < np.inf)):
+            raise MeshError("spheroid needs finite semi-axes a, c > 0")
 
     def same_geometry(self, other: "SurfaceSpec") -> bool:
-        """True if both specs describe the same surface (levels may differ)."""
-        if self.kind != other.kind:
-            # a == c spheroid degenerates to a sphere
-            return _geometry_key(self) == _geometry_key(other)
+        """True if both specs describe the same surface (levels may differ).
+
+        An a == c spheroid is the same geometry as the sphere of that radius.
+        """
         return _geometry_key(self) == _geometry_key(other)
 
 
@@ -159,17 +160,24 @@ class TriangleMesh:
         d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
         return np.linalg.norm(d, axis=1)
 
-    def corner_angles(self) -> np.ndarray:
-        """Interior angle at each face corner, shape (n_faces, 3)."""
+    def corner_cross_dot(self) -> tuple:
+        """(|u x w|, u . w) at each face corner, each of shape (n_faces, 3).
+
+        At corner k, u and w are the edge vectors to corners k+1 and k+2.
+        """
         p = self.vertices[self.faces]
-        out = np.empty((self.n_faces, 3))
+        cross = np.empty((self.n_faces, 3))
+        dot = np.empty((self.n_faces, 3))
         for k in range(3):
             u = p[:, (k + 1) % 3] - p[:, k]
             w = p[:, (k + 2) % 3] - p[:, k]
-            cross = np.linalg.norm(np.cross(u, w), axis=1)
-            dot = np.einsum("ij,ij->i", u, w)
-            out[:, k] = np.arctan2(cross, dot)
-        return out
+            cross[:, k] = np.linalg.norm(np.cross(u, w), axis=1)
+            dot[:, k] = np.einsum("ij,ij->i", u, w)
+        return cross, dot
+
+    def corner_angles(self) -> np.ndarray:
+        """Interior angle at each face corner, shape (n_faces, 3)."""
+        return np.arctan2(*self.corner_cross_dot())
 
 
 def _edge_incidence(faces: np.ndarray):

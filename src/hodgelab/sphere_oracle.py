@@ -20,6 +20,12 @@ forms pointwise in an orthonormal tangent frame; they vanish to machine
 precision exactly on the field classes that satisfy them and are O(1) on the
 classes that do not.
 
+The residuals never form the ambient tensors: in the frame, D3 f has the same
+closed form in frame^T df, frame^T u and g = frame^T frame, a few small
+products per point, where contracting the ambient 3-tensor with three frames
+costs O(n^6). ``covariant_derivatives`` keeps the ambient tensors as the
+reference that the tests check against finite differences and the frame form.
+
 Third-order conventions: the classical rigidity system
 
     (D3 f)(Z;X,Y) + k [ 2 df(Z) g(X,Y) + df(X) g(Z,Y) + df(Y) g(X,Z) ] = 0
@@ -157,18 +163,35 @@ def _check_point(sphere: SphereContext, x: np.ndarray) -> np.ndarray:
 def tangent_frame(sphere: SphereContext, x: np.ndarray) -> np.ndarray:
     """Orthonormal tangent frame at x (columns), via a Householder reflection."""
     x = _check_point(sphere, x)
-    nhat = x / sphere.r
+    return _householder_frame(x / sphere.r)
+
+
+def _householder_frame(nhat: np.ndarray) -> np.ndarray:
     e = np.zeros_like(nhat)
     e[-1] = 1.0
     v = nhat - e
-    H = np.eye(sphere.ambient_dim)
+    H = np.eye(nhat.shape[0])
     nv = v @ v
     if nv > 1e-30:
         H -= 2.0 * np.outer(v, v) / nv
     # H maps e -> nhat; its remaining columns span the tangent space. The
     # copy keeps the frame contiguous, which fixes the rounding of the
-    # einsum contractions that consume it.
+    # products that consume it.
     return H[:, :-1].copy()
+
+
+def _tangential(nhat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """P v with P = I - n n^T, without forming P."""
+    return v - (nhat @ v) * nhat
+
+
+def _combination(a: np.ndarray, b: np.ndarray, g: np.ndarray, c: float) -> np.ndarray:
+    """T[z, x, y] = c a(Z) g(X,Y) + g(Z,X) b(Y) + g(Z,Y) b(X).
+
+    Both D3 f and the rigidity systems have this shape; ``g`` is the metric
+    in the basis of the covectors ``a`` and ``b``.
+    """
+    return c * a[:, None, None] * g + g[:, :, None] * b + g[:, None, :] * b[:, None]
 
 
 def covariant_derivatives(f: HarmonicPoly, x) -> tuple:
@@ -190,10 +213,7 @@ def covariant_derivatives(f: HarmonicPoly, x) -> tuple:
     hess = P @ H @ P - (phi / r) * P
 
     u = P @ (H @ nhat)
-    third = (
-        -(f.degree / r**2) * np.einsum("a,bc->abc", df, P)
-        - (1.0 / r) * (np.einsum("ab,c->abc", P, u) + np.einsum("ac,b->abc", P, u))
-    )
+    third = _combination(df, -u / r, P, -f.degree / r**2)
     return df, hess, third
 
 
@@ -207,33 +227,26 @@ def obata_residual(f: HarmonicPoly, x) -> float:
         raise OracleError("Obata residual defined for first-eigenvalue functions")
     sphere = f.sphere
     x = _check_point(sphere, x)
-    df, hess, _ = covariant_derivatives(f, x)
-    frame = tangent_frame(sphere, x)
-    mu = f.eigenvalue
+    nhat = x / sphere.r
+    frame = _householder_frame(nhat)
     g = frame.T @ frame
-    res = frame.T @ hess @ frame + (mu / sphere.n) * f.value(x) * g
-    scale = max(abs(f.value(x)), float(np.linalg.norm(df)))
+    grad = f.ambient_gradient(x)
+    hess = frame.T @ f.ambient_hessian(x) @ frame - (nhat @ grad / sphere.r) * g
+    value = f.value(x)
+    res = hess + (f.eigenvalue / sphere.n) * value * g
+    scale = max(abs(value), float(np.linalg.norm(_tangential(nhat, grad))))
     return float(np.abs(res).max() / scale)
 
 
-def _third_in_frame(f: HarmonicPoly, x):
-    sphere = f.sphere
-    df, _, third = covariant_derivatives(f, x)
-    frame = tangent_frame(sphere, x)
-    t = np.einsum("abc,ai,bj,ck->ijk", third, frame, frame, frame)
-    dfr = frame.T @ df
+def _third_in_frame(f: HarmonicPoly, x: np.ndarray):
+    """(frame^T df, D3 f in the frame) at a checked point, from the closed form."""
+    r = f.sphere.r
+    nhat = x / r
+    frame = _householder_frame(nhat)
+    dfr = frame.T @ _tangential(nhat, f.ambient_gradient(x))
+    ur = frame.T @ _tangential(nhat, f.ambient_hessian(x) @ nhat)
+    t = _combination(dfr, -ur / r, frame.T @ frame, -f.degree / r**2)
     return dfr, t
-
-
-def _tanno_combination(dfr: np.ndarray) -> np.ndarray:
-    """C[z, x, y] = 2 df(Z) g(X,Y) + df(X) g(Z,Y) + df(Y) g(X,Z) in a frame."""
-    n = dfr.shape[0]
-    g = np.eye(n)
-    return (
-        2.0 * np.einsum("z,xy->zxy", dfr, g)
-        + np.einsum("x,zy->zxy", dfr, g)
-        + np.einsum("y,xz->zxy", dfr, g)
-    )
 
 
 def tanno_residual(f: HarmonicPoly, x, k: float | None = None) -> float:
@@ -246,22 +259,14 @@ def tanno_residual(f: HarmonicPoly, x, k: float | None = None) -> float:
     """
     sphere = f.sphere
     x = _check_point(sphere, x)
-    if k is None:
-        k = sphere.alpha
-    dfr, t = _third_in_frame(f, x)
-    # differentiation slot of t is first; bind it to the Z slot of the
-    # combination, whose coefficient-2 term carries df(Z)
-    res = t + k * _tanno_combination(dfr)
-    norm_df = float(np.linalg.norm(dfr))
-    if norm_df == 0.0:
-        return 0.0 if np.abs(res).max() == 0.0 else float("inf")
-    return float(np.abs(res).max() / norm_df)
+    return _rigidity_residual(f, x, sphere.alpha if k is None else k)
 
 
 def generalized_tanno_residual(f: HarmonicPoly, x, phi_sign: float = 1.0) -> float:
     """Residual of the transformed system with phi = (2(n+1))^-1 d(Delta f).
 
-    For eigenfunctions d(Delta f) = mu df exactly. ``phi_sign`` allows
+    For eigenfunctions d(Delta f) = mu df exactly, so phi = k df and the
+    system is the rigidity system with k = mu / (2(n+1)). ``phi_sign`` allows
     evaluating the system under the opposite sign normalization of phi as
     well, since the two printed forms of the defining covector differ in sign
     and scaling; the sign that annihilates second eigenfunctions is +1 (it
@@ -269,17 +274,14 @@ def generalized_tanno_residual(f: HarmonicPoly, x, phi_sign: float = 1.0) -> flo
     """
     sphere = f.sphere
     x = _check_point(sphere, x)
+    return _rigidity_residual(f, x, phi_sign * f.eigenvalue / (2.0 * (sphere.n + 1)))
+
+
+def _rigidity_residual(f: HarmonicPoly, x: np.ndarray, k: float) -> float:
     dfr, t = _third_in_frame(f, x)
-    mu = f.eigenvalue
-    phi = phi_sign * mu / (2.0 * (sphere.n + 1)) * dfr
-    n_t = dfr.shape[0]
-    g = np.eye(n_t)
-    comb = (
-        2.0 * np.einsum("z,xy->zxy", phi, g)
-        + np.einsum("x,zy->zxy", phi, g)
-        + np.einsum("y,xz->zxy", phi, g)
-    )
-    res = t + comb
+    # differentiation slot of t is first; bind it to the Z slot of the
+    # combination, whose coefficient-2 term carries df(Z)
+    res = t + k * _combination(dfr, dfr, np.eye(dfr.shape[0]), 2.0)
     norm_df = float(np.linalg.norm(dfr))
     if norm_df == 0.0:
         return 0.0 if np.abs(res).max() == 0.0 else float("inf")
@@ -317,7 +319,7 @@ def _identity_terms(form, x):
     if isinstance(form, HarmonicPoly):
         sphere = form.sphere
         x = _check_point(sphere, x)
-        df, _, _ = covariant_derivatives(form, x)
+        df = _tangential(x / sphere.r, form.ambient_gradient(x))
         mu = form.eigenvalue
         ric = sphere.ricci_eigenvalue()
         return df, mu * df, ric * df, mu * df

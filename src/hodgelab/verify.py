@@ -407,6 +407,19 @@ def _oracle_records(seed: int = 7) -> list:
     return records
 
 
+def _clusters_match(groups, n: int, alpha: float, sizes, rtols) -> bool:
+    """True if ``groups`` open with the first two round-sphere clusters.
+
+    Their eigenvalues are n alpha and 2 (n + 1) alpha; ``sizes`` and
+    ``rtols`` give each cluster's multiplicity and relative tolerance.
+    """
+    targets = (n * alpha, 2.0 * (n + 1) * alpha)
+    return len(groups) >= 2 and all(
+        abs(g.representative - target) <= rtol * target and g.multiplicity == size
+        for g, target, size, rtol in zip(groups, targets, sizes, rtols)
+    )
+
+
 def _spectrum_json(result: SpectrumResult) -> dict:
     return {
         "eigenvalues": [float(v) for v in result.eigenvalues],
@@ -553,21 +566,10 @@ def run_suite(config: RunConfig) -> dict:
             if is_sphere:
                 r = radius if radius is not None else surface.a
                 alpha = 1.0 / (r * r)
-                targets = (n_dim * alpha, 2.0 * (n_dim + 1) * alpha)
-                sizes = (n_dim + 1, 2 * n_dim + 1)
-                ok = len(scalar_result.groups) >= 3
-                for gi, (target, size, rtol) in enumerate(
-                    zip(targets, sizes, SCALAR_CLUSTER_RTOL), start=1
-                ):
-                    if ok and gi < len(scalar_result.groups):
-                        g = scalar_result.groups[gi]
-                        ok = (
-                            abs(g.representative - target) <= rtol * target
-                            and g.multiplicity == size
-                        )
-                    else:
-                        ok = False
-                mandatory["scalar_spectrum"] = bool(ok)
+                mandatory["scalar_spectrum"] = _clusters_match(
+                    scalar_result.groups[1:], n_dim, alpha,
+                    (n_dim + 1, 2 * n_dim + 1), SCALAR_CLUSTER_RTOL,
+                )
         except Exception as exc:  # noqa: BLE001
             failures.append(f"scalar spectrum: {exc}")
             mandatory["scalar_spectrum"] = False
@@ -581,20 +583,10 @@ def run_suite(config: RunConfig) -> dict:
             if is_sphere:
                 r = radius if radius is not None else surface.a
                 alpha = 1.0 / (r * r)
-                targets = (n_dim * alpha, 2.0 * (n_dim + 1) * alpha)
-                sizes = (2 * (n_dim + 1), 2 * (2 * n_dim + 1))
-                ok = len(oneform_result.groups) >= 2
-                for gi, (target, size, rtol) in enumerate(
-                    zip(targets, sizes, ONEFORM_CLUSTER_RTOL)
-                ):
-                    if ok and gi < len(oneform_result.groups):
-                        g = oneform_result.groups[gi]
-                        ok = (
-                            abs(g.representative - target) <= rtol * target
-                            and g.multiplicity == size
-                        )
-                    else:
-                        ok = False
+                ok = _clusters_match(
+                    oneform_result.groups, n_dim, alpha,
+                    (2 * (n_dim + 1), 2 * (2 * n_dim + 1)), ONEFORM_CLUSTER_RTOL,
+                )
                 no_harmonic = oneform_result.eigenvalues[0] > 0.5 * n_dim * alpha
                 mandatory["oneform_spectrum"] = bool(ok and no_harmonic)
         except Exception as exc:  # noqa: BLE001

@@ -48,6 +48,9 @@ def test_mesh_level_guard():
 def test_mesh_spheroid_requires_axes():
     proc = run_cli("mesh", "--kind", "spheroid", "--level", "1")
     assert proc.returncode == 1
+    proc = run_cli("mesh", "--kind", "spheroid", "--level", "1", "--a", "nan", "--c", "1")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: spheroid needs finite semi-axes a, c > 0\n"
 
 
 def test_spectrum_csv(tmp_path):
@@ -81,6 +84,9 @@ def test_spectrum_invalid_form():
     proc = run_cli("spectrum", "--kind", "icosphere", "--level", "1",
                    "--form", "3")
     assert proc.returncode == 1
+    proc = run_cli("spectrum", "--kind", "icosphere", "--level", "1", "--tol", "nan")
+    assert proc.returncode == 1
+    assert "error: argument --tol: expected a finite number > 0" in proc.stderr
 
 
 def test_spectrum_seed_determinism(tmp_path):
@@ -131,6 +137,21 @@ def test_verify_invalid_config_values(tmp_path):
     path.write_text(json.dumps({"surface": {"kind": "torus", "level": 1}}))
     proc = run_cli("verify", "--config", str(path))
     assert proc.returncode == 1
+    # json writes NaN and Infinity literals, which json.load accepts
+    sphere = {"kind": "icosphere", "level": 1, "radius": 1.0}
+    for cfg, message in (
+        ({"surface": sphere, "tolerances": {"solver_tol": float("nan")}},
+         "tolerance solver_tol must be finite and > 0"),
+        ({"surface": {**sphere, "radius": float("inf")}},
+         "icosphere needs a finite radius > 0"),
+    ):
+        path.write_text(json.dumps(cfg))
+        proc = run_cli("verify", "--config", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+    proc = run_cli("verify", "--level", "1", "--radius", "nan")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: icosphere needs a finite radius > 0\n"
 
 
 def test_converge_monotone(tmp_path):
@@ -159,6 +180,41 @@ def test_converge_single_level_usage_error():
 def test_converge_bad_levels_usage_error():
     proc = run_cli("converge", "--levels", "a,b")
     assert proc.returncode == 1
+    proc = run_cli("converge", "--levels", "1,2", "--radius", "inf")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: icosphere needs a finite radius > 0\n"
+
+
+@pytest.mark.parametrize("env, argv, message", [
+    ("abc", ["spectrum", "--level", "1", "--seed", "3"],
+     "HODGELAB_SEED must be a non-negative integer, got 'abc'"),
+    ("-1", ["verify", "--level", "1"],
+     "HODGELAB_SEED must be a non-negative integer, got '-1'"),
+    ("1.5", ["converge", "--levels", "1,2"],
+     "HODGELAB_SEED must be a non-negative integer, got '1.5'"),
+    (None, ["spectrum", "--level", "1", "--seed", "-1"],
+     "--seed must be a non-negative integer, got -1"),
+])
+def test_bad_hodgelab_seed_is_a_usage_error(env, argv, message, monkeypatch, capsys):
+    from hodgelab import cli
+
+    monkeypatch.delenv("HODGELAB_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("HODGELAB_SEED", env)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_hodgelab_seed_takes_precedence(monkeypatch):
+    from hodgelab import cli
+
+    monkeypatch.delenv("HODGELAB_SEED", raising=False)
+    assert cli._seed(None, 4) == 4
+    assert cli._seed(3, 4) == 3
+    monkeypatch.setenv("HODGELAB_SEED", "7")
+    assert cli._seed(3, 4) == 7
 
 
 def test_runconfig_roundtrip():

@@ -194,6 +194,13 @@ def test_surface_spec_validation():
         SurfaceSpec(kind="torus", level=1)
     with pytest.raises(MeshError):
         SurfaceSpec(kind="icosphere", level=1)  # no radius
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(MeshError, match="finite radius"):
+            SurfaceSpec(kind="icosphere", level=1, radius=bad)
+        with pytest.raises(MeshError, match="finite semi-axes"):
+            SurfaceSpec(kind="spheroid", level=1, a=bad, c=1.0)
+        with pytest.raises(MeshError, match="finite semi-axes"):
+            SurfaceSpec(kind="spheroid", level=1, a=1.0, c=bad)
     spec = SurfaceSpec(kind="icosphere", level=1, radius=2.0)
     assert spec.same_geometry(SurfaceSpec(kind="icosphere", level=4, radius=2.0))
     assert not spec.same_geometry(SurfaceSpec(kind="icosphere", level=1, radius=1.0))

@@ -18,6 +18,7 @@ from hodgelab.sphere_oracle import (
     theorem_bounds,
     yano_identity_residual,
 )
+from hodgelab.verify import oracle_fields
 
 EXACT = 1e-12
 DIMENSIONS = (2, 3, 5)
@@ -136,6 +137,23 @@ def test_covariant_derivatives_match_finite_differences():
     fd3 = (hess_pair(h) - hess_pair(-h)) / (2 * h)
     exact = np.einsum("a,abc,b,c->", v, third, Y, Z)
     assert fd3 == pytest.approx(exact, abs=1e-5)
+
+
+@pytest.mark.parametrize("n", DIMENSIONS)
+@pytest.mark.parametrize("r", RADII)
+def test_third_in_frame_matches_ambient_contraction(n, r):
+    # the residuals' frame closed form against the ambient reference tensor
+    # contracted with three frames, on the oracle battery's fields and points
+    sph, f1, f2, _ = oracle_fields(n, r, seed=7)
+    for f in (f1, f2):
+        for x in sph.sample_points():
+            df, _, third = covariant_derivatives(f, x)
+            frame = tangent_frame(sph, x)
+            want = np.einsum("abc,ai,bj,ck->ijk", third, frame, frame, frame)
+            dfr, t = oracle._third_in_frame(f, x)
+            tol = 1e-13 * max(1.0, float(np.linalg.norm(df)))
+            assert np.abs(dfr - frame.T @ df).max() <= tol
+            assert np.abs(t - want).max() <= tol
 
 
 @pytest.mark.parametrize("n", DIMENSIONS)
