@@ -228,16 +228,19 @@ def cmd_verify(args) -> int:
         else:
             cfg = default_config()
         overrides = {}
-        if args.level is not None or args.kind is not None:
+        # `is not None`, never `or`: a flag value of 0 must reach the check
+        if any(flag is not None
+               for flag in (args.kind, args.level, args.radius, args.a, args.c)):
             kind = args.kind or cfg.surface.kind
             level = args.level if args.level is not None else cfg.surface.level
             if kind == "icosphere":
+                radius = args.radius if args.radius is not None else cfg.surface.radius
                 surface = SurfaceSpec(kind=kind, level=level,
-                                      radius=args.radius or cfg.surface.radius or 1.0)
+                                      radius=1.0 if radius is None else radius)
             else:
                 surface = SurfaceSpec(kind=kind, level=level,
-                                      a=args.a or cfg.surface.a,
-                                      c=args.c or cfg.surface.c)
+                                      a=args.a if args.a is not None else cfg.surface.a,
+                                      c=args.c if args.c is not None else cfg.surface.c)
             overrides["surface"] = surface
         if args.eigenpairs is not None:
             overrides["eigenpairs"] = args.eigenpairs

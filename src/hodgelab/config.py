@@ -20,6 +20,16 @@ class ConfigError(Exception):
     pass
 
 
+CONFIG_KEYS = ("surface", "eigenpairs", "fields", "tolerances", "seed", "report_path")
+SURFACE_KEYS = ("kind", "level", "radius", "a", "c")
+
+
+def _reject_unknown_keys(data: dict, known: tuple, where: str) -> None:
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"unknown {where} key {key!r}")
+
+
 @dataclass(frozen=True)
 class Tolerances:
     bound_rel: float = 0.02
@@ -102,6 +112,8 @@ class RunConfig:
     def from_json_dict(cls, data: dict) -> "RunConfig":
         try:
             surf = dict(data["surface"])
+            _reject_unknown_keys(data, CONFIG_KEYS, "config")
+            _reject_unknown_keys(surf, SURFACE_KEYS, "surface")
             surface = SurfaceSpec(
                 kind=surf["kind"],
                 level=int(surf["level"]),
@@ -109,11 +121,9 @@ class RunConfig:
                 a=surf.get("a"),
                 c=surf.get("c"),
             )
-            fspecs = []
-            for item in data.get("fields", None) or [
-                f_to for f_to in ({"name": f.name, "kind": f.kind, **f.parameters}
-                                  for f in builtin_fields())
-            ]:
+            # an empty list is an empty roster; missing or null means the default
+            fspecs = builtin_fields() if data.get("fields") is None else []
+            for item in data.get("fields") or ():
                 item = dict(item)
                 kind = item.pop("kind")
                 name = item.pop("name", kind)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .mesh import TriangleMesh
@@ -92,6 +91,8 @@ class SparseOperator:
 
     def write_matrix_market(self, target) -> None:
         """Matrix Market coordinate text, symmetry per the operator flag."""
+        import scipy.io  # only this export needs it; kept out of `import hodgelab`
+
         symmetry = "symmetric" if self.symmetric else "general"
         scipy.io.mmwrite(target, self.matrix.tocoo(), symmetry=symmetry)
 

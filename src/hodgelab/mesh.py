@@ -104,6 +104,8 @@ class TriangleMesh:
             raise MeshError("vertices must be an (n, 3) array")
         if f.ndim != 2 or f.shape[1] != 3:
             raise MeshError("faces must be an (m, 3) array")
+        if f.size and (f.min() < 0 or f.max() >= v.shape[0]):
+            raise MeshError(f"face index outside [0, {v.shape[0]})")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
         edges, e_faces, e_signs, f_edges, f_signs = _edge_incidence(f)
@@ -180,20 +182,35 @@ class TriangleMesh:
         return np.arctan2(*self.corner_cross_dot())
 
 
+def _half_edges(faces: np.ndarray) -> np.ndarray:
+    """Half-edges in face traversal order: all (0,1), then (1,2), then (2,0)."""
+    return np.concatenate(
+        [faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0
+    )
+
+
+def _unique_edges(he: np.ndarray):
+    """Canonical edges of the half-edges ``he`` and each half-edge's edge index.
+
+    Equal to ``np.unique(np.sort(he, axis=1), axis=0, return_inverse=True)``.
+    The key lo * (max + 1) + hi orders pairs of non-negative indices
+    lexicographically, so a 1-D unique of it replaces the row-wise sort.
+    """
+    lo = np.minimum(he[:, 0], he[:, 1])
+    hi = np.maximum(he[:, 0], he[:, 1])
+    base = hi.max(initial=0) + 1
+    keys, inverse = np.unique(lo * base + hi, return_inverse=True)
+    return np.stack(np.divmod(keys, base), axis=1), inverse
+
+
 def _edge_incidence(faces: np.ndarray):
     """Canonical edge list plus edge<->face incidence with orientation signs."""
     n_faces = faces.shape[0]
-    # half-edges in face traversal order
-    he = np.concatenate(
-        [faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0
-    )
+    he = _half_edges(faces)
     he_face = np.tile(np.arange(n_faces), 3)
     he_slot = np.repeat(np.arange(3), n_faces)
-    lo = np.minimum(he[:, 0], he[:, 1])
-    hi = np.maximum(he[:, 0], he[:, 1])
     sign = np.where(he[:, 0] < he[:, 1], 1, -1).astype(np.int8)
-    canon = np.stack([lo, hi], axis=1)
-    edges, inverse = np.unique(canon, axis=0, return_inverse=True)
+    edges, inverse = _unique_edges(he)
     n_edges = edges.shape[0]
 
     counts = np.bincount(inverse, minlength=n_edges)
@@ -260,11 +277,7 @@ def _icosahedron():
 
 def _subdivide(verts: np.ndarray, faces: np.ndarray):
     """One 4-to-1 midpoint split; midpoints are not yet projected."""
-    canon = np.sort(
-        np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]),
-        axis=1,
-    )
-    edges, inverse = np.unique(canon, axis=0, return_inverse=True)
+    edges, inverse = _unique_edges(_half_edges(faces))
     mid = 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]])
     new_verts = np.concatenate([verts, mid], axis=0)
 
@@ -390,18 +403,9 @@ def validate(vertices, faces=None) -> ValidationOutcome:
         messages.append("face with out-of-range or repeated vertex indices")
         return ValidationOutcome(checks, messages, None)
 
-    canon = np.sort(
-        np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]),
-        axis=1,
-    )
-    sign = np.where(
-        np.concatenate([faces[:, 0] < faces[:, 1],
-                        faces[:, 1] < faces[:, 2],
-                        faces[:, 2] < faces[:, 0]]),
-        1,
-        -1,
-    )
-    edges, inverse = np.unique(canon, axis=0, return_inverse=True)
+    he = _half_edges(faces)
+    sign = np.where(he[:, 0] < he[:, 1], 1, -1)
+    edges, inverse = _unique_edges(he)
     counts = np.bincount(inverse, minlength=edges.shape[0])
     closed = bool((counts == 2).all())
     checks["closed_two_manifold"] = closed

@@ -1,8 +1,9 @@
 """Lowest eigenpairs of the sparse symmetric pencil A x = lambda B x.
 
 The solver is a blocked locally optimal preconditioned conjugate gradient
-(LOBPCG) iteration with full B-orthonormalization and optional deflation of a
-known kernel (the constants of the 0-form Laplacian). B must be SPD diagonal,
+(LOBPCG) iteration with full B-orthonormalization, one Rayleigh-Ritz step per
+iteration and optional deflation of a known kernel (the constants of the
+0-form Laplacian). B must be SPD diagonal,
 so the pencil is transformed to a standard problem Atil = B^(-1/2) A B^(-1/2);
 transformed orthonormality is exactly B-orthonormality of the returned
 eigenvectors.
@@ -146,26 +147,27 @@ def eigenform_residual(A, B, x) -> float:
 
 
 def _orthonormalize(V, drop_tol=1e-12):
-    """SVQB orthonormalization with rank dropping; returns (Q, transform).
+    """SVQB orthonormalization with rank dropping; returns Q.
 
-    Columns are pre-normalized so that the rank filter measures angles only;
+    The Gram matrix is scaled to unit diagonal (not the columns of V, which
+    would cost an n x k copy) so that the rank filter measures angles only;
     otherwise the refinement directions of nearly converged pairs (tiny
     residual columns) would be dropped next to unconverged ones.
     """
-    if V.shape[1] == 0:
-        return V
-    norms = np.linalg.norm(V, axis=0)
-    keep0 = norms > 0.0
-    V = V[:, keep0] / norms[keep0]
-    if V.shape[1] == 0:
-        return V
     G = V.T @ V
+    nonzero = G.diagonal() > 0.0
+    if not nonzero.all():
+        V, G = V[:, nonzero], G[np.ix_(nonzero, nonzero)]
+    if V.shape[1] == 0:
+        return V
+    scale = 1.0 / np.sqrt(G.diagonal())
+    G = G * scale[:, None] * scale
     G = 0.5 * (G + G.T)
     w, U = np.linalg.eigh(G)
     keep = w > drop_tol * max(w.max(), 0.0)
     if not keep.any():
         return V[:, :0]
-    Q = V @ (U[:, keep] / np.sqrt(w[keep]))
+    Q = V @ (U[:, keep] * (scale[:, None] / np.sqrt(w[keep])))
     # one refinement pass keeps orthogonality near machine precision
     G2 = Q.T @ Q
     G2 = 0.5 * (G2 + G2.T)
@@ -210,39 +212,38 @@ def _shifted_lu_preconditioner(Atil):
 
 def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, w_norm,
             constraints=None):
-    """Standard-problem LOBPCG.
+    """Standard-problem LOBPCG with one Rayleigh-Ritz step per iteration.
 
     Returns (theta, X, residual_norms, converged, iterations), where
     ``iterations`` counts the expansion steps taken.
 
-    The blocks [X | W | P] are kept mutually orthonormal so the small
-    Rayleigh-Ritz problem stays a plain symmetric eigenproblem. Its Gram
-    matrix is assembled from the block products Si^T (A Sj), and the new
-    X and P are formed block by block, so the n x 3nb concatenations of the
-    blocks and of their images are never built. The kernel constraint is
-    reapplied to every block each iteration: the iteration actively
-    converges toward the smallest Rayleigh quotient, so a rounding-level
-    kernel component would otherwise be amplified back in.
+    Only the start block gets a Rayleigh-Ritz step of its own. The blocks
+    [X | W | P] are kept mutually orthonormal so the Rayleigh-Ritz problem
+    over them stays a plain symmetric eigenproblem; its lowest Ritz pairs
+    are the next (theta, X), already orthonormal (Duersch, Shao, Yang and
+    Gu, SISC 2018). Its Gram matrix is assembled from the block products
+    Si^T (A Sj), i <= j, and the new X and P are formed block by block, so
+    the n x 3nb concatenations of the blocks and of their images are never
+    built. The kernel constraint is reapplied to every block each iteration:
+    the iteration actively converges toward the smallest Rayleigh quotient,
+    so a rounding-level kernel component would otherwise be amplified back
+    in.
     """
     X = _project_out(X0, constraints)
     X = _orthonormalize(X)
     if X.shape[1] < n_wanted:
         raise SpectralError("starting block lost rank under deflation")
     nb = X.shape[1]
+    AX = Amat @ X
+    T = X.T @ AX
+    theta, C = np.linalg.eigh(0.5 * (T + T.T))
+    X = X @ C
+    AX = AX @ C
     P = np.zeros((X.shape[0], 0))
-    theta = None
     res = None
-    # one extra top-of-loop pass evaluates the state left by the last
-    # expansion, so the returned (theta, X, res) are always consistent
+    # one extra pass evaluates the state left by the last expansion, so the
+    # returned (theta, X, res) are always consistent
     for iteration in range(maxiter + 1):
-        X = _project_out(X, constraints)
-        X = _orthonormalize(X)
-        AX = Amat @ X
-        T = X.T @ AX
-        T = 0.5 * (T + T.T)
-        theta, C = np.linalg.eigh(T)
-        X = X @ C
-        AX = AX @ C
         R = AX - X * theta
         res = _weighted_residual_norms(R, X, w_norm)
         if np.all(res[:n_wanted] <= tol):
@@ -260,16 +261,21 @@ def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, w_norm,
         P = _project_out(P, X)
         P = _project_out(P, W)
         P = _orthonormalize(P)
-        AW = Amat @ W
-        AP = Amat @ P
-        G = np.block([[Si.T @ ASj for ASj in (AX, AW, AP)] for Si in (X, W, P)])
-        del AX, AW, AP
-        G = 0.5 * (G + G.T)
-        _, C = np.linalg.eigh(G)
+        S = (X, W, P)
+        AS = (AX, Amat @ W, Amat @ P)
+        upper = {(i, j): S[i].T @ AS[j] for i in range(3) for j in range(i, 3)}
+        del S, AS, AX
+        G = np.block([[upper[i, j] if i <= j else upper[j, i].T
+                       for j in range(3)] for i in range(3)])
+        vals, C = np.linalg.eigh(0.5 * (G + G.T))
+        theta = vals[:nb]
         nx, nw = X.shape[1], W.shape[1]
         Cx = C[:, :nb]
         P = W @ Cx[nx:nx + nw] + P @ Cx[nx + nw:]
+        del W
         X = X @ Cx[:nx] + P
+        X = _project_out(X, constraints)
+        AX = Amat @ X
     return theta, X, res, False, maxiter
 
 

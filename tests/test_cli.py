@@ -2,15 +2,21 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 CLI = [sys.executable, "-m", "hodgelab.cli"]
+# pytest's `pythonpath` setting reaches this process only, not the children
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
     env.pop("HODGELAB_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (SRC, env.get("PYTHONPATH")) if path)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -144,14 +150,25 @@ def test_verify_invalid_config_values(tmp_path):
          "tolerance solver_tol must be finite and > 0"),
         ({"surface": {**sphere, "radius": float("inf")}},
          "icosphere needs a finite radius > 0"),
+        ({"surface": sphere, "eigenpair": 4}, "unknown config key 'eigenpair'"),
+        ({"surface": sphere, "levels": [3, 4]}, "unknown config key 'levels'"),
+        ({"surface": {**sphere, "radius ": 2.0}}, "unknown surface key 'radius '"),
     ):
         path.write_text(json.dumps(cfg))
         proc = run_cli("verify", "--config", str(path))
         assert proc.returncode == 1
         assert proc.stderr == f"error: {message}\n"
-    proc = run_cli("verify", "--level", "1", "--radius", "nan")
-    assert proc.returncode == 1
-    assert proc.stderr == "error: icosphere needs a finite radius > 0\n"
+    # a flag value of 0 is rejected, not replaced by the config's value
+    spheroid = ["--kind", "spheroid", "--level", "1"]
+    for argv, message in (
+        (["--level", "1", "--radius", "nan"], "icosphere needs a finite radius > 0"),
+        (["--radius", "0"], "icosphere needs a finite radius > 0"),
+        ([*spheroid, "--a", "0", "--c", "2"], "spheroid needs finite semi-axes a, c > 0"),
+        ([*spheroid, "--a", "1", "--c", "0"], "spheroid needs finite semi-axes a, c > 0"),
+    ):
+        proc = run_cli("verify", *argv)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
 
 
 def test_converge_monotone(tmp_path):
@@ -227,6 +244,27 @@ def test_runconfig_roundtrip():
     assert back.tolerances == cfg.tolerances
     assert len(back.fields) == 11
     assert [f.name for f in back.fields] == [f.name for f in cfg.fields]
+
+
+@given(kind=st.sampled_from(["icosphere", "spheroid"]), level=st.integers(0, 8),
+       size=st.floats(0.1, 10.0), eigenpairs=st.integers(1, 40),
+       solver_tol=st.floats(1e-12, 1e-2), seed=st.integers(0, 2**32),
+       n_fields=st.integers(0, 11),
+       report_path=st.one_of(st.none(), st.text(max_size=8)))
+@settings(max_examples=50, deadline=None)
+def test_runconfig_json_roundtrip_property(kind, level, size, eigenpairs,
+                                           solver_tol, seed, n_fields, report_path):
+    from hodgelab.config import RunConfig, Tolerances, builtin_fields
+    from hodgelab.mesh import SurfaceSpec
+
+    surface = (SurfaceSpec(kind, level, radius=size) if kind == "icosphere"
+               else SurfaceSpec(kind, level, a=size, c=2.0))
+    cfg = RunConfig(surface=surface, eigenpairs=eigenpairs,
+                    fields=builtin_fields()[:n_fields],
+                    tolerances=Tolerances(solver_tol=solver_tol), seed=seed,
+                    report_path=report_path)
+    # every key to_json_dict writes is one from_json_dict accepts
+    assert RunConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict()))) == cfg
 
 
 def test_convergence_failure_prints_iterations(monkeypatch, capsys):

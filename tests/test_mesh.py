@@ -212,3 +212,55 @@ def test_mesh_constructor_rejects_open_surface():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
     with pytest.raises(MeshError):
         TriangleMesh(vertices=verts, faces=np.array([[0, 1, 2]]))
+
+
+def test_mesh_constructor_rejects_out_of_range_indices():
+    m = build_icosphere(0, 1.0)
+    # -1 for every use of the last vertex keeps the surface closed and would
+    # wrap around to that vertex; one corner at 10**6 would show only as a
+    # "boundary edge"
+    wrapped = np.where(m.faces == 11, -1, m.faces)
+    too_large = m.faces.copy()
+    too_large[0, 0] = 10**6
+    for faces in (wrapped, too_large):
+        with pytest.raises(MeshError, match=r"face index outside \[0, 12\)"):
+            TriangleMesh(vertices=m.vertices, faces=faces)
+
+
+@given(pairs=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                      min_size=1, max_size=60))
+@settings(max_examples=100, deadline=None)
+def test_unique_edges_matches_row_unique(pairs):
+    he = np.array(pairs, dtype=np.int64)
+    canon = np.sort(he, axis=1)
+    expected_edges, expected_inverse = np.unique(canon, axis=0, return_inverse=True)
+    for half_edges in (canon, he):
+        edges, inverse = mesh._unique_edges(half_edges)
+        assert edges.dtype == expected_edges.dtype
+        np.testing.assert_array_equal(edges, expected_edges)
+        np.testing.assert_array_equal(inverse, expected_inverse.reshape(-1))
+
+
+def _row_unique_incidence(faces):
+    """Edge incidence from a row-wise np.unique: the reference for the mesh."""
+    n_faces = faces.shape[0]
+    he = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    edges, inverse = np.unique(np.sort(he, axis=1), axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    he_face = np.tile(np.arange(n_faces), 3)
+    sign = np.where(he[:, 0] < he[:, 1], 1, -1).astype(np.int8)
+    order = np.argsort(inverse, kind="stable")
+    return {
+        "edges": edges,
+        "edge_faces": he_face[order].reshape(-1, 2),
+        "edge_face_signs": sign[order].reshape(-1, 2),
+        "face_edges": inverse.reshape(3, n_faces).T,
+        "face_edge_signs": sign.reshape(3, n_faces).T,
+    }
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_incidence_matches_row_unique_reference(level, sphere_mesh):
+    m = sphere_mesh(level)
+    for name, expected in _row_unique_incidence(m.faces).items():
+        np.testing.assert_array_equal(getattr(m, name), expected, err_msg=name)

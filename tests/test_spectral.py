@@ -247,11 +247,11 @@ def full_size_solve(request, scalar_pair_factory, spheroid_mesh):
     reference = np.sort(eigsh(A.matrix, k=m + ORACLE_PADDING, M=B.matrix,
                               sigma=ORACLE_SHIFT, which="LM", v0=v0,
                               return_eigenvectors=False))[:m]
-    return result, reference
+    return result, reference, B
 
 
 def test_full_size_solver_matches_shift_invert_eigsh(full_size_solve):
-    result, reference = full_size_solve
+    result, reference, _ = full_size_solve
     err = np.abs(result.eigenvalues - reference) / np.maximum(np.abs(reference), 1e-3)
     assert err.max() < 1e-9
 
@@ -259,5 +259,51 @@ def test_full_size_solver_matches_shift_invert_eigsh(full_size_solve):
 def test_full_size_solver_headroom(full_size_solve):
     # the LU preconditioner converges in about 12 iterations; a fallback to a
     # weak preconditioner takes hundreds and turns this red
-    result, _ = full_size_solve
+    result, _, _ = full_size_solve
     assert result.iterations <= HEADROOM_ITERATIONS < FULL_SIZE_MAXITER
+
+
+def test_full_size_solver_b_orthonormal(full_size_solve):
+    # X leaves each Rayleigh-Ritz step orthonormal and is never
+    # re-orthonormalized; rounding must not accumulate over the iterations
+    result, _, B = full_size_solve
+    V = result.eigenvectors
+    gram = V.T @ (B.matrix @ V)
+    assert np.abs(gram - np.eye(V.shape[1])).max() <= 1e-12
+
+
+def _svqb_reference(V, drop_tol=1e-12):
+    """SVQB on explicitly normalized columns: the rank filter of the solver."""
+    norms = np.linalg.norm(V, axis=0)
+    V = V[:, norms > 0.0] / norms[norms > 0.0]
+    if V.shape[1] == 0:
+        return V
+    w, U = np.linalg.eigh(V.T @ V)
+    keep = w > drop_tol * w.max()
+    return V @ (U[:, keep] / np.sqrt(w[keep]))
+
+
+@pytest.mark.parametrize("case", ["independent", "zero", "duplicate",
+                                  "near-duplicate", "tiny-independent", "all-zero"])
+def test_orthonormalize_drops_what_the_normalized_filter_drops(case):
+    rng = np.random.default_rng(5)
+    V = rng.standard_normal((300, 6))
+    extra = {
+        "independent": rng.standard_normal(300),
+        "zero": np.zeros(300),
+        "duplicate": 1e-8 * V[:, 0],
+        "near-duplicate": V[:, 1] + 1e-14 * rng.standard_normal(300),
+        # a tiny but independent column (a nearly converged residual) stays
+        "tiny-independent": 1e-10 * rng.standard_normal(300),
+        "all-zero": None,
+    }[case]
+    V = np.zeros((300, 3)) if extra is None else np.column_stack([V, extra])
+    Q = spectral._orthonormalize(V)
+    ref = _svqb_reference(V)
+    assert Q.shape == ref.shape
+    assert Q.shape[1] == {"independent": 7, "tiny-independent": 7,
+                          "all-zero": 0}.get(case, 6)
+    if Q.shape[1]:
+        assert np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1]), 2) <= 1e-14
+        # same span: the projectors agree
+        assert np.abs(Q @ Q.T - ref @ ref.T).max() < 1e-10
