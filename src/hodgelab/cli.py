@@ -39,13 +39,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _surface_from_args(args) -> SurfaceSpec:
-    if args.kind == "icosphere":
-        return SurfaceSpec(kind="icosphere", level=args.level,
-                           radius=args.radius if args.radius is not None else 1.0)
-    if args.a is None or args.c is None:
+def _surface_from_args(args, level: int, base: SurfaceSpec | None = None) -> SurfaceSpec:
+    """The surface that the flags describe, at ``level``.
+
+    An unset flag takes ``base``'s value when ``base`` is of the same kind;
+    an icosphere's radius defaults to 1. A flag that does not apply to the
+    kind reaches SurfaceSpec, which rejects it.
+    """
+    kind = args.kind or (base.kind if base is not None else "icosphere")
+    inherit = base is not None and base.kind == kind
+
+    def flag(name):
+        # `is None`, never `or`: a flag value of 0 must reach the check
+        value = getattr(args, name)
+        return getattr(base, name) if value is None and inherit else value
+
+    radius, a, c = flag("radius"), flag("a"), flag("c")
+    if kind == "icosphere" and radius is None:
+        radius = 1.0
+    if kind == "spheroid" and (a is None or c is None):
         raise MeshError("spheroid needs --a and --c")
-    return SurfaceSpec(kind="spheroid", level=args.level, a=args.a, c=args.c)
+    return SurfaceSpec(kind=kind, level=level, radius=radius, a=a, c=c)
 
 
 def _finite_positive(text: str) -> float:
@@ -55,10 +69,8 @@ def _finite_positive(text: str) -> float:
     return value
 
 
-def _add_surface_flags(parser, require_level=True):
-    parser.add_argument("--kind", choices=["icosphere", "spheroid"],
-                        default="icosphere")
-    parser.add_argument("--level", type=int, required=require_level)
+def _add_surface_flags(parser):
+    parser.add_argument("--kind", choices=["icosphere", "spheroid"], default=None)
     parser.add_argument("--radius", type=float, default=None)
     parser.add_argument("--a", type=float, default=None)
     parser.add_argument("--c", type=float, default=None)
@@ -79,7 +91,7 @@ def _seed(args_seed: int | None, config_seed: int = 0) -> int:
 
 def cmd_mesh(args) -> int:
     try:
-        surface = _surface_from_args(args)
+        surface = _surface_from_args(args, args.level)
         built = mesh_mod.build_surface(surface)
     except (MeshError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -97,6 +109,17 @@ def cmd_mesh(args) -> int:
     return EXIT_OK if outcome.ok else EXIT_FAILURE
 
 
+def _write_csv(lines, out) -> None:
+    """Write the CSV lines to ``out``, or to stdout when it is unset."""
+    text = "\n".join(lines) + "\n"
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(text)
+
+
 def _spectrum_rows(result):
     group_of = {}
     for gi, g in enumerate(result.groups):
@@ -108,28 +131,24 @@ def _spectrum_rows(result):
     ]
 
 
+def _lowest_eigenpairs(built, args, seed: int):
+    """The ``args.count`` lowest eigenpairs of the degree-``args.form`` Laplacian."""
+    if args.form == 0:
+        A, B = exterior.laplacian0(built)
+        return spectral.solve_lowest(A, B, args.count, args.tol, seed=seed,
+                                     known_kernel=np.ones(built.n_vertices))
+    return verify_mod.oneform_spectrum_hodge_split(built, args.count, args.tol, seed=seed)[0]
+
+
 def cmd_spectrum(args) -> int:
-    if args.form not in (0, 1):
-        print(f"error: unsupported form degree {args.form}", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        surface = _surface_from_args(args)
-        built = mesh_mod.build_surface(surface)
+        built = mesh_mod.build_surface(_surface_from_args(args, args.level))
     except (MeshError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     seed = _seed(args.seed)
     try:
-        if args.form == 0:
-            A, B = exterior.laplacian0(built)
-            result = spectral.solve_lowest(
-                A, B, args.count, args.tol, seed=seed,
-                known_kernel=np.ones(built.n_vertices),
-            )
-        else:
-            result, _ = verify_mod.oneform_spectrum_hodge_split(
-                built, args.count, args.tol, seed=seed
-            )
+        result = _lowest_eigenpairs(built, args, seed)
     except (exterior.ExteriorError, spectral.SpectralError, verify_mod.VerifyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, spectral.ConvergenceError):
@@ -139,13 +158,7 @@ def cmd_spectrum(args) -> int:
     rows = _spectrum_rows(result)
     lines = ["index,eigenvalue,residual,group"]
     lines += [f"{i},{ev:.12g},{res:.3g},{grp}" for i, ev, res, grp in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_csv(lines, args.out)
     return EXIT_OK
 
 
@@ -228,20 +241,10 @@ def cmd_verify(args) -> int:
         else:
             cfg = default_config()
         overrides = {}
-        # `is not None`, never `or`: a flag value of 0 must reach the check
         if any(flag is not None
                for flag in (args.kind, args.level, args.radius, args.a, args.c)):
-            kind = args.kind or cfg.surface.kind
             level = args.level if args.level is not None else cfg.surface.level
-            if kind == "icosphere":
-                radius = args.radius if args.radius is not None else cfg.surface.radius
-                surface = SurfaceSpec(kind=kind, level=level,
-                                      radius=1.0 if radius is None else radius)
-            else:
-                surface = SurfaceSpec(kind=kind, level=level,
-                                      a=args.a if args.a is not None else cfg.surface.a,
-                                      c=args.c if args.c is not None else cfg.surface.c)
-            overrides["surface"] = surface
+            overrides["surface"] = _surface_from_args(args, level, cfg.surface)
         if args.eigenpairs is not None:
             overrides["eigenpairs"] = args.eigenpairs
         cfg = dataclasses.replace(cfg, seed=_seed(args.seed, cfg.seed), **overrides)
@@ -272,9 +275,7 @@ def cmd_converge(args) -> int:
     reordered = ordered != levels
     seed = _seed(args.seed)
     try:
-        surfaces = [SurfaceSpec(kind=args.kind, level=level,
-                                radius=args.radius if args.radius is not None else 1.0,
-                                a=args.a, c=args.c) for level in ordered]
+        surfaces = [_surface_from_args(args, level) for level in ordered]
     except MeshError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -282,17 +283,7 @@ def cmd_converge(args) -> int:
     for surface in surfaces:
         level = surface.level
         try:
-            built = mesh_mod.build_surface(surface)
-            if args.form == 0:
-                A, B = exterior.laplacian0(built)
-                result = spectral.solve_lowest(
-                    A, B, args.count, args.tol, seed=seed,
-                    known_kernel=np.ones(built.n_vertices),
-                )
-            else:
-                result, _ = verify_mod.oneform_spectrum_hodge_split(
-                    built, args.count, args.tol, seed=seed
-                )
+            result = _lowest_eigenpairs(mesh_mod.build_surface(surface), args, seed)
         except (MeshError, exterior.ExteriorError, spectral.SpectralError,
                 verify_mod.VerifyError) as exc:
             print(f"error at level {level}: {exc}", file=sys.stderr)
@@ -303,13 +294,7 @@ def cmd_converge(args) -> int:
         rows.append((level, args.target, lam, abs(lam - args.target)))
     lines = ["level,target,lambda_hat,abs_error"]
     lines += [f"{lv},{tg:.12g},{lam:.12g},{err:.6g}" for lv, tg, lam, err in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_csv(lines, args.out)
     if reordered:
         print("note: levels were reordered ascending")
     errors = [row[3] for row in rows]
@@ -329,12 +314,14 @@ def build_parser() -> _Parser:
 
     p_mesh = sub.add_parser("mesh", help="generate and validate a mesh")
     _add_surface_flags(p_mesh)
+    p_mesh.add_argument("--level", type=int, required=True)
     p_mesh.add_argument("--out", default=None, help="OFF output path")
     p_mesh.set_defaults(func=cmd_mesh)
 
     p_spec = sub.add_parser("spectrum", help="lowest Laplacian eigenvalues")
     _add_surface_flags(p_spec)
-    p_spec.add_argument("--form", type=int, default=0)
+    p_spec.add_argument("--level", type=int, required=True)
+    p_spec.add_argument("--form", type=int, default=0, choices=[0, 1])
     p_spec.add_argument("--count", type=int, default=16)
     p_spec.add_argument("--tol", type=_finite_positive, default=1e-6)
     p_spec.add_argument("--seed", type=int, default=None)
@@ -343,11 +330,8 @@ def build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="run the verification suite")
     p_ver.add_argument("--config", default=None, help="JSON RunConfig path")
-    p_ver.add_argument("--kind", choices=["icosphere", "spheroid"], default=None)
+    _add_surface_flags(p_ver)
     p_ver.add_argument("--level", type=int, default=None)
-    p_ver.add_argument("--radius", type=float, default=None)
-    p_ver.add_argument("--a", type=float, default=None)
-    p_ver.add_argument("--c", type=float, default=None)
     p_ver.add_argument("--eigenpairs", type=int, default=None)
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--out", default=None, help="JSON report path")
@@ -356,11 +340,7 @@ def build_parser() -> _Parser:
     p_conv = sub.add_parser("converge", help="eigenvalue convergence study")
     p_conv.add_argument("--levels", required=True,
                         help="comma-separated subdivision levels")
-    p_conv.add_argument("--kind", choices=["icosphere", "spheroid"],
-                        default="icosphere")
-    p_conv.add_argument("--radius", type=float, default=None)
-    p_conv.add_argument("--a", type=float, default=None)
-    p_conv.add_argument("--c", type=float, default=None)
+    _add_surface_flags(p_conv)
     p_conv.add_argument("--form", type=int, default=0, choices=[0, 1])
     p_conv.add_argument("--count", type=int, default=16)
     p_conv.add_argument("--target", type=float, default=2.0)

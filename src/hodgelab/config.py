@@ -89,6 +89,14 @@ class RunConfig:
         if self.eigenpairs < 1:
             raise ConfigError("eigenpairs must be >= 1")
         object.__setattr__(self, "fields", tuple(self.fields))
+        # a field that cannot be built is rejected here, not mid-run
+        for spec in self.fields:
+            try:
+                spec.build(self.surface)
+            except KeyError as exc:
+                raise ConfigError(f"field {spec.name}: missing parameter {exc}") from exc
+            except (ConfigError, field_mod.FieldError, TypeError, ValueError) as exc:
+                raise ConfigError(f"field {spec.name}: {exc}") from exc
 
     def to_json_dict(self) -> dict:
         surf = {"kind": self.surface.kind, "level": self.surface.level}

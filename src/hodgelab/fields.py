@@ -188,72 +188,3 @@ def sample_oneform(field: AnalyticField, mesh: TriangleMesh) -> Cochain:
     integrand = np.einsum("eti,eti->et", vals, dgamma)
     return Cochain(degree=1, values=integrand @ _GL_WEIGHTS)
 
-
-def _face_jacobians(mesh: TriangleMesh, vertex_values: np.ndarray):
-    """In-plane 2x2 Jacobian of the per-face linear interpolant of a field.
-
-    The three vertex vectors are projected onto each (flat) face plane and
-    interpolated affinely; extrinsic bending is neglected, so this is a
-    first-order diagnostic, not a convergent covariant derivative.
-    """
-    p = mesh.vertices[mesh.faces]
-    w = vertex_values[mesh.faces]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    nrm = np.cross(e1, e2)
-    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-    b1 = e1 / np.linalg.norm(e1, axis=1, keepdims=True)
-    b2 = np.cross(nrm, b1)
-
-    def plane(v):
-        return np.stack([np.einsum("fi,fi->f", v, b1),
-                         np.einsum("fi,fi->f", v, b2)], axis=-1)
-
-    q1 = plane(e1)
-    q2 = plane(e2)
-    u0 = plane(w[:, 0])
-    u1 = plane(w[:, 1])
-    u2 = plane(w[:, 2])
-    Qm = np.stack([q1, q2], axis=-1)  # columns q1, q2
-    Um = np.stack([u1 - u0, u2 - u0], axis=-1)
-    J = Um @ np.linalg.inv(Qm)
-    return J
-
-
-def _residual_rms(mesh: TriangleMesh, field: AnalyticField, density_fn) -> float:
-    verts = mesh.vertices
-    vals = evaluate(field, verts)
-    if not np.any(vals):
-        raise FieldError("residual of the zero field")
-    J = _face_jacobians(mesh, vals)
-    density = density_fn(J)
-    areas = mesh.face_areas()
-    total = areas.sum()
-    mean_sq = np.einsum("fk,f->", (vals[mesh.faces] ** 2).sum(axis=2) / 3.0, areas)
-    rms_field = np.sqrt(mean_sq / total)
-    rms_density = np.sqrt((density * areas).sum() / total)
-    return float(rms_density / rms_field)
-
-
-def conformal_killing_residual(mesh: TriangleMesh, field: AnalyticField) -> float:
-    """Area-RMS of |sym(J) - (tr J / 2) I|, normalized by the field RMS.
-
-    Small for conformal fields (the defining first-order system has
-    trace-free symmetrized gradient), O(1) for non-conformal ones.
-    """
-    def density(J):
-        sym = 0.5 * (J + np.swapaxes(J, 1, 2))
-        tr = np.trace(sym, axis1=1, axis2=2)
-        sym = sym - 0.5 * tr[:, None, None] * np.eye(2)
-        return np.einsum("fij,fij->f", sym, sym)
-
-    return _residual_rms(mesh, field, density)
-
-
-def killing_residual(mesh: TriangleMesh, field: AnalyticField) -> float:
-    """Area-RMS of |sym(J)|, normalized by the field RMS; zero for isometries."""
-    def density(J):
-        sym = 0.5 * (J + np.swapaxes(J, 1, 2))
-        return np.einsum("fij,fij->f", sym, sym)
-
-    return _residual_rms(mesh, field, density)

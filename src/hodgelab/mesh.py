@@ -54,8 +54,12 @@ class SurfaceSpec:
             )
         # the chained comparisons are False for NaN and inf as well as for <= 0
         if self.kind == "icosphere":
+            if self.a is not None or self.c is not None:
+                raise MeshError("icosphere takes a radius, not semi-axes a, c")
             if self.radius is None or not 0 < self.radius < np.inf:
                 raise MeshError("icosphere needs a finite radius > 0")
+        elif self.radius is not None:
+            raise MeshError("spheroid takes semi-axes a, c, not a radius")
         elif (self.a is None or self.c is None
               or not (0 < self.a < np.inf and 0 < self.c < np.inf)):
             raise MeshError("spheroid needs finite semi-axes a, c > 0")

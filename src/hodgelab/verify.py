@@ -1,13 +1,16 @@
 """Verification suite: bounds, classification, identities, multiplicities.
 
-``run_suite`` drives the full pipeline on one configured surface: mesh
-build/validation, curvature bounds against the closed-form oracle,
-scalar and one-form spectra, field sampling with classification and bound
-checks under both the printed and rederived projective upper constants,
-discrete Weitzenboeck-identity residuals, the exact sphere-oracle battery,
-and multiplicity checks against the conformal/projective algebra dimension
-bounds. The report is a stable-keyed JSON document; a stage failure is
-recorded with a stage label and the report is still emitted.
+``run_suite`` runs the pipeline on one configured surface as a sequence of
+stages: mesh build and validation, curvature bounds against the closed-form
+extrema, the scalar and one-form spectra, one stage per field
+(classification, bound checks under both the printed and rederived
+projective upper constants, discrete Weitzenboeck-identity residuals), the
+exact sphere-oracle battery, and multiplicity checks against the
+conformal/projective algebra dimension bounds. Each stage writes its report
+section and returns the checks it decides. One guard, ``_StageGuard``, runs
+and times every stage; a stage that raises is recorded with its label, its
+checks fail, and the report is still emitted. The report is a stable-keyed
+JSON document.
 
 One-form spectra on genus-0 surfaces are computed through the exact discrete
 Hodge split: eigenpairs of the vertex pencil map to exact one-form eigenpairs
@@ -55,6 +58,7 @@ HYPOTHESIS_TOL = 0.1
 ORACLE_EXACT_TOL = 1e-12
 ORACLE_LARGE = 0.1
 MIN_SPECTRAL_LEVEL = 3
+N_DIM = 2  # intrinsic dimension of every built-in surface
 ORACLE_DIMENSIONS = (2, 3, 5)
 ORACLE_RADII = (1.0, 2.0)
 
@@ -407,13 +411,13 @@ def _oracle_records(seed: int = 7) -> list:
     return records
 
 
-def _clusters_match(groups, n: int, alpha: float, sizes, rtols) -> bool:
+def _clusters_match(groups, alpha: float, sizes, rtols) -> bool:
     """True if ``groups`` open with the first two round-sphere clusters.
 
     Their eigenvalues are n alpha and 2 (n + 1) alpha; ``sizes`` and
     ``rtols`` give each cluster's multiplicity and relative tolerance.
     """
-    targets = (n * alpha, 2.0 * (n + 1) * alpha)
+    targets = (N_DIM * alpha, 2.0 * (N_DIM + 1) * alpha)
     return len(groups) >= 2 and all(
         abs(g.representative - target) <= rtol * target and g.multiplicity == size
         for g, target, size, rtol in zip(groups, targets, sizes, rtols)
@@ -432,6 +436,17 @@ def _spectrum_json(result: SpectrumResult) -> dict:
     }
 
 
+def _round_alpha(surface) -> float | None:
+    """alpha = 1 / r^2 if the surface is a round sphere of radius r, else None."""
+    if surface.kind == "icosphere":
+        r = surface.radius
+    elif surface.a == surface.c:
+        r = surface.a
+    else:
+        return None
+    return 1.0 / (r * r)
+
+
 def _expected_class(spec, surface) -> str:
     """Construction-implied classification, aware of the surface symmetry.
 
@@ -441,8 +456,7 @@ def _expected_class(spec, surface) -> str:
     """
     if spec.kind != "killing_rotation":
         return "gradient"
-    is_sphere = surface.kind == "icosphere" or surface.a == surface.c
-    if is_sphere:
+    if _round_alpha(surface) is not None:
         return "killing"
     axis = np.asarray(spec.parameters["axis"], dtype=float)
     axis = axis / np.linalg.norm(axis)
@@ -458,241 +472,246 @@ def _expected_identities(kind: str) -> dict:
     return {"yano_2_2": "small", "lichnerowicz_3_2": "large"}
 
 
-def run_suite(config: RunConfig) -> dict:
-    """Execute the full verification pipeline; returns the report dictionary.
+class _StageGuard:
+    """Runs the suite's stages; the one place where a stage failure is caught.
 
-    Stage errors are caught, labeled, and recorded; the report is always
-    emitted. ``report["pass"]`` is True iff every mandatory check passed.
+    A stage returns ``(value, {check: outcome})``. ``run`` returns the value
+    and ANDs the outcomes into ``checks``, so a check that several stages
+    report (one per field) passes only if each of them passes. A stage that
+    raises is recorded in ``failures`` as "<label>: <error>", the checks
+    named in ``on_failure`` are set False, and its value is None. Each
+    label's wall time accumulates in ``seconds``.
     """
-    t_start = time.time()
-    notes: list = []
-    failures: list = []
-    mandatory: dict = {}
-    surface = config.surface
-    is_sphere = surface.kind == "icosphere" or (surface.a == surface.c)
-    radius = surface.radius if surface.kind == "icosphere" else None
-    n_dim = 2
-    seed = config.seed
-    tols = config.tolerances
 
+    def __init__(self):
+        self.checks: dict = {}
+        self.failures: list = []
+        self.seconds: dict = {}
+
+    def run(self, label: str, on_failure: tuple, stage, *args):
+        start = time.perf_counter()
+        try:
+            value, outcomes = stage(*args)
+        except Exception as exc:  # noqa: BLE001 - every stage failure is reported
+            self.failures.append(f"{label}: {exc}")
+            value, outcomes = None, dict.fromkeys(on_failure, False)
+        for name, ok in outcomes.items():
+            self.checks[name] = self.checks.get(name, True) and ok
+        self.seconds[label] = self.seconds.get(label, 0.0) + time.perf_counter() - start
+        return value
+
+
+def _mesh_stage(report, surface):
+    mesh = mesh_mod.build_surface(surface)
+    outcome = mesh_mod.validate(mesh)
+    report["mesh"] = {
+        "kind": surface.kind,
+        "level": surface.level,
+        "vertices": mesh.n_vertices,
+        "edges": mesh.n_edges,
+        "faces": mesh.n_faces,
+        "genus": outcome.genus,
+        "validation": outcome.checks,
+    }
+    return mesh, {"mesh_valid": outcome.ok}
+
+
+def _curvature_stage(report, mesh, surface, alpha, bound_rel):
+    """(rho, P) from angle defects, checked against the exact extrema."""
+    bounds = curvature_mod.angle_defect_curvature(mesh)
+    defect_err = abs(curvature_mod.angle_defects(mesh).sum() - 4.0 * np.pi)
+    entry = {"rho": bounds.rho, "P": bounds.P_max, "gauss_bonnet_error": float(defect_err)}
+    checks = {"gauss_bonnet": bool(defect_err < 1e-10)}
+    if alpha is not None:
+        entry["rho_exact"] = entry["P_exact"] = alpha
+        gate = bound_rel
+    else:
+        # a spheroid's curvature extrema sit at the pole and on the equator
+        a, c = surface.a, surface.c
+        extrema = sorted(curvature_mod.ellipsoid_curvature_exact(a, a, c, point)
+                         for point in ((0.0, 0.0, c), (a, 0.0, 0.0)))
+        entry["rho_exact"], entry["P_exact"] = extrema
+        # the pole curvature extremum resolves at first order; gates
+        # follow the measured convergence (1.5% at level 6, ~6% at 5)
+        gate = 0.05 if surface.level >= 6 else 0.10
+    rel_rho = abs(bounds.rho - entry["rho_exact"]) / entry["rho_exact"]
+    rel_P = abs(bounds.P_max - entry["P_exact"]) / entry["P_exact"]
+    entry["max_relative_error"] = float(max(rel_rho, rel_P))
+    if alpha is not None or surface.level >= 5:
+        checks["curvature_oracle"] = entry["max_relative_error"] <= gate
+    else:
+        report["notes"].append(
+            "curvature extrema recorded but not gated below level 5 "
+            "on spheroids (pole resolution)"
+        )
+    report["curvature"] = entry
+    return (bounds.rho, bounds.P_max), checks
+
+
+def _scalar_stage(report, mesh, config, alpha):
+    A0, B0 = exterior.laplacian0(mesh)
+    result = solve_lowest(
+        A0, B0, min(config.eigenpairs, mesh.n_vertices), config.tolerances.solver_tol,
+        seed=config.seed, known_kernel=np.ones(mesh.n_vertices),
+        rel_gap=config.tolerances.group_rel_gap,
+    )
+    report["spectra"]["scalar"] = _spectrum_json(result)
+    if alpha is None:
+        return result, {}
+    return result, {"scalar_spectrum": _clusters_match(
+        result.groups[1:], alpha, (N_DIM + 1, 2 * N_DIM + 1), SCALAR_CLUSTER_RTOL,
+    )}
+
+
+def _oneform_stage(report, mesh, config, alpha):
+    """(spectrum, exact flags, (A1, B1)) of the one-form Laplacian."""
+    pencil = exterior.laplacian1(mesh)
+    result, flags = oneform_spectrum_hodge_split(
+        mesh, min(config.eigenpairs, mesh.n_edges), config.tolerances.solver_tol,
+        seed=config.seed,
+    )
+    report["spectra"]["oneform"] = _spectrum_json(result)
+    if alpha is None:
+        return (result, flags, pencil), {}
+    ok = _clusters_match(
+        result.groups, alpha, (2 * (N_DIM + 1), 2 * (2 * N_DIM + 1)), ONEFORM_CLUSTER_RTOL,
+    )
+    no_harmonic = result.eigenvalues[0] > 0.5 * N_DIM * alpha
+    return (result, flags, pencil), {"oneform_spectrum": bool(ok and no_harmonic)}
+
+
+def _bounds_entry(kind: str, lam_hat: float, align: float, curv, round_sphere: bool,
+                  tol: float):
+    """(report entry, pass) of one field's eigenvalue against its bound theorem."""
+    if align > HYPOTHESIS_TOL:
+        return {
+            "mode": None, "lower": None, "upper_printed": None,
+            "upper_rederived": None, "satisfied_printed": None,
+            "satisfied_rederived": None, "attainment": "none",
+            "note": "hypothesis Δω = λω violated",
+        }, True
+    mode = "conformal" if kind == "conformal_gradient" else "projective"
+    outcome = check_bounds(lam_hat, *curv, N_DIM, mode, tol)
+    entry = outcome.to_json()
+    if not outcome.printed_consistent:
+        entry["note"] = "inconsistent as printed"
+    sat = (outcome.satisfied_rederived if outcome.satisfied_rederived is not None
+           else outcome.satisfied_printed)
+    # endpoint sharpness is a round-sphere statement; on other surfaces an
+    # interior eigenvalue is legitimate
+    endpoint = (outcome.attainment in ("lower", "upper") if round_sphere
+                else outcome.attainment != "none")
+    conformal_ok = True
+    if kind == "killing_rotation" and round_sphere:
+        conformal_ok = check_bounds(lam_hat, *curv, N_DIM, "conformal", tol).satisfied_printed
+    return entry, sat and endpoint and conformal_ok
+
+
+def _field_stage(report, spec, mesh, config, alpha, oneform, curv):
+    """Sample one field into its report entry: class, eigenvalue, bounds, identities.
+
+    The entry is appended first, so a field that fails keeps what it got.
+    """
+    entry = {
+        "name": spec.name, "lambda": None, "eigenform_residual": None,
+        "dstar_norm": None, "d_norm": None, "class": None,
+        "bounds": None, "identities": {},
+    }
+    report["fields"].append(entry)
+    tols = config.tolerances
+    omega = fields_mod.sample_oneform(spec.build(config.surface), mesh)
+    nd, nw = exterior.codifferential_norm(mesh, omega)
+    entry["dstar_norm"], entry["d_norm"] = nd, nw
+    entry["class"] = classify_field(nd, nw, tols.class_tol)
+    checks = {"classification": entry["class"] == _expected_class(spec, config.surface)}
+    spectrum, _flags, (A1, B1) = oneform
+    lam_hat, align = eigenform_alignment(spectrum, A1, B1, omega.values)
+    entry["lambda"], entry["eigenform_residual"] = lam_hat, align
+    entry["bounds"], checks["field_bounds"] = _bounds_entry(
+        spec.kind, lam_hat, align, curv, alpha is not None, tols.bound_rel)
+    identities_ok = True
+    for which, expect in _expected_identities(spec.kind).items():
+        value = discrete_identity_residual(mesh, omega, which)
+        entry["identities"][which] = value
+        if alpha is not None:
+            ok = value < IDENTITY_SMALL if expect == "small" else value > IDENTITY_LARGE
+            identities_ok = identities_ok and ok
+    checks["discrete_identities"] = identities_ok
+    return None, checks
+
+
+def _oracle_stage(report):
+    report["oracle"] = _oracle_records()
+    return None, {"oracle_exact": all(rec["pass"] for rec in report["oracle"])}
+
+
+def _multiplicity_stage(report, oneform):
+    spectrum, flags, _pencil = oneform
+    report["multiplicity"] = records = multiplicity_check(spectrum, N_DIM, flags)
+    return None, {"multiplicity": all(rec["satisfied"] and rec["equality"] for rec in records)}
+
+
+def run_suite(config: RunConfig) -> dict:
+    """Run the verification stages on ``config.surface``; return the report.
+
+    The stages run in the order of the module docstring, each under
+    ``_StageGuard``, so a stage that raises is reported and the later stages
+    still run. A stage is skipped when one it needs failed, below
+    ``MIN_SPECTRAL_LEVEL`` (spectra and fields) and off the round sphere
+    (multiplicity). ``report["pass"]`` is True iff every mandatory check
+    passed and no stage failed; ``report["run"]`` gives the elapsed time and
+    each stage's, in seconds.
+    """
+    start = time.perf_counter()
+    surface = config.surface
+    alpha = _round_alpha(surface)
+    notes: list = []
     report: dict = {
         "mesh": None, "curvature": None,
         "spectra": {"scalar": None, "oneform": None},
         "fields": [], "oracle": [], "multiplicity": [],
-        "pass": False, "notes": notes, "timestamp": None,
+        "pass": False, "notes": notes, "run": None,
     }
+    guard = _StageGuard()
 
-    # mesh
-    mesh = None
-    try:
-        mesh = mesh_mod.build_surface(surface)
-        outcome = mesh_mod.validate(mesh)
-        report["mesh"] = {
-            "kind": surface.kind,
-            "level": surface.level,
-            "vertices": mesh.n_vertices,
-            "edges": mesh.n_edges,
-            "faces": mesh.n_faces,
-            "genus": outcome.genus,
-            "validation": outcome.checks,
-        }
-        mandatory["mesh_valid"] = outcome.ok
-    except Exception as exc:  # noqa: BLE001 - stage label + marker required
-        failures.append(f"mesh: {exc}")
-        mandatory["mesh_valid"] = False
-
-    # curvature
-    rho = P = None
-    per_vertex_K = None
+    mesh = guard.run("mesh", ("mesh_valid",), _mesh_stage, report, surface)
+    curv = oneform = None
     if mesh is not None:
-        try:
-            bounds = curvature_mod.angle_defect_curvature(mesh)
-            rho, P = bounds.rho, bounds.P_max
-            per_vertex_K = bounds.per_vertex_K
-            defect_err = abs(curvature_mod.angle_defects(mesh).sum() - 4.0 * np.pi)
-            entry = {"rho": rho, "P": P, "gauss_bonnet_error": float(defect_err)}
-            mandatory["gauss_bonnet"] = bool(defect_err < 1e-10)
-            if is_sphere:
-                r = radius if radius is not None else surface.a
-                exact = 1.0 / (r * r)
-                entry["rho_exact"] = exact
-                entry["P_exact"] = exact
-                gate = tols.bound_rel
-            else:
-                k_pole = surface.c**2 / surface.a**4
-                k_equator = 1.0 / (surface.a**2 * surface.c**2)
-                entry["rho_exact"] = min(k_pole, k_equator)
-                entry["P_exact"] = max(k_pole, k_equator)
-                # the pole curvature extremum resolves at first order; gates
-                # follow the measured convergence (1.5% at level 6, ~6% at 5)
-                gate = 0.05 if surface.level >= 6 else 0.10
-            rel_rho = abs(rho - entry["rho_exact"]) / entry["rho_exact"]
-            rel_P = abs(P - entry["P_exact"]) / entry["P_exact"]
-            entry["max_relative_error"] = float(max(rel_rho, rel_P))
-            if is_sphere or surface.level >= 5:
-                mandatory["curvature_oracle"] = entry["max_relative_error"] <= gate
-            else:
-                notes.append(
-                    "curvature extrema recorded but not gated below level 5 "
-                    "on spheroids (pole resolution)"
-                )
-            report["curvature"] = entry
-        except Exception as exc:  # noqa: BLE001
-            failures.append(f"curvature: {exc}")
-            mandatory["curvature_oracle"] = False
-
-    spectral_ok = mesh is not None and surface.level >= MIN_SPECTRAL_LEVEL
-    if mesh is not None and not spectral_ok:
-        notes.append(
-            "insufficient resolution: spectra, fields, and multiplicity "
-            f"checks need level >= {MIN_SPECTRAL_LEVEL}"
-        )
-
-    # spectra
-    scalar_result = None
-    oneform_result = None
-    exact_flags = None
-    A1 = B1 = None
-    if spectral_ok:
-        try:
-            A0, B0 = exterior.laplacian0(mesh)
-            m_scalar = min(config.eigenpairs, mesh.n_vertices)
-            scalar_result = solve_lowest(
-                A0, B0, m_scalar, tols.solver_tol, seed=seed,
-                known_kernel=np.ones(mesh.n_vertices),
-                rel_gap=tols.group_rel_gap,
+        curv = guard.run("curvature", ("curvature_oracle",), _curvature_stage,
+                         report, mesh, surface, alpha, config.tolerances.bound_rel)
+        if surface.level < MIN_SPECTRAL_LEVEL:
+            notes.append(
+                "insufficient resolution: spectra, fields, and multiplicity "
+                f"checks need level >= {MIN_SPECTRAL_LEVEL}"
             )
-            report["spectra"]["scalar"] = _spectrum_json(scalar_result)
-            if is_sphere:
-                r = radius if radius is not None else surface.a
-                alpha = 1.0 / (r * r)
-                mandatory["scalar_spectrum"] = _clusters_match(
-                    scalar_result.groups[1:], n_dim, alpha,
-                    (n_dim + 1, 2 * n_dim + 1), SCALAR_CLUSTER_RTOL,
-                )
-        except Exception as exc:  # noqa: BLE001
-            failures.append(f"scalar spectrum: {exc}")
-            mandatory["scalar_spectrum"] = False
-        try:
-            A1, B1 = exterior.laplacian1(mesh)
-            oneform_result, exact_flags = oneform_spectrum_hodge_split(
-                mesh, min(config.eigenpairs, mesh.n_edges), tols.solver_tol,
-                seed=seed,
-            )
-            report["spectra"]["oneform"] = _spectrum_json(oneform_result)
-            if is_sphere:
-                r = radius if radius is not None else surface.a
-                alpha = 1.0 / (r * r)
-                ok = _clusters_match(
-                    oneform_result.groups, n_dim, alpha,
-                    (2 * (n_dim + 1), 2 * (2 * n_dim + 1)), ONEFORM_CLUSTER_RTOL,
-                )
-                no_harmonic = oneform_result.eigenvalues[0] > 0.5 * n_dim * alpha
-                mandatory["oneform_spectrum"] = bool(ok and no_harmonic)
-        except Exception as exc:  # noqa: BLE001
-            failures.append(f"one-form spectrum: {exc}")
-            mandatory["oneform_spectrum"] = False
+        else:
+            guard.run("scalar spectrum", ("scalar_spectrum",), _scalar_stage,
+                      report, mesh, config, alpha)
+            oneform = guard.run("one-form spectrum", ("oneform_spectrum",),
+                                _oneform_stage, report, mesh, config, alpha)
 
-    # fields
-    if (spectral_ok and A1 is not None and rho is not None
-            and oneform_result is not None):
-        class_ok = True
-        bounds_ok = True
-        identities_ok = True
+    if oneform is not None and curv is not None:
+        # each field can only clear these; an empty roster passes them
+        guard.checks.update(dict.fromkeys(
+            ("classification", "field_bounds", "discrete_identities"), True))
         for spec in config.fields:
-            entry = {
-                "name": spec.name, "lambda": None, "eigenform_residual": None,
-                "dstar_norm": None, "d_norm": None, "class": None,
-                "bounds": None, "identities": {},
-            }
-            try:
-                field = spec.build(surface)
-                omega = fields_mod.sample_oneform(field, mesh)
-                nd, nw = exterior.codifferential_norm(mesh, omega)
-                entry["dstar_norm"], entry["d_norm"] = nd, nw
-                cls = classify_field(nd, nw, tols.class_tol)
-                entry["class"] = cls
-                class_ok = class_ok and (cls == _expected_class(spec, surface))
-                lam_hat, align = eigenform_alignment(
-                    oneform_result, A1, B1, omega.values
-                )
-                entry["lambda"] = lam_hat
-                entry["eigenform_residual"] = align
-                if align > HYPOTHESIS_TOL:
-                    entry["bounds"] = {
-                        "mode": None, "lower": None, "upper_printed": None,
-                        "upper_rederived": None, "satisfied_printed": None,
-                        "satisfied_rederived": None, "attainment": "none",
-                        "note": "hypothesis Δω = λω violated",
-                    }
-                else:
-                    mode = "conformal" if spec.kind == "conformal_gradient" else "projective"
-                    outcome = check_bounds(lam_hat, rho, P, n_dim, mode, tols.bound_rel)
-                    bj = outcome.to_json()
-                    if not outcome.printed_consistent:
-                        bj["note"] = "inconsistent as printed"
-                    entry["bounds"] = bj
-                    sat = (
-                        outcome.satisfied_rederived
-                        if outcome.satisfied_rederived is not None
-                        else outcome.satisfied_printed
-                    )
-                    # endpoint sharpness is a round-sphere statement; on
-                    # other surfaces an interior eigenvalue is legitimate
-                    endpoint = (outcome.attainment in ("lower", "upper")
-                                if is_sphere else outcome.attainment != "none")
-                    conformal_ok = True
-                    if spec.kind == "killing_rotation" and is_sphere:
-                        conf = check_bounds(lam_hat, rho, P, n_dim, "conformal",
-                                            tols.bound_rel)
-                        conformal_ok = conf.satisfied_printed
-                    bounds_ok = bounds_ok and sat and endpoint and conformal_ok
-                for which in ("yano_2_2", "lichnerowicz_3_2"):
-                    value = discrete_identity_residual(mesh, omega, which)
-                    entry["identities"][which] = value
-                    expect = _expected_identities(spec.kind)[which]
-                    if is_sphere:
-                        if expect == "small":
-                            identities_ok = identities_ok and value < IDENTITY_SMALL
-                        else:
-                            identities_ok = identities_ok and value > IDENTITY_LARGE
-            except Exception as exc:  # noqa: BLE001
-                failures.append(f"field {spec.name}: {exc}")
-                class_ok = False
-            report["fields"].append(entry)
-        mandatory["classification"] = class_ok
-        mandatory["field_bounds"] = bounds_ok
-        mandatory["discrete_identities"] = identities_ok
+            guard.run(f"field {spec.name}", ("classification",), _field_stage,
+                      report, spec, mesh, config, alpha, oneform, curv)
         notes.append(
             "conformal identity (3.2-type): the d d* coefficient (1 - 2/n) "
             "vanishes at n = 2; the check degenerates to |Delta w - 2 Ric* w|"
         )
 
-    # exact oracle battery (mesh-independent)
-    try:
-        report["oracle"] = _oracle_records()
-        mandatory["oracle_exact"] = all(rec["pass"] for rec in report["oracle"])
-    except Exception as exc:  # noqa: BLE001
-        failures.append(f"oracle: {exc}")
-        mandatory["oracle_exact"] = False
+    guard.run("oracle", ("oracle_exact",), _oracle_stage, report)
 
-    # multiplicity
-    if spectral_ok and oneform_result is not None and is_sphere:
-        try:
-            records = multiplicity_check(oneform_result, n_dim, exact_flags)
-            report["multiplicity"] = records
-            mandatory["multiplicity"] = all(
-                rec["satisfied"] and rec["equality"] for rec in records
-            )
-        except Exception as exc:  # noqa: BLE001
-            failures.append(f"multiplicity: {exc}")
-            mandatory["multiplicity"] = False
-    elif not is_sphere:
+    if alpha is None:
         notes.append("multiplicity bounds apply to the round sphere only")
+    elif oneform is not None:
+        guard.run("multiplicity", ("multiplicity",), _multiplicity_stage, report, oneform)
 
-    if failures:
-        report["failures"] = failures
-    report["checks"] = mandatory
-    report["pass"] = bool(mandatory) and all(mandatory.values()) and not failures
-    report["timestamp"] = time.time() - t_start
+    if guard.failures:
+        report["failures"] = guard.failures
+    report["checks"] = guard.checks
+    report["pass"] = bool(guard.checks) and all(guard.checks.values()) and not guard.failures
+    report["run"] = {"elapsed_s": time.perf_counter() - start, "stages": guard.seconds}
     return report

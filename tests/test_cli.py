@@ -57,6 +57,15 @@ def test_mesh_spheroid_requires_axes():
     proc = run_cli("mesh", "--kind", "spheroid", "--level", "1", "--a", "nan", "--c", "1")
     assert proc.returncode == 1
     assert proc.stderr == "error: spheroid needs finite semi-axes a, c > 0\n"
+    # a flag that does not apply to the kind is rejected, not ignored
+    for argv, message in (
+        (["--level", "1", "--a", "0", "--c", "-3"], "icosphere takes a radius, not semi-axes a, c"),
+        (["--kind", "spheroid", "--level", "1", "--a", "1", "--c", "2", "--radius", "1"],
+         "spheroid takes semi-axes a, c, not a radius"),
+    ):
+        proc = run_cli("mesh", *argv)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
 
 
 def test_spectrum_csv(tmp_path):
@@ -153,6 +162,16 @@ def test_verify_invalid_config_values(tmp_path):
         ({"surface": sphere, "eigenpair": 4}, "unknown config key 'eigenpair'"),
         ({"surface": sphere, "levels": [3, 4]}, "unknown config key 'levels'"),
         ({"surface": {**sphere, "radius ": 2.0}}, "unknown surface key 'radius '"),
+        ({"surface": {"kind": "spheroid", "level": 1, "a": 1.0, "c": 2.0, "radius": 1.0}},
+         "spheroid takes semi-axes a, c, not a radius"),
+        # the field roster is built at load, not mid-run
+        ({"surface": sphere, "fields": [{"name": "bad", "kind": "killing_rotation",
+                                         "axis": [0, 0, 0]}]},
+         "field bad: rotation axis must be nonzero"),
+        ({"surface": sphere, "fields": [{"name": "bad", "kind": "twist"}]},
+         "field bad: unknown field kind 'twist'"),
+        ({"surface": sphere, "fields": [{"name": "q", "kind": "projective_gradient"}]},
+         "field q: missing parameter 'Q'"),
     ):
         path.write_text(json.dumps(cfg))
         proc = run_cli("verify", "--config", str(path))
@@ -165,6 +184,9 @@ def test_verify_invalid_config_values(tmp_path):
         (["--radius", "0"], "icosphere needs a finite radius > 0"),
         ([*spheroid, "--a", "0", "--c", "2"], "spheroid needs finite semi-axes a, c > 0"),
         ([*spheroid, "--a", "1", "--c", "0"], "spheroid needs finite semi-axes a, c > 0"),
+        (["--level", "1", "--a", "0"], "icosphere takes a radius, not semi-axes a, c"),
+        ([*spheroid, "--a", "1", "--c", "2", "--radius", "1"],
+         "spheroid takes semi-axes a, c, not a radius"),
     ):
         proc = run_cli("verify", *argv)
         assert proc.returncode == 1
@@ -200,6 +222,10 @@ def test_converge_bad_levels_usage_error():
     proc = run_cli("converge", "--levels", "1,2", "--radius", "inf")
     assert proc.returncode == 1
     assert proc.stderr == "error: icosphere needs a finite radius > 0\n"
+    proc = run_cli("converge", "--kind", "spheroid", "--levels", "1,2", "--a", "1",
+                   "--c", "2", "--radius", "-5")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: spheroid takes semi-axes a, c, not a radius\n"
 
 
 @pytest.mark.parametrize("env, argv, message", [

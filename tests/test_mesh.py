@@ -201,6 +201,13 @@ def test_surface_spec_validation():
             SurfaceSpec(kind="spheroid", level=1, a=bad, c=1.0)
         with pytest.raises(MeshError, match="finite semi-axes"):
             SurfaceSpec(kind="spheroid", level=1, a=1.0, c=bad)
+    # parameters of the other kind are rejected, not ignored
+    with pytest.raises(MeshError, match="icosphere takes a radius, not semi-axes"):
+        SurfaceSpec(kind="icosphere", level=1, radius=1.0, a=0.0)
+    with pytest.raises(MeshError, match="icosphere takes a radius, not semi-axes"):
+        SurfaceSpec(kind="icosphere", level=1, radius=1.0, c=2.0)
+    with pytest.raises(MeshError, match="spheroid takes semi-axes a, c, not a radius"):
+        SurfaceSpec(kind="spheroid", level=1, radius=1.0, a=1.0, c=2.0)
     spec = SurfaceSpec(kind="icosphere", level=1, radius=2.0)
     assert spec.same_geometry(SurfaceSpec(kind="icosphere", level=4, radius=2.0))
     assert not spec.same_geometry(SurfaceSpec(kind="icosphere", level=1, radius=1.0))

@@ -193,14 +193,14 @@ def test_run_suite_structure_and_determinism(sphere_mesh):
     rep2 = run_suite(cfg)
     for rep in (rep1, rep2):
         assert set(rep) >= {"mesh", "curvature", "spectra", "fields", "oracle",
-                            "multiplicity", "pass", "timestamp"}
+                            "multiplicity", "pass", "run"}
         for f in rep["fields"]:
             assert set(f) == {"name", "lambda", "eigenform_residual",
                               "dstar_norm", "d_norm", "class", "bounds",
                               "identities"}
     a, b = copy.deepcopy(rep1), copy.deepcopy(rep2)
-    a.pop("timestamp")
-    b.pop("timestamp")
+    a.pop("run")
+    b.pop("run")
     assert json.dumps(a, default=float) == json.dumps(b, default=float)
 
 
@@ -232,3 +232,67 @@ def test_run_suite_radius_scaling(sphere_mesh):
     groups = rep["spectra"]["scalar"]["groups"]
     # alpha = 1/4: first nonzero cluster at n alpha = 0.5
     assert groups[1]["eigenvalue"] == pytest.approx(0.5, rel=0.01)
+
+
+def _level3_config():
+    return RunConfig(surface=SurfaceSpec(kind="icosphere", level=3, radius=1.0))
+
+
+def test_run_suite_failing_solver_stage(monkeypatch, tmp_path):
+    from hodgelab import cli
+
+    def broken(*args, **kwargs):
+        raise spectral.SpectralError("solver unavailable")
+
+    monkeypatch.setattr(verify, "solve_lowest", broken)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--level", "3", "--out", str(out)]) == 2
+    rep = json.loads(out.read_text())
+    assert rep["failures"] == ["scalar spectrum: solver unavailable",
+                               "one-form spectrum: solver unavailable"]
+    assert rep["checks"]["scalar_spectrum"] is False
+    assert rep["checks"]["oneform_spectrum"] is False
+    assert rep["spectra"] == {"scalar": None, "oneform": None}
+    # the fields and multiplicity stages need the one-form spectrum
+    assert rep["fields"] == [] and rep["multiplicity"] == []
+    assert "classification" not in rep["checks"]
+    assert "multiplicity" not in rep["checks"]
+    # the oracle battery is mesh-independent and still runs
+    assert rep["checks"]["oracle_exact"] is True
+    assert len(rep["oracle"]) == 12 * len(verify.ORACLE_DIMENSIONS) * len(verify.ORACLE_RADII)
+    assert rep["checks"]["mesh_valid"] and rep["checks"]["curvature_oracle"]
+    assert rep["pass"] is False
+    assert list(rep["run"]["stages"]) == ["mesh", "curvature", "scalar spectrum",
+                                          "one-form spectrum", "oracle"]
+
+
+def test_run_suite_failing_field(monkeypatch):
+    sample = fields.sample_oneform
+
+    def broken_for_gradient_x(field, m):
+        if isinstance(field, fields.ConformalGradient) and field.direction[0] == 1.0:
+            raise fields.FieldError("cannot sample")
+        return sample(field, m)
+
+    monkeypatch.setattr(fields, "sample_oneform", broken_for_gradient_x)
+    rep = run_suite(_level3_config())
+    assert rep["failures"] == ["field gradient_x: cannot sample"]
+    assert rep["checks"]["classification"] is False
+    assert rep["pass"] is False
+    assert [f["name"] for f in rep["fields"]] == [s.name for s in _level3_config().fields]
+    for entry in rep["fields"]:
+        if entry["name"] == "gradient_x":
+            assert entry["class"] is None and entry["lambda"] is None
+            assert entry["identities"] == {}
+        else:
+            assert entry["class"] is not None and entry["lambda"] is not None
+            assert set(entry["identities"]) == {"yano_2_2", "lichnerowicz_3_2"}
+    # the failing field does not drag the other checks down
+    assert rep["checks"]["field_bounds"] and rep["checks"]["discrete_identities"]
+    assert rep["checks"]["multiplicity"]
+    assert list(rep["run"]["stages"]) == [
+        "mesh", "curvature", "scalar spectrum", "one-form spectrum",
+        *(f"field {entry['name']}" for entry in rep["fields"]), "oracle", "multiplicity",
+    ]
+    assert all(t >= 0 for t in rep["run"]["stages"].values())
+    assert rep["run"]["elapsed_s"] >= sum(rep["run"]["stages"].values())
