@@ -20,9 +20,8 @@ import sys
 
 import numpy as np
 
-from . import curvature as curvature_mod
 from . import exterior, mesh as mesh_mod, spectral, verify as verify_mod
-from .config import ConfigError, RunConfig, Tolerances, default_config
+from .config import ConfigError, RunConfig, default_config
 from .mesh import MeshError, SurfaceSpec
 
 EXIT_OK = 0

@@ -22,6 +22,7 @@ class ConfigError(Exception):
 
 CONFIG_KEYS = ("surface", "eigenpairs", "fields", "tolerances", "seed", "report_path")
 SURFACE_KEYS = ("kind", "level", "radius", "a", "c")
+TOLERANCE_KEYS = ("bound_rel", "class_tol", "solver_tol")
 
 
 def _reject_unknown_keys(data: dict, known: tuple, where: str) -> None:
@@ -34,11 +35,10 @@ def _reject_unknown_keys(data: dict, known: tuple, where: str) -> None:
 class Tolerances:
     bound_rel: float = 0.02
     class_tol: float = 0.01
-    group_rel_gap: float = 0.02
     solver_tol: float = 1e-6
 
     def __post_init__(self):
-        for name in ("bound_rel", "class_tol", "group_rel_gap", "solver_tol"):
+        for name in TOLERANCE_KEYS:
             if not 0 < getattr(self, name) < np.inf:  # also rejects NaN
                 raise ConfigError(f"tolerance {name} must be finite and > 0")
 
@@ -136,12 +136,13 @@ class RunConfig:
                 kind = item.pop("kind")
                 name = item.pop("name", kind)
                 fspecs.append(FieldSpec(name=name, kind=kind, parameters=item))
-            tol = Tolerances(**data.get("tolerances", {}))
+            tols = dict(data.get("tolerances", {}))
+            _reject_unknown_keys(tols, TOLERANCE_KEYS, "tolerances")
             return cls(
                 surface=surface,
                 eigenpairs=int(data.get("eigenpairs", 16)),
                 fields=tuple(fspecs),
-                tolerances=tol,
+                tolerances=Tolerances(**tols),
                 seed=int(data.get("seed", 0)),
                 report_path=data.get("report_path"),
             )

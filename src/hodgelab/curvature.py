@@ -115,9 +115,3 @@ def ricci_apply(mesh: TriangleMesh, K, omega: Cochain) -> Cochain:
     factor = 0.5 * (K[mesh.edges[:, 0]] + K[mesh.edges[:, 1]])
     return Cochain(degree=1, values=factor * omega.values)
 
-
-def to_csv(bounds: CurvatureBounds) -> str:
-    """Per-vertex curvature as CSV text with header 'vertex,K'."""
-    lines = ["vertex,K"]
-    lines += [f"{i},{k:.12g}" for i, k in enumerate(bounds.per_vertex_K)]
-    return "\n".join(lines) + "\n"

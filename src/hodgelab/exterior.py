@@ -72,29 +72,11 @@ class SparseOperator:
     def shape(self):
         return self.matrix.shape
 
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.matrix.shape[1]
-
-    def __matmul__(self, other):
-        return self.matrix @ other
-
     def diagonal(self) -> np.ndarray:
         return self.matrix.diagonal()
 
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    def write_matrix_market(self, target) -> None:
-        """Matrix Market coordinate text, symmetry per the operator flag."""
-        import scipy.io  # only this export needs it; kept out of `import hodgelab`
-
-        symmetry = "symmetric" if self.symmetric else "general"
-        scipy.io.mmwrite(target, self.matrix.tocoo(), symmetry=symmetry)
 
 
 def d0(mesh: TriangleMesh) -> SparseOperator:
@@ -163,14 +145,6 @@ def _build_star1_values(mesh: TriangleMesh) -> np.ndarray:
     for k in range(3):
         np.add.at(vals, mesh.face_edges[:, (k + 1) % 3], 0.5 * cots[:, k])
     return vals
-
-
-def star2(mesh: TriangleMesh) -> SparseOperator:
-    """Diagonal face star: inverse face areas."""
-    areas = mesh.face_areas()
-    if (areas <= 0).any():
-        raise ExteriorError("degenerate face")
-    return SparseOperator(sp.diags(1.0 / areas).tocsr(), symmetric=True)
 
 
 def laplacian0(mesh: TriangleMesh):

@@ -10,10 +10,10 @@ Supported field families (named by their construction):
 - ``ProjectiveGradient(Q)``: surface gradient of the quadratic harmonic
   f(x) = x^T Q x, Q symmetric traceless. On the round sphere these span the
   second eigenspace; their duals attain the projective upper bound.
-- ``LinearAmbient(M)``: tangential projection of the linear ambient field
-  x -> M x, for arbitrary M. General-purpose (the other families are special
-  cases up to projection); used to build fields that are deliberately neither
-  Killing nor conformal.
+
+Fields that are deliberately neither Killing nor conformal need no family of
+their own: on a spheroid, a rotation about any axis but the symmetry axis is
+neither closed nor coclosed.
 
 Sampling a field into an edge cochain integrates the dual one-form along the
 surface-projected chord of each canonical edge with 4-point Gauss-Legendre
@@ -41,24 +41,23 @@ class FieldError(Exception):
     pass
 
 
-def _surface_axes(surface: SurfaceSpec) -> np.ndarray:
-    if surface.kind == "icosphere":
-        r = surface.radius
-        return np.array([r, r, r])
-    return np.array([surface.a, surface.a, surface.c])
+def _finite(value, what: str) -> np.ndarray:
+    """``value`` as a float array; FieldError unless every entry is finite."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise FieldError(f"{what} must be finite")
+    return arr
 
 
 def _check_on_surface(surface: SurfaceSpec, points: np.ndarray) -> None:
-    axes = _surface_axes(surface)
-    level = np.sum((points / axes) ** 2, axis=-1)
+    level = np.sum((points / surface.axes) ** 2, axis=-1)
     worst = np.abs(level - 1.0).max()
     if worst > ON_SURFACE_TOL:
         raise FieldError(f"point off the surface (level-set residual {worst:.2e})")
 
 
 def _unit_normals(surface: SurfaceSpec, points: np.ndarray) -> np.ndarray:
-    axes = _surface_axes(surface)
-    grad = points / axes**2
+    grad = points / np.square(surface.axes)
     return grad / np.linalg.norm(grad, axis=-1, keepdims=True)
 
 
@@ -68,7 +67,7 @@ class KillingRotation:
     surface: SurfaceSpec
 
     def __post_init__(self):
-        a = np.asarray(self.axis, dtype=float)
+        a = _finite(self.axis, "rotation axis")
         n = np.linalg.norm(a)
         if n == 0:
             raise FieldError("rotation axis must be nonzero")
@@ -84,7 +83,7 @@ class ConformalGradient:
     surface: SurfaceSpec
 
     def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
+        d = _finite(self.direction, "gradient direction")
         n = np.linalg.norm(d)
         if n == 0:
             raise FieldError("gradient direction must be nonzero")
@@ -93,9 +92,6 @@ class ConformalGradient:
     def ambient(self, points):
         return np.broadcast_to(self.direction, points.shape).copy()
 
-    def scalar(self, points):
-        return points @ self.direction
-
 
 @dataclass(frozen=True)
 class ProjectiveGradient:
@@ -103,7 +99,7 @@ class ProjectiveGradient:
     surface: SurfaceSpec
 
     def __post_init__(self):
-        Q = np.asarray(self.coefficients, dtype=float)
+        Q = _finite(self.coefficients, "quadratic coefficients")
         if Q.shape != (3, 3):
             raise FieldError("quadratic coefficients must be a 3x3 matrix")
         if np.abs(Q - Q.T).max() > 1e-12 or abs(np.trace(Q)) > 1e-12:
@@ -113,26 +109,8 @@ class ProjectiveGradient:
     def ambient(self, points):
         return 2.0 * points @ self.coefficients
 
-    def scalar(self, points):
-        return np.einsum("...i,ij,...j->...", points, self.coefficients, points)
 
-
-@dataclass(frozen=True)
-class LinearAmbient:
-    matrix: np.ndarray
-    surface: SurfaceSpec
-
-    def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float)
-        if M.shape != (3, 3):
-            raise FieldError("ambient matrix must be 3x3")
-        object.__setattr__(self, "matrix", M)
-
-    def ambient(self, points):
-        return points @ self.matrix.T
-
-
-AnalyticField = KillingRotation | ConformalGradient | ProjectiveGradient | LinearAmbient
+AnalyticField = KillingRotation | ConformalGradient | ProjectiveGradient
 
 
 def evaluate(field: AnalyticField, points) -> np.ndarray:
@@ -154,7 +132,7 @@ def _projected_chord(surface: SurfaceSpec, p0, p1, t):
     back after radial normalization, which keeps the curve exactly on the
     surface and yields a closed-form velocity.
     """
-    axes = _surface_axes(surface)
+    axes = surface.axes
     y = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
     u = y / axes
     norm = np.linalg.norm(u, axis=-1, keepdims=True)

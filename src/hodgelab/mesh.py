@@ -64,20 +64,19 @@ class SurfaceSpec:
               or not (0 < self.a < np.inf and 0 < self.c < np.inf)):
             raise MeshError("spheroid needs finite semi-axes a, c > 0")
 
+    @property
+    def axes(self) -> tuple:
+        """Semi-axes (x, y, z): (r, r, r) for an icosphere, (a, a, c) for a spheroid."""
+        if self.kind == "icosphere":
+            return (self.radius,) * 3
+        return (self.a, self.a, self.c)
+
     def same_geometry(self, other: "SurfaceSpec") -> bool:
         """True if both specs describe the same surface (levels may differ).
 
         An a == c spheroid is the same geometry as the sphere of that radius.
         """
-        return _geometry_key(self) == _geometry_key(other)
-
-
-def _geometry_key(spec: SurfaceSpec):
-    if spec.kind == "icosphere":
-        return ("sphere", spec.radius, spec.radius)
-    if spec.a == spec.c:
-        return ("sphere", spec.a, spec.c)
-    return ("spheroid", spec.a, spec.c)
+        return self.axes == other.axes
 
 
 @dataclass(frozen=True)
@@ -379,77 +378,46 @@ def build_surface(spec: SurfaceSpec) -> TriangleMesh:
     return build_spheroid(spec.level, spec.a, spec.c)
 
 
-def validate(vertices, faces=None) -> ValidationOutcome:
-    """Check all TriangleMesh invariants; diagnostic, never raises.
+def validate(mesh: TriangleMesh) -> ValidationOutcome:
+    """Check the invariants the TriangleMesh constructor does not enforce.
 
-    Accepts raw arrays (or a TriangleMesh) so that broken inputs which the
-    TriangleMesh constructor would reject can still be diagnosed.
+    The constructor already rejects out-of-range indices and any edge
+    without exactly two incident faces, so ``closed_two_manifold`` always
+    holds; it is reported with the other checks. Diagnostic, never raises.
     """
-    if isinstance(vertices, TriangleMesh):
-        mesh = vertices
-        vertices, faces = mesh.vertices, mesh.faces
-    vertices = np.asarray(vertices, dtype=float)
-    faces = np.asarray(faces, dtype=np.int64)
+    faces = mesh.faces
     checks: dict = {}
     messages: list = []
 
-    in_range = bool(
-        faces.size == 0
-        or (faces.min() >= 0 and faces.max() < vertices.shape[0])
-    )
-    distinct = bool(
+    checks["indices_valid"] = bool(
         (faces[:, 0] != faces[:, 1]).all()
         and (faces[:, 1] != faces[:, 2]).all()
         and (faces[:, 0] != faces[:, 2]).all()
     )
-    checks["indices_valid"] = in_range and distinct
     if not checks["indices_valid"]:
-        messages.append("face with out-of-range or repeated vertex indices")
+        messages.append("face with repeated vertex indices")
         return ValidationOutcome(checks, messages, None)
+    checks["closed_two_manifold"] = True
 
-    he = _half_edges(faces)
-    sign = np.where(he[:, 0] < he[:, 1], 1, -1)
-    edges, inverse = _unique_edges(he)
-    counts = np.bincount(inverse, minlength=edges.shape[0])
-    closed = bool((counts == 2).all())
-    checks["closed_two_manifold"] = closed
-    if not closed:
-        if counts.max() > 2:
-            messages.append("edge with >2 incident faces")
-        if counts.min() < 2:
-            messages.append("boundary edge (only 1 incident face)")
-
-    oriented = False
-    if closed:
-        # opposite induced orientations <=> the two half-edge signs cancel
-        sign_sum = np.zeros(edges.shape[0], dtype=np.int64)
-        np.add.at(sign_sum, inverse, sign)
-        oriented = bool((sign_sum == 0).all())
+    # opposite induced orientations <=> the two half-edge signs cancel
+    oriented = bool((mesh.edge_face_signs.sum(axis=1) == 0).all())
     checks["consistent_orientation"] = oriented
-    if closed and not oriented:
+    if not oriented:
         messages.append("inconsistent orientation")
 
-    p = vertices[faces]
-    areas = 0.5 * np.linalg.norm(
-        np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1
-    )
+    areas = mesh.face_areas()
     mean_area = areas.mean() if areas.size else 0.0
     nondegenerate = bool((areas > DEGENERATE_AREA_FRACTION * mean_area).all())
     checks["no_degenerate_faces"] = nondegenerate
     if not nondegenerate:
         messages.append("degenerate face (area below threshold)")
 
-    genus = None
-    if closed:
-        chi = vertices.shape[0] - edges.shape[0] + faces.shape[0]
-        euler_ok = chi % 2 == 0 and chi <= 2
-        if euler_ok:
-            genus = (2 - chi) // 2
-        checks["euler_formula"] = euler_ok
-        if not euler_ok:
-            messages.append(f"Euler characteristic {chi} admits no genus")
-    else:
-        checks["euler_formula"] = False
+    chi = mesh.n_vertices - mesh.n_edges + mesh.n_faces
+    euler_ok = chi % 2 == 0 and chi <= 2
+    checks["euler_formula"] = euler_ok
+    genus = (2 - chi) // 2 if euler_ok else None
+    if not euler_ok:
+        messages.append(f"Euler characteristic {chi} admits no genus")
 
     return ValidationOutcome(checks, messages, genus)
 

@@ -67,11 +67,11 @@ class SpectrumResult:
     ``residuals`` holds ||A x - lambda B x|| / ||B x|| per pair; ``groups``
     clusters near-degenerate eigenvalues at the default relative gap.
     ``next_estimate`` is the first unreturned Ritz value (an upper estimate of
-    eigenvalue m+1 from the padding block, with residual ``next_residual``);
-    it witnesses that the last returned group is complete when it sits well
-    above the group. ``iterations`` is the number of LOBPCG expansion steps
-    the solve took (0 when only the known kernel was requested; None for a
-    spectrum merged from several solves).
+    eigenvalue m+1 from the padding block); it witnesses that the last
+    returned group is complete when it sits well above the group.
+    ``iterations`` is the number of LOBPCG expansion steps the solve took (0
+    when only the known kernel was requested; None for a spectrum merged from
+    several solves).
     """
 
     eigenvalues: np.ndarray
@@ -79,7 +79,6 @@ class SpectrumResult:
     residuals: np.ndarray
     groups: list
     next_estimate: float | None = None
-    next_residual: float | None = None
     iterations: int | None = None
 
 
@@ -132,18 +131,6 @@ def rayleigh_quotient(A, B, x) -> float:
         raise SpectralError("Rayleigh quotient of the zero vector")
     Am, Bm = _as_matrix(A), _as_matrix(B)
     return float((x @ (Am @ x)) / (x @ (Bm @ x)))
-
-
-def eigenform_residual(A, B, x) -> float:
-    """|| A x - rq(x) B x ||_{B^-1} / || x ||_B; zero iff x is an eigenvector."""
-    x = np.asarray(x, dtype=float)
-    if not np.any(x):
-        raise SpectralError("eigenform residual of the zero vector")
-    Am = _as_matrix(A)
-    d = _diagonal_spd(B)
-    lam = float((x @ (Am @ x)) / (x @ (d * x)))
-    r = Am @ x - lam * (d * x)
-    return float(np.sqrt(r @ (r / d)) / np.sqrt(x @ (d * x)))
 
 
 def _orthonormalize(V, drop_tol=1e-12):
@@ -280,13 +267,12 @@ def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, w_norm,
 
 
 def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
-                 known_kernel=None, maxiter: int = 1500,
-                 rel_gap: float = DEFAULT_REL_GAP) -> SpectrumResult:
+                 known_kernel=None, maxiter: int = 1500) -> SpectrumResult:
     """Lowest ``m`` eigenpairs of A x = lambda B x.
 
-    ``known_kernel``: optional array of vectors spanning a known exact kernel
-    of A (for the 0-form Laplacian, the constants). They are deflated from
-    the iteration and returned as exact zero-eigenvalue pairs.
+    ``known_kernel``: optional vector spanning a known exact kernel of A (for
+    the 0-form Laplacian, the constants). It is deflated from the iteration
+    and returned as an exact zero-eigenvalue pair.
 
     Deterministic for a fixed ``seed``: the starting block is drawn from a
     seeded generator. Raises ConvergenceError (carrying the best residuals)
@@ -306,23 +292,13 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
     kernel = None
     n_kernel = 0
     if known_kernel is not None:
-        K = np.atleast_2d(np.asarray(known_kernel, dtype=float))
-        if K.shape[0] == n:
-            K = K.copy()
-        else:
-            K = K.T.copy()
-        Kt = K * s[:, None]
-        kernel = _orthonormalize(Kt)
+        kernel = _orthonormalize((np.asarray(known_kernel, dtype=float) * s)[:, None])
         n_kernel = kernel.shape[1]
-        if n_kernel >= m:
-            kernel = kernel[:, :m]
-            n_kernel = m
 
     n_iter = m - n_kernel
     vals = np.zeros(0)
     vecs_t = np.zeros((n, 0))
     next_estimate = None
-    next_residual = None
     iterations = 0
     if n_iter > 0:
         precond = _shifted_lu_preconditioner(Atil)
@@ -343,7 +319,6 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
         vecs_t = X[:, :n_iter]
         if theta.shape[0] > n_iter:
             next_estimate = float(theta[n_iter])
-            next_residual = float(res[n_iter])
 
     if n_kernel:
         vals = np.concatenate([np.zeros(n_kernel), vals])
@@ -360,9 +335,8 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
         eigenvalues=vals,
         eigenvectors=vecs,
         residuals=residuals,
-        groups=group_multiplicities(vals, rel_gap),
+        groups=group_multiplicities(vals),
         next_estimate=next_estimate,
-        next_residual=next_residual,
         iterations=iterations,
     )
 

@@ -23,10 +23,10 @@ records.
 The per-field ``eigenform_residual`` reported here is a spectral alignment
 residual: the B-weighted spread of the form's eigenvalue content around its
 Rayleigh quotient, measured in the computed eigenbasis (plus a conservative
-tail term). Unlike the raw strong-norm residual of
-``spectral.eigenform_residual`` (which is dominated by local consistency
-noise of the discrete operators and does not vanish under refinement even
-for true eigenforms), the alignment residual tends to zero for sampled
+tail term). The raw strong-norm residual ||A w - rq(w) B w|| of a sampled
+smooth eigenform is dominated by local consistency noise of the discrete
+operators and does not vanish under refinement, so it cannot say that a
+field is an eigenform; the alignment residual tends to zero for sampled
 eigenforms and stays O(1) when the eigenform hypothesis genuinely fails,
 which is what the hypothesis detector needs.
 """
@@ -34,7 +34,6 @@ which is what the hypothesis detector needs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,33 +66,6 @@ class VerifyError(Exception):
     pass
 
 
-@dataclass
-class BoundOutcome:
-    """Result of checking one eigenvalue against one bound theorem."""
-
-    mode: str
-    lambda_hat: float
-    lower: float
-    upper_printed: float
-    upper_rederived: float | None
-    satisfied_printed: bool
-    satisfied_rederived: bool | None
-    attainment: str
-    tolerance: float
-    printed_consistent: bool
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "lower": self.lower,
-            "upper_printed": self.upper_printed,
-            "upper_rederived": self.upper_rederived,
-            "satisfied_printed": self.satisfied_printed,
-            "satisfied_rederived": self.satisfied_rederived,
-            "attainment": self.attainment,
-        }
-
-
 def classify_field(norm_dstar: float, norm_d: float, tol: float) -> str:
     """killing / gradient / mixed from the coclosedness and closedness norms."""
     if norm_dstar < 0 or norm_d < 0 or tol <= 0:
@@ -106,22 +78,19 @@ def classify_field(norm_dstar: float, norm_d: float, tol: float) -> str:
 
 
 def check_bounds(lambda_hat: float, rho: float, P: float, n: int, mode: str,
-                 tol: float) -> BoundOutcome:
-    """Compare an eigenvalue against the bound interval at relative tolerance.
+                 tol: float) -> dict:
+    """Report entry of an eigenvalue against one bound interval at relative ``tol``.
 
     For the projective mode both the printed and the rederived upper constant
     are evaluated; attainment is decided against the lower bound first, then
-    the effective upper bound (rederived when available).
+    the effective upper bound (rederived when available). The entry carries
+    ``note: "inconsistent as printed"`` when the printed interval is empty.
     """
     if lambda_hat <= 0:
         raise VerifyError("eigenvalue must be positive")
     bounds = sphere_oracle.theorem_bounds(n, rho, P, mode)
-    lower, upper_p = bounds.lower, bounds.upper_printed
-    upper_eff = bounds.upper_rederived if bounds.upper_rederived is not None else upper_p
-    sat_printed = lower * (1 - tol) <= lambda_hat <= upper_p * (1 + tol)
-    sat_rederived = None
-    if bounds.upper_rederived is not None:
-        sat_rederived = lower * (1 - tol) <= lambda_hat <= bounds.upper_rederived * (1 + tol)
+    lower, upper_p, upper_r = bounds.lower, bounds.upper_printed, bounds.upper_rederived
+    upper_eff = upper_r if upper_r is not None else upper_p
     if abs(lambda_hat - lower) <= tol * lower:
         attainment = "lower"
     elif abs(lambda_hat - upper_eff) <= tol * upper_eff:
@@ -130,18 +99,19 @@ def check_bounds(lambda_hat: float, rho: float, P: float, n: int, mode: str,
         attainment = "interior"
     else:
         attainment = "none"
-    return BoundOutcome(
-        mode=mode,
-        lambda_hat=lambda_hat,
-        lower=lower,
-        upper_printed=upper_p,
-        upper_rederived=bounds.upper_rederived,
-        satisfied_printed=sat_printed,
-        satisfied_rederived=sat_rederived,
-        attainment=attainment,
-        tolerance=tol,
-        printed_consistent=bounds.consistent,
-    )
+    entry = {
+        "mode": mode,
+        "lower": lower,
+        "upper_printed": upper_p,
+        "upper_rederived": upper_r,
+        "satisfied_printed": lower * (1 - tol) <= lambda_hat <= upper_p * (1 + tol),
+        "satisfied_rederived": (None if upper_r is None
+                                else lower * (1 - tol) <= lambda_hat <= upper_r * (1 + tol)),
+        "attainment": attainment,
+    }
+    if not bounds.consistent:
+        entry["note"] = "inconsistent as printed"
+    return entry
 
 
 def discrete_identity_residual(mesh: mesh_mod.TriangleMesh, omega: exterior.Cochain,
@@ -261,7 +231,6 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
         residuals=residuals,
         groups=group_multiplicities(vals),
         next_estimate=float(window) if np.isfinite(window) else None,
-        next_residual=None,
     )
     return result, flags
 
@@ -438,13 +407,8 @@ def _spectrum_json(result: SpectrumResult) -> dict:
 
 def _round_alpha(surface) -> float | None:
     """alpha = 1 / r^2 if the surface is a round sphere of radius r, else None."""
-    if surface.kind == "icosphere":
-        r = surface.radius
-    elif surface.a == surface.c:
-        r = surface.a
-    else:
-        return None
-    return 1.0 / (r * r)
+    a, _, c = surface.axes
+    return 1.0 / (a * a) if a == c else None
 
 
 def _expected_class(spec, surface) -> str:
@@ -553,7 +517,6 @@ def _scalar_stage(report, mesh, config, alpha):
     result = solve_lowest(
         A0, B0, min(config.eigenpairs, mesh.n_vertices), config.tolerances.solver_tol,
         seed=config.seed, known_kernel=np.ones(mesh.n_vertices),
-        rel_gap=config.tolerances.group_rel_gap,
     )
     report["spectra"]["scalar"] = _spectrum_json(result)
     if alpha is None:
@@ -591,19 +554,17 @@ def _bounds_entry(kind: str, lam_hat: float, align: float, curv, round_sphere: b
             "note": "hypothesis Δω = λω violated",
         }, True
     mode = "conformal" if kind == "conformal_gradient" else "projective"
-    outcome = check_bounds(lam_hat, *curv, N_DIM, mode, tol)
-    entry = outcome.to_json()
-    if not outcome.printed_consistent:
-        entry["note"] = "inconsistent as printed"
-    sat = (outcome.satisfied_rederived if outcome.satisfied_rederived is not None
-           else outcome.satisfied_printed)
+    entry = check_bounds(lam_hat, *curv, N_DIM, mode, tol)
+    sat = (entry["satisfied_rederived"] if entry["satisfied_rederived"] is not None
+           else entry["satisfied_printed"])
     # endpoint sharpness is a round-sphere statement; on other surfaces an
     # interior eigenvalue is legitimate
-    endpoint = (outcome.attainment in ("lower", "upper") if round_sphere
-                else outcome.attainment != "none")
+    endpoint = (entry["attainment"] in ("lower", "upper") if round_sphere
+                else entry["attainment"] != "none")
     conformal_ok = True
     if kind == "killing_rotation" and round_sphere:
-        conformal_ok = check_bounds(lam_hat, *curv, N_DIM, "conformal", tol).satisfied_printed
+        conformal_ok = check_bounds(lam_hat, *curv, N_DIM, "conformal",
+                                    tol)["satisfied_printed"]
     return entry, sat and endpoint and conformal_ok
 
 

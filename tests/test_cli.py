@@ -172,6 +172,18 @@ def test_verify_invalid_config_values(tmp_path):
          "field bad: unknown field kind 'twist'"),
         ({"surface": sphere, "fields": [{"name": "q", "kind": "projective_gradient"}]},
          "field q: missing parameter 'Q'"),
+        ({"surface": sphere, "fields": [{"name": "nanaxis", "kind": "killing_rotation",
+                                         "axis": [float("nan"), 0, 0]}]},
+         "field nanaxis: rotation axis must be finite"),
+        ({"surface": sphere, "fields": [{"name": "infdir", "kind": "conformal_gradient",
+                                         "direction": [0, float("inf"), 0]}]},
+         "field infdir: gradient direction must be finite"),
+        ({"surface": sphere, "fields": [{"name": "nanq", "kind": "projective_gradient",
+                                         "Q": [[float("nan"), 0, 0], [0, 0, 0], [0, 0, 0]]}]},
+         "field nanq: quadratic coefficients must be finite"),
+        # grouping uses one fixed relative gap; the old knob is not accepted
+        ({"surface": sphere, "tolerances": {"group_rel_gap": 0.5}},
+         "unknown tolerances key 'group_rel_gap'"),
     ):
         path.write_text(json.dumps(cfg))
         proc = run_cli("verify", "--config", str(path))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hodgelab import curvature, exterior, mesh
+from hodgelab import exterior, mesh
 from hodgelab.curvature import (
     CurvatureError,
     angle_defect_curvature,
@@ -121,15 +121,3 @@ def test_ricci_apply_size_mismatch(sphere_mesh):
         ricci_apply(m, np.ones(m.n_vertices + 1), w)
     with pytest.raises(exterior.ExteriorError):
         ricci_apply(m, np.ones(m.n_vertices), Cochain(0, np.zeros(m.n_vertices)))
-
-
-def test_per_vertex_csv(sphere_mesh, tmp_path):
-    m = sphere_mesh(0)
-    bounds = angle_defect_curvature(m)
-    text = curvature.to_csv(bounds)
-    lines = text.strip().splitlines()
-    assert lines[0] == "vertex,K"
-    assert len(lines) == m.n_vertices + 1
-    idx, val = lines[1].split(",")
-    assert idx == "0"
-    assert float(val) == pytest.approx(bounds.per_vertex_K[0])

@@ -1,8 +1,5 @@
-import io
-
 import numpy as np
 import pytest
-import scipy.io
 from hypothesis import given, settings, strategies as st
 
 from hodgelab import exterior, mesh
@@ -18,7 +15,6 @@ from hodgelab.exterior import (
     star0,
     star1,
     star1_values,
-    star2,
 )
 
 
@@ -54,13 +50,10 @@ def test_d1_shape_and_rows(sphere_mesh):
     assert set(np.unique(dense)) <= {-1.0, 0.0, 1.0}
 
 
-@pytest.mark.parametrize("build", [
-    lambda: mesh.build_icosphere(2, 1.0),
-    lambda: mesh.build_spheroid(2, 1.0, 2.0),
-    lambda: mesh.build_spheroid(1, 2.0, 0.5),
-])
-def test_d1_d0_zero_exactly(build):
-    m = build()
+@given(a=st.floats(0.3, 3.0), c=st.floats(0.3, 3.0), level=st.integers(0, 3))
+@settings(max_examples=20, deadline=None)
+def test_d1_d0_zero_exactly(a, c, level):
+    m = mesh.build_spheroid(level, a, c)
     prod = d1(m).matrix @ d0(m).matrix
     assert prod.nnz == 0 or np.abs(prod.data).max() == 0.0
 
@@ -110,11 +103,6 @@ def test_star1_positive_on_icospheres(level, sphere_mesh):
 
 def test_star1_positive_on_spheroid(spheroid_mesh):
     assert (star1_values(spheroid_mesh(5)) > 0).all()
-
-
-def test_star2_is_inverse_face_area(sphere_mesh):
-    m = sphere_mesh(1)
-    assert np.allclose(star2(m).diagonal(), 1.0 / m.face_areas())
 
 
 def test_laplacian0_kernel_and_symmetry(sphere_mesh):
@@ -202,17 +190,3 @@ def test_sparse_operator_symmetry_flag():
     with pytest.raises(ExteriorError):
         SparseOperator(asym, symmetric=True)
     SparseOperator(asym)  # fine without the flag
-
-
-@pytest.mark.parametrize("symmetric", [True, False])
-def test_matrix_market_export(symmetric, sphere_mesh, tmp_path):
-    m = sphere_mesh(1)
-    op = laplacian0(m)[0] if symmetric else d0(m)
-    path = tmp_path / "op.mtx"
-    with open(path, "wb") as fh:
-        op.write_matrix_market(fh)
-    header = path.read_text().splitlines()[0]
-    kind = "symmetric" if symmetric else "general"
-    assert header == f"%%MatrixMarket matrix coordinate real {kind}"
-    back = scipy.io.mmread(path)
-    assert np.abs((back - op.matrix).toarray()).max() < 1e-12

@@ -7,7 +7,6 @@ from hodgelab.fields import (
     ConformalGradient,
     FieldError,
     KillingRotation,
-    LinearAmbient,
     ProjectiveGradient,
     evaluate,
     sample_oneform,
@@ -56,23 +55,39 @@ def test_field_parameter_validation():
     with pytest.raises(FieldError):
         ProjectiveGradient(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]),
                            UNIT_SPHERE)  # not symmetric
+    # NaN passes every comparison-based check, so finiteness is tested first
+    for bad in (np.nan, np.inf):
+        with pytest.raises(FieldError, match="rotation axis must be finite"):
+            KillingRotation([bad, 0, 0], UNIT_SPHERE)
+        with pytest.raises(FieldError, match="gradient direction must be finite"):
+            ConformalGradient([0, bad, 1], UNIT_SPHERE)
+        Q = np.zeros((3, 3))
+        Q[0, 0] = bad
+        with pytest.raises(FieldError, match="quadratic coefficients must be finite"):
+            ProjectiveGradient(Q, UNIT_SPHERE)
+
+
+def _traceless_symmetric(rng):
+    Q = rng.standard_normal((3, 3))
+    Q = 0.5 * (Q + Q.T)
+    return Q - np.trace(Q) / 3.0 * np.eye(3)
 
 
 def test_sampling_zero_field(sphere_mesh):
     m = sphere_mesh(2)
-    zero = LinearAmbient(np.zeros((3, 3)), m.source)
+    zero = ProjectiveGradient(np.zeros((3, 3)), m.source)
     assert not np.any(sample_oneform(zero, m).values)
 
 
 def test_sampling_linearity(sphere_mesh, rng):
     m = sphere_mesh(2)
-    M1 = rng.standard_normal((3, 3))
-    M2 = rng.standard_normal((3, 3))
+    Q1 = _traceless_symmetric(rng)
+    Q2 = _traceless_symmetric(rng)
     a, b = 1.7, -0.4
-    combo = sample_oneform(LinearAmbient(a * M1 + b * M2, m.source), m).values
+    combo = sample_oneform(ProjectiveGradient(a * Q1 + b * Q2, m.source), m).values
     parts = (
-        a * sample_oneform(LinearAmbient(M1, m.source), m).values
-        + b * sample_oneform(LinearAmbient(M2, m.source), m).values
+        a * sample_oneform(ProjectiveGradient(Q1, m.source), m).values
+        + b * sample_oneform(ProjectiveGradient(Q2, m.source), m).values
     )
     assert np.allclose(combo, parts, atol=1e-14)
 
@@ -151,9 +166,7 @@ def test_codifferential_classification_families(seed):
     rot_w = sample_oneform(KillingRotation(axis, m.source), m)
     nd, _ = exterior.codifferential_norm(m, rot_w)
     assert nd < 0.02
-    Q = rng.standard_normal((3, 3))
-    Q = 0.5 * (Q + Q.T)
-    Q -= np.trace(Q) / 3.0 * np.eye(3)
+    Q = _traceless_symmetric(rng)
     if np.abs(Q).max() > 1e-3:
         quad_w = sample_oneform(ProjectiveGradient(Q, m.source), m)
         _, nw = exterior.codifferential_norm(m, quad_w)

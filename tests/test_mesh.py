@@ -76,7 +76,7 @@ def test_flipped_face_detected(sphere_mesh):
     m = sphere_mesh(0)
     faces = m.faces.copy()
     faces[0] = faces[0][::-1]
-    outcome = validate(m.vertices, faces)
+    outcome = validate(TriangleMesh(vertices=m.vertices, faces=faces))
     assert not outcome.ok
     assert not outcome.checks["consistent_orientation"]
     assert "inconsistent orientation" in outcome.messages
@@ -85,15 +85,14 @@ def test_flipped_face_detected(sphere_mesh):
 def test_duplicated_face_detected(sphere_mesh):
     m = sphere_mesh(0)
     faces = np.concatenate([m.faces, m.faces[:1]])
-    outcome = validate(m.vertices, faces)
-    assert not outcome.ok
-    assert "edge with >2 incident faces" in outcome.messages
+    with pytest.raises(MeshError, match="edge with >2 incident faces"):
+        TriangleMesh(vertices=m.vertices, faces=faces)
 
 
 def test_boundary_detected(sphere_mesh):
     m = sphere_mesh(0)
-    outcome = validate(m.vertices, m.faces[:-1])
-    assert not outcome.checks["closed_two_manifold"]
+    with pytest.raises(MeshError, match="boundary edge"):
+        TriangleMesh(vertices=m.vertices, faces=m.faces[:-1])
 
 
 def test_degenerate_face_detected(sphere_mesh):
@@ -101,18 +100,22 @@ def test_degenerate_face_detected(sphere_mesh):
     verts = m.vertices.copy()
     # collapse one vertex onto a neighbour: incident faces become slivers
     verts[0] = verts[m.faces[0][1]]
-    outcome = validate(verts, m.faces)
+    outcome = validate(TriangleMesh(vertices=verts, faces=m.faces))
     assert not outcome.checks["no_degenerate_faces"]
+    assert "degenerate face (area below threshold)" in outcome.messages
 
 
 def test_bad_indices_detected(sphere_mesh):
     m = sphere_mesh(0)
     faces = m.faces.copy()
     faces[0, 0] = 99
-    assert not validate(m.vertices, faces).checks["indices_valid"]
-    faces = m.faces.copy()
-    faces[0] = (1, 1, 2)
-    assert not validate(m.vertices, faces).checks["indices_valid"]
+    with pytest.raises(MeshError, match=r"face index outside \[0, 12\)"):
+        TriangleMesh(vertices=m.vertices, faces=faces)
+    # two faces that repeat a vertex still give every edge two incident faces
+    pinched = TriangleMesh(vertices=m.vertices[:3], faces=np.array([[0, 0, 1], [0, 0, 2]]))
+    outcome = validate(pinched)
+    assert not outcome.checks["indices_valid"]
+    assert outcome.genus is None
 
 
 def test_level_guard():
@@ -213,6 +216,8 @@ def test_surface_spec_validation():
     assert not spec.same_geometry(SurfaceSpec(kind="icosphere", level=1, radius=1.0))
     # an a == c spheroid is the same geometry as the sphere of that radius
     assert spec.same_geometry(SurfaceSpec(kind="spheroid", level=2, a=2.0, c=2.0))
+    assert spec.axes == (2.0, 2.0, 2.0)
+    assert SurfaceSpec(kind="spheroid", level=2, a=1.0, c=3.0).axes == (1.0, 1.0, 3.0)
 
 
 def test_mesh_constructor_rejects_open_surface():

@@ -9,7 +9,6 @@ from hodgelab.spectral import (
     ConvergenceError,
     SpectralError,
     dense_reference,
-    eigenform_residual,
     group_multiplicities,
     rayleigh_quotient,
     solve_lowest,
@@ -150,6 +149,18 @@ def test_determinism(scalar_pair_factory, sphere_mesh):
     assert np.array_equal(r1.eigenvectors, r2.eigenvectors)
 
 
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True))
+@settings(max_examples=10, deadline=None)
+def test_seed_invariance(seeds):
+    # different start blocks converge to the same spectrum and clustering
+    A, B = exterior.laplacian0(mesh.build_icosphere(2, 1.0))
+    tol = 1e-8
+    r1, r2 = (solve_lowest(A, B, 9, tol=tol, seed=seed, known_kernel=np.ones(A.shape[0]))
+              for seed in seeds)
+    assert np.allclose(r1.eigenvalues, r2.eigenvalues, rtol=tol, atol=tol)
+    assert [g.multiplicity for g in r1.groups] == [g.multiplicity for g in r2.groups]
+
+
 def test_rayleigh_quotient_basics(scalar_pair_factory, sphere_mesh):
     A, B = scalar_pair_factory(1)
     n = sphere_mesh(1).n_vertices
@@ -159,17 +170,6 @@ def test_rayleigh_quotient_basics(scalar_pair_factory, sphere_mesh):
     assert rayleigh_quotient(A, B, x) == pytest.approx(result.eigenvalues[3], abs=1e-10)
     with pytest.raises(SpectralError):
         rayleigh_quotient(A, B, np.zeros(n))
-
-
-def test_eigenform_residual_basics(scalar_pair_factory, sphere_mesh):
-    A, B = scalar_pair_factory(1)
-    n = sphere_mesh(1).n_vertices
-    result = solve_lowest(A, B, 5, tol=1e-11, seed=0, known_kernel=np.ones(n))
-    assert eigenform_residual(A, B, result.eigenvectors[:, 2]) < 1e-10
-    mixed = result.eigenvectors[:, 1] + result.eigenvectors[:, 4]
-    assert eigenform_residual(A, B, mixed) > 0.1
-    with pytest.raises(SpectralError):
-        eigenform_residual(A, B, np.zeros(n))
 
 
 def test_group_multiplicities_spec_cases():

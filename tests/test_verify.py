@@ -33,37 +33,37 @@ def test_classify_field_cases():
 
 def test_check_bounds_conformal_sharp():
     out = check_bounds(2.0, 1.0, 1.0, 2, "conformal", 0.02)
-    assert out.satisfied_printed
-    assert out.satisfied_rederived is None
-    assert out.attainment == "lower"  # degenerate interval: both ends
-    assert out.lower == 2.0 and out.upper_printed == 2.0
-    assert out.printed_consistent
+    assert out["mode"] == "conformal"
+    assert out["satisfied_printed"]
+    assert out["satisfied_rederived"] is None
+    assert out["attainment"] == "lower"  # degenerate interval: both ends
+    assert out["lower"] == 2.0 and out["upper_printed"] == 2.0
+    assert "note" not in out
 
 
 def test_check_bounds_projective_printed_inconsistent():
     out = check_bounds(6.0, 1.0, 1.0, 2, "projective", 0.02)
-    assert not out.satisfied_printed  # 6 > 2/3
-    assert out.satisfied_rederived
-    assert out.attainment == "upper"
-    assert out.upper_printed == pytest.approx(2.0 / 3.0)
-    assert out.upper_rederived == pytest.approx(6.0)
-    assert not out.printed_consistent
+    assert not out["satisfied_printed"]  # 6 > 2/3
+    assert out["satisfied_rederived"]
+    assert out["attainment"] == "upper"
+    assert out["upper_printed"] == pytest.approx(2.0 / 3.0)
+    assert out["upper_rederived"] == pytest.approx(6.0)
+    assert out["note"] == "inconsistent as printed"
 
 
 def test_check_bounds_projective_killing_lower():
     out = check_bounds(2.0, 1.0, 1.0, 2, "projective", 0.02)
-    assert out.attainment == "lower"
-    assert out.satisfied_rederived
+    assert out["attainment"] == "lower"
+    assert out["satisfied_rederived"]
 
 
 def test_check_bounds_scale_covariance():
+    keys = ("satisfied_printed", "satisfied_rederived", "attainment")
     for lam, mode in ((2.0, "conformal"), (6.0, "projective"), (2.0, "projective")):
         base = check_bounds(lam, 1.0, 1.0, 2, mode, 0.02)
         c2 = 5.5  # metric scaled by c^2 divides eigenvalues and curvature
         scaled = check_bounds(lam / c2, 1.0 / c2, 1.0 / c2, 2, mode, 0.02)
-        assert scaled.satisfied_printed == base.satisfied_printed
-        assert scaled.satisfied_rederived == base.satisfied_rederived
-        assert scaled.attainment == base.attainment
+        assert [scaled[k] for k in keys] == [base[k] for k in keys]
 
 
 def test_check_bounds_validation():
