@@ -50,9 +50,20 @@ def test_d1_shape_and_rows(sphere_mesh):
     assert set(np.unique(dense)) <= {-1.0, 0.0, 1.0}
 
 
+@pytest.mark.parametrize("build", [
+    lambda: mesh.build_icosphere(2, 1.0),
+    lambda: mesh.build_spheroid(2, 1.0, 2.0),
+    lambda: mesh.build_spheroid(1, 2.0, 0.5),
+])
+def test_d1_d0_zero_exactly(build):
+    m = build()
+    prod = d1(m).matrix @ d0(m).matrix
+    assert prod.nnz == 0 or np.abs(prod.data).max() == 0.0
+
+
 @given(a=st.floats(0.3, 3.0), c=st.floats(0.3, 3.0), level=st.integers(0, 3))
 @settings(max_examples=20, deadline=None)
-def test_d1_d0_zero_exactly(a, c, level):
+def test_d1_d0_zero_exactly_drawn(a, c, level):
     m = mesh.build_spheroid(level, a, c)
     prod = d1(m).matrix @ d0(m).matrix
     assert prod.nnz == 0 or np.abs(prod.data).max() == 0.0
