@@ -1,14 +1,16 @@
 """Run configuration for the verification suite and CLI.
 
-A RunConfig carries the surface, solver sizes, analytic field roster, and
-tolerances; ``default_config()`` reproduces the acceptance setup (unit
-icosphere, level 5, the 11 built-in fields). JSON round-trips via
-``RunConfig.from_json_dict`` / ``to_json_dict``; CLI flags override fields.
+A RunConfig carries the surface, the analytic field roster, the seed and an
+optional report path; ``default_config()`` reproduces the acceptance setup
+(unit icosphere, level 5, the 11 built-in fields). The eigenpair count and
+every tolerance are frozen constants of :mod:`hodgelab.verify`, not config
+values. JSON round-trips via ``RunConfig.from_json_dict`` /
+``to_json_dict``; CLI flags override fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,27 +22,14 @@ class ConfigError(Exception):
     pass
 
 
-CONFIG_KEYS = ("surface", "eigenpairs", "fields", "tolerances", "seed", "report_path")
+CONFIG_KEYS = ("surface", "fields", "seed", "report_path")
 SURFACE_KEYS = ("kind", "level", "radius", "a", "c")
-TOLERANCE_KEYS = ("bound_rel", "class_tol", "solver_tol")
 
 
 def _reject_unknown_keys(data: dict, known: tuple, where: str) -> None:
     for key in data:
         if key not in known:
             raise ConfigError(f"unknown {where} key {key!r}")
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    bound_rel: float = 0.02
-    class_tol: float = 0.01
-    solver_tol: float = 1e-6
-
-    def __post_init__(self):
-        for name in TOLERANCE_KEYS:
-            if not 0 < getattr(self, name) < np.inf:  # also rejects NaN
-                raise ConfigError(f"tolerance {name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -79,15 +68,11 @@ def builtin_fields() -> list:
 @dataclass(frozen=True)
 class RunConfig:
     surface: SurfaceSpec
-    eigenpairs: int = 16
     fields: tuple = tuple(builtin_fields())
-    tolerances: Tolerances = Tolerances()
     seed: int = 0
     report_path: str | None = None
 
     def __post_init__(self):
-        if self.eigenpairs < 1:
-            raise ConfigError("eigenpairs must be >= 1")
         object.__setattr__(self, "fields", tuple(self.fields))
         # a field that cannot be built is rejected here, not mid-run
         for spec in self.fields:
@@ -107,11 +92,9 @@ class RunConfig:
             surf["c"] = self.surface.c
         return {
             "surface": surf,
-            "eigenpairs": self.eigenpairs,
             "fields": [
                 {"name": f.name, "kind": f.kind, **f.parameters} for f in self.fields
             ],
-            "tolerances": asdict(self.tolerances),
             "seed": self.seed,
             "report_path": self.report_path,
         }
@@ -136,13 +119,9 @@ class RunConfig:
                 kind = item.pop("kind")
                 name = item.pop("name", kind)
                 fspecs.append(FieldSpec(name=name, kind=kind, parameters=item))
-            tols = dict(data.get("tolerances", {}))
-            _reject_unknown_keys(tols, TOLERANCE_KEYS, "tolerances")
             return cls(
                 surface=surface,
-                eigenpairs=int(data.get("eigenpairs", 16)),
                 fields=tuple(fspecs),
-                tolerances=Tolerances(**tols),
                 seed=int(data.get("seed", 0)),
                 report_path=data.get("report_path"),
             )

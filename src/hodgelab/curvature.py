@@ -9,8 +9,8 @@ irregular vertices (the error does not vanish under refinement at the
 valence-5 subdivision pattern), the estimator divides the defect mass summed
 over the closed 1-ring by the Voronoi (cotangent) cell areas summed over the
 same ring; defects are locally conservative, so the ring ratio converges.
-The module is two-dimensional by construction and refuses other dimensions;
-exact higher-dimensional sphere checks live in sphere_oracle.
+The module is two-dimensional by construction; exact higher-dimensional
+sphere checks live in sphere_oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import Cochain, ExteriorError, star1_values
+from .exterior import Cochain, star1_values
 from .mesh import TriangleMesh
 
 
@@ -58,13 +58,8 @@ def voronoi_vertex_areas(mesh: TriangleMesh) -> np.ndarray:
     return out
 
 
-def angle_defect_curvature(mesh: TriangleMesh, intrinsic_dim: int = 2) -> CurvatureBounds:
+def angle_defect_curvature(mesh: TriangleMesh) -> CurvatureBounds:
     """Ricci eigenvalue bounds from ring-summed angle defects over areas."""
-    if intrinsic_dim != 2:
-        raise CurvatureError(
-            "Ricci bounds from a triangle mesh are defined for surfaces only "
-            f"(asked for dimension {intrinsic_dim})"
-        )
     return mesh.memoized("curvature_bounds", lambda: _build_bounds(mesh))
 
 
@@ -109,9 +104,7 @@ def ricci_apply(mesh: TriangleMesh, K, omega: Cochain) -> Cochain:
         raise CurvatureError(
             f"per-vertex K has length {K.shape}, mesh has {mesh.n_vertices} vertices"
         )
-    if omega.degree != 1:
-        raise ExteriorError("ricci_apply expects a degree-1 cochain")
     omega.check_mesh(mesh)
     factor = 0.5 * (K[mesh.edges[:, 0]] + K[mesh.edges[:, 1]])
-    return Cochain(degree=1, values=factor * omega.values)
+    return Cochain(factor * omega.values)
 

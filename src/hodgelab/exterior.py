@@ -1,11 +1,11 @@
 """Discrete exterior calculus on triangle meshes.
 
-Cochain values are integrals of smooth forms over oriented simplices (de Rham
-map), which makes the coboundary operators exact integer matrices and the
-identity d1 @ d0 = 0 hold at integer precision. Hodge stars are diagonal:
-barycentric lumped areas on vertices, cotangent weights (cot a + cot b)/2 on
-edges, inverse face areas on faces. Laplacians are assembled in weak form
-against these diagonal masses.
+A ``Cochain`` is a discrete one-form: the integrals of a smooth one-form over
+the oriented edges (de Rham map). The coboundary operators d0 and d1 are
+exact integer matrices, so the identity d1 @ d0 = 0 holds at integer
+precision. Hodge stars are diagonal: barycentric lumped areas on vertices,
+cotangent weights (cot a + cot b)/2 on edges, inverse face areas on faces.
+Laplacians are assembled in weak form against these diagonal masses.
 """
 
 from __future__ import annotations
@@ -24,14 +24,11 @@ class ExteriorError(Exception):
 
 @dataclass(frozen=True)
 class Cochain:
-    """Degree-k discrete form: one real value per oriented k-simplex."""
+    """Discrete one-form: one real value per canonically oriented edge."""
 
-    degree: int
     values: np.ndarray
 
     def __post_init__(self):
-        if self.degree not in (0, 1, 2):
-            raise ExteriorError(f"unsupported cochain degree {self.degree}")
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1:
             raise ExteriorError("cochain values must be a 1-d array")
@@ -40,11 +37,10 @@ class Cochain:
         object.__setattr__(self, "values", vals)
 
     def check_mesh(self, mesh: TriangleMesh) -> None:
-        counts = (mesh.n_vertices, mesh.n_edges, mesh.n_faces)
-        if self.values.shape[0] != counts[self.degree]:
+        if self.values.shape[0] != mesh.n_edges:
             raise ExteriorError(
-                f"degree-{self.degree} cochain has {self.values.shape[0]} "
-                f"values, mesh has {counts[self.degree]} simplices"
+                f"one-form has {self.values.shape[0]} values, mesh has "
+                f"{mesh.n_edges} edges"
             )
 
 
@@ -199,8 +195,6 @@ def codifferential_norm(mesh: TriangleMesh, omega: Cochain):
     d* w is the 0-cochain star0^-1 d0^T star1 w measured in the star0 norm;
     d w is the 2-cochain d1 w measured in the star2 norm.
     """
-    if omega.degree != 1:
-        raise ExteriorError("codifferential_norm expects a degree-1 cochain")
     omega.check_mesh(mesh)
     w = omega.values
     s1 = star1_values(mesh)

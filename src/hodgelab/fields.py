@@ -49,6 +49,23 @@ def _finite(value, what: str) -> np.ndarray:
     return arr
 
 
+def _unit_vector(value, what: str) -> np.ndarray:
+    """``value`` over its norm.
+
+    FieldError unless it is a finite 3-vector with a finite, nonzero norm.
+    """
+    v = _finite(value, what)
+    if v.shape != (3,):
+        raise FieldError(f"{what} must be a 3-vector")
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        norm = np.linalg.norm(v)
+    if norm == 0:
+        raise FieldError(f"{what} must be nonzero")
+    if not np.isfinite(norm):
+        raise FieldError(f"{what} must have a finite norm")
+    return v / norm
+
+
 def _check_on_surface(surface: SurfaceSpec, points: np.ndarray) -> None:
     level = np.sum((points / surface.axes) ** 2, axis=-1)
     worst = np.abs(level - 1.0).max()
@@ -67,11 +84,7 @@ class KillingRotation:
     surface: SurfaceSpec
 
     def __post_init__(self):
-        a = _finite(self.axis, "rotation axis")
-        n = np.linalg.norm(a)
-        if n == 0:
-            raise FieldError("rotation axis must be nonzero")
-        object.__setattr__(self, "axis", a / n)
+        object.__setattr__(self, "axis", _unit_vector(self.axis, "rotation axis"))
 
     def ambient(self, points):
         return np.cross(np.broadcast_to(self.axis, points.shape), points)
@@ -83,11 +96,8 @@ class ConformalGradient:
     surface: SurfaceSpec
 
     def __post_init__(self):
-        d = _finite(self.direction, "gradient direction")
-        n = np.linalg.norm(d)
-        if n == 0:
-            raise FieldError("gradient direction must be nonzero")
-        object.__setattr__(self, "direction", d / n)
+        object.__setattr__(self, "direction",
+                           _unit_vector(self.direction, "gradient direction"))
 
     def ambient(self, points):
         return np.broadcast_to(self.direction, points.shape).copy()
@@ -152,7 +162,8 @@ def sample_oneform(field: AnalyticField, mesh: TriangleMesh) -> Cochain:
     """
     if mesh.source is None:
         raise FieldError("mesh does not carry a surface description")
-    if not mesh.source.same_geometry(field.surface):
+    # levels may differ; an a == c spheroid is the sphere of that radius
+    if mesh.source.axes != field.surface.axes:
         raise FieldError(
             f"field surface {field.surface} does not match mesh surface "
             f"{mesh.source}"
@@ -164,5 +175,5 @@ def sample_oneform(field: AnalyticField, mesh: TriangleMesh) -> Cochain:
     flat = gamma.reshape(-1, 3)
     vals = evaluate(field, flat).reshape(shape)
     integrand = np.einsum("eti,eti->et", vals, dgamma)
-    return Cochain(degree=1, values=integrand @ _GL_WEIGHTS)
+    return Cochain(integrand @ _GL_WEIGHTS)
 

@@ -71,13 +71,6 @@ class SurfaceSpec:
             return (self.radius,) * 3
         return (self.a, self.a, self.c)
 
-    def same_geometry(self, other: "SurfaceSpec") -> bool:
-        """True if both specs describe the same surface (levels may differ).
-
-        An a == c spheroid is the same geometry as the sphere of that radius.
-        """
-        return self.axes == other.axes
-
 
 @dataclass(frozen=True)
 class TriangleMesh:
@@ -242,7 +235,6 @@ class ValidationOutcome:
     """Per-invariant pass/fail report for a TriangleMesh."""
 
     checks: dict
-    messages: list
     genus: int | None
 
     @property
@@ -387,7 +379,6 @@ def validate(mesh: TriangleMesh) -> ValidationOutcome:
     """
     faces = mesh.faces
     checks: dict = {}
-    messages: list = []
 
     checks["indices_valid"] = bool(
         (faces[:, 0] != faces[:, 1]).all()
@@ -395,31 +386,23 @@ def validate(mesh: TriangleMesh) -> ValidationOutcome:
         and (faces[:, 0] != faces[:, 2]).all()
     )
     if not checks["indices_valid"]:
-        messages.append("face with repeated vertex indices")
-        return ValidationOutcome(checks, messages, None)
+        return ValidationOutcome(checks, None)
     checks["closed_two_manifold"] = True
 
     # opposite induced orientations <=> the two half-edge signs cancel
     oriented = bool((mesh.edge_face_signs.sum(axis=1) == 0).all())
     checks["consistent_orientation"] = oriented
-    if not oriented:
-        messages.append("inconsistent orientation")
 
     areas = mesh.face_areas()
     mean_area = areas.mean() if areas.size else 0.0
     nondegenerate = bool((areas > DEGENERATE_AREA_FRACTION * mean_area).all())
     checks["no_degenerate_faces"] = nondegenerate
-    if not nondegenerate:
-        messages.append("degenerate face (area below threshold)")
 
     chi = mesh.n_vertices - mesh.n_edges + mesh.n_faces
     euler_ok = chi % 2 == 0 and chi <= 2
     checks["euler_formula"] = euler_ok
     genus = (2 - chi) // 2 if euler_ok else None
-    if not euler_ok:
-        messages.append(f"Euler characteristic {chi} admits no genus")
-
-    return ValidationOutcome(checks, messages, genus)
+    return ValidationOutcome(checks, genus)
 
 
 def export_off(mesh: TriangleMesh) -> bytes:

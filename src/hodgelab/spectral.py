@@ -35,7 +35,7 @@ from scipy.sparse.linalg import splu
 from .exterior import SparseOperator
 
 GROUP_FLOOR = 1e-8
-DEFAULT_REL_GAP = 0.02
+GROUP_REL_GAP = 0.02
 BLOCK_PADDING = 5
 PRECOND_SHIFT = 1e-6
 
@@ -65,7 +65,7 @@ class SpectrumResult:
     """Ascending eigenvalues with B-orthonormal eigenvectors.
 
     ``residuals`` holds ||A x - lambda B x|| / ||B x|| per pair; ``groups``
-    clusters near-degenerate eigenvalues at the default relative gap.
+    clusters near-degenerate eigenvalues at ``GROUP_REL_GAP``.
     ``next_estimate`` is the first unreturned Ritz value (an upper estimate of
     eigenvalue m+1 from the padding block); it witnesses that the last
     returned group is complete when it sits well above the group.
@@ -99,8 +99,8 @@ def _diagonal_spd(B) -> np.ndarray:
     return d
 
 
-def group_multiplicities(eigenvalues, rel_gap: float = DEFAULT_REL_GAP):
-    """Merge consecutive eigenvalues whose relative gap is below ``rel_gap``.
+def group_multiplicities(eigenvalues):
+    """Merge consecutive eigenvalues whose relative gap is below GROUP_REL_GAP.
 
     The gap is measured against max(|lambda|, floor) with floor 1e-8 so that
     a zero eigenvalue never absorbs its neighbours.
@@ -112,7 +112,7 @@ def group_multiplicities(eigenvalues, rel_gap: float = DEFAULT_REL_GAP):
     start = 0
     for k in range(1, ev.size):
         scale = max(abs(ev[k]), abs(ev[k - 1]), GROUP_FLOOR)
-        if (ev[k] - ev[k - 1]) / scale >= rel_gap:
+        if (ev[k] - ev[k - 1]) / scale >= GROUP_REL_GAP:
             groups.append(
                 SpectrumGroup(float(ev[start:k].mean()), k - start,
                               tuple(range(start, k)))

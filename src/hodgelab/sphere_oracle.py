@@ -90,22 +90,18 @@ def laplace_eigenvalue(degree: int, n: int, r: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class HarmonicPoly:
-    """Restriction to S^n(r) of a degree-0/1/2 harmonic polynomial.
+    """Restriction to S^n(r) of a degree-1 or degree-2 harmonic polynomial.
 
     degree 1: f = d . x with coefficient vector d in R^(n+1);
-    degree 2: f = x^T Q x with Q symmetric traceless (harmonicity);
-    degree 0: the constant 1 (trivial edge case for residual operations).
+    degree 2: f = x^T Q x with Q symmetric traceless (harmonicity).
     """
 
     degree: int
     sphere: SphereContext
-    coefficients: np.ndarray | None = None
+    coefficients: np.ndarray
 
     def __post_init__(self):
         dim = self.sphere.ambient_dim
-        if self.degree == 0:
-            object.__setattr__(self, "coefficients", None)
-            return
         if self.degree == 1:
             d = np.asarray(self.coefficients, dtype=float)
             if d.shape != (dim,) or not np.any(d):
@@ -124,22 +120,18 @@ class HarmonicPoly:
                 raise OracleError("coefficient matrix must be nonzero")
             object.__setattr__(self, "coefficients", Q)
             return
-        raise OracleError("degree must be 0, 1, or 2")
+        raise OracleError("degree must be 1 or 2")
 
     @property
     def eigenvalue(self) -> float:
         return laplace_eigenvalue(self.degree, self.sphere.n, self.sphere.r)
 
     def value(self, x: np.ndarray) -> float:
-        if self.degree == 0:
-            return 1.0
         if self.degree == 1:
             return float(self.coefficients @ x)
         return float(x @ self.coefficients @ x)
 
     def ambient_gradient(self, x: np.ndarray) -> np.ndarray:
-        if self.degree == 0:
-            return np.zeros_like(x)
         if self.degree == 1:
             return self.coefficients.copy()
         return 2.0 * self.coefficients @ x

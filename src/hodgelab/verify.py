@@ -49,6 +49,10 @@ from .spectral import (
 )
 
 # Frozen quantitative gates (calibrated at level 5 on the unit icosphere).
+BOUND_REL = 0.02  # bound attainment and round-sphere curvature, relative
+CLASS_TOL = 0.01  # closedness / coclosedness norm for classification
+SOLVER_TOL = 1e-6  # eigenpair residual of both spectra
+EIGENPAIRS = 16  # eigenpairs per form degree
 SCALAR_CLUSTER_RTOL = (0.005, 0.01)
 ONEFORM_CLUSTER_RTOL = (0.01, 0.015)
 IDENTITY_SMALL = 0.05
@@ -131,11 +135,10 @@ def discrete_identity_residual(mesh: mesh_mod.TriangleMesh, omega: exterior.Coch
     converges and still separates the satisfying from the violating field
     classes by an O(1) margin.)
     """
-    n = 2
     if which == "yano_2_2":
-        coeff = 2.0 / (n + 1)
+        coeff = 2.0 / (N_DIM + 1)
     elif which == "lichnerowicz_3_2":
-        coeff = -(1.0 - 2.0 / n)
+        coeff = -(1.0 - 2.0 / N_DIM)
     else:
         raise VerifyError(f"unknown identity {which!r}")
     omega.check_mesh(mesh)
@@ -480,7 +483,7 @@ def _mesh_stage(report, surface):
     return mesh, {"mesh_valid": outcome.ok}
 
 
-def _curvature_stage(report, mesh, surface, alpha, bound_rel):
+def _curvature_stage(report, mesh, surface, alpha):
     """(rho, P) from angle defects, checked against the exact extrema."""
     bounds = curvature_mod.angle_defect_curvature(mesh)
     defect_err = abs(curvature_mod.angle_defects(mesh).sum() - 4.0 * np.pi)
@@ -488,7 +491,7 @@ def _curvature_stage(report, mesh, surface, alpha, bound_rel):
     checks = {"gauss_bonnet": bool(defect_err < 1e-10)}
     if alpha is not None:
         entry["rho_exact"] = entry["P_exact"] = alpha
-        gate = bound_rel
+        gate = BOUND_REL
     else:
         # a spheroid's curvature extrema sit at the pole and on the equator
         a, c = surface.a, surface.c
@@ -514,10 +517,8 @@ def _curvature_stage(report, mesh, surface, alpha, bound_rel):
 
 def _scalar_stage(report, mesh, config, alpha):
     A0, B0 = exterior.laplacian0(mesh)
-    result = solve_lowest(
-        A0, B0, min(config.eigenpairs, mesh.n_vertices), config.tolerances.solver_tol,
-        seed=config.seed, known_kernel=np.ones(mesh.n_vertices),
-    )
+    result = solve_lowest(A0, B0, EIGENPAIRS, SOLVER_TOL, seed=config.seed,
+                          known_kernel=np.ones(mesh.n_vertices))
     report["spectra"]["scalar"] = _spectrum_json(result)
     if alpha is None:
         return result, {}
@@ -529,10 +530,8 @@ def _scalar_stage(report, mesh, config, alpha):
 def _oneform_stage(report, mesh, config, alpha):
     """(spectrum, exact flags, (A1, B1)) of the one-form Laplacian."""
     pencil = exterior.laplacian1(mesh)
-    result, flags = oneform_spectrum_hodge_split(
-        mesh, min(config.eigenpairs, mesh.n_edges), config.tolerances.solver_tol,
-        seed=config.seed,
-    )
+    result, flags = oneform_spectrum_hodge_split(mesh, EIGENPAIRS, SOLVER_TOL,
+                                                 seed=config.seed)
     report["spectra"]["oneform"] = _spectrum_json(result)
     if alpha is None:
         return (result, flags, pencil), {}
@@ -543,8 +542,7 @@ def _oneform_stage(report, mesh, config, alpha):
     return (result, flags, pencil), {"oneform_spectrum": bool(ok and no_harmonic)}
 
 
-def _bounds_entry(kind: str, lam_hat: float, align: float, curv, round_sphere: bool,
-                  tol: float):
+def _bounds_entry(kind: str, lam_hat: float, align: float, curv, round_sphere: bool):
     """(report entry, pass) of one field's eigenvalue against its bound theorem."""
     if align > HYPOTHESIS_TOL:
         return {
@@ -554,7 +552,7 @@ def _bounds_entry(kind: str, lam_hat: float, align: float, curv, round_sphere: b
             "note": "hypothesis Δω = λω violated",
         }, True
     mode = "conformal" if kind == "conformal_gradient" else "projective"
-    entry = check_bounds(lam_hat, *curv, N_DIM, mode, tol)
+    entry = check_bounds(lam_hat, *curv, N_DIM, mode, BOUND_REL)
     sat = (entry["satisfied_rederived"] if entry["satisfied_rederived"] is not None
            else entry["satisfied_printed"])
     # endpoint sharpness is a round-sphere statement; on other surfaces an
@@ -564,7 +562,7 @@ def _bounds_entry(kind: str, lam_hat: float, align: float, curv, round_sphere: b
     conformal_ok = True
     if kind == "killing_rotation" and round_sphere:
         conformal_ok = check_bounds(lam_hat, *curv, N_DIM, "conformal",
-                                    tol)["satisfied_printed"]
+                                    BOUND_REL)["satisfied_printed"]
     return entry, sat and endpoint and conformal_ok
 
 
@@ -579,17 +577,16 @@ def _field_stage(report, spec, mesh, config, alpha, oneform, curv):
         "bounds": None, "identities": {},
     }
     report["fields"].append(entry)
-    tols = config.tolerances
     omega = fields_mod.sample_oneform(spec.build(config.surface), mesh)
     nd, nw = exterior.codifferential_norm(mesh, omega)
     entry["dstar_norm"], entry["d_norm"] = nd, nw
-    entry["class"] = classify_field(nd, nw, tols.class_tol)
+    entry["class"] = classify_field(nd, nw, CLASS_TOL)
     checks = {"classification": entry["class"] == _expected_class(spec, config.surface)}
     spectrum, _flags, (A1, B1) = oneform
     lam_hat, align = eigenform_alignment(spectrum, A1, B1, omega.values)
     entry["lambda"], entry["eigenform_residual"] = lam_hat, align
     entry["bounds"], checks["field_bounds"] = _bounds_entry(
-        spec.kind, lam_hat, align, curv, alpha is not None, tols.bound_rel)
+        spec.kind, lam_hat, align, curv, alpha is not None)
     identities_ok = True
     for which, expect in _expected_identities(spec.kind).items():
         value = discrete_identity_residual(mesh, omega, which)
@@ -639,7 +636,7 @@ def run_suite(config: RunConfig) -> dict:
     curv = oneform = None
     if mesh is not None:
         curv = guard.run("curvature", ("curvature_oracle",), _curvature_stage,
-                         report, mesh, surface, alpha, config.tolerances.bound_rel)
+                         report, mesh, surface, alpha)
         if surface.level < MIN_SPECTRAL_LEVEL:
             notes.append(
                 "insufficient resolution: spectra, fields, and multiplicity "

@@ -128,7 +128,6 @@ def test_verify_level3_pass(tmp_path):
 def test_verify_config_file_and_override(tmp_path):
     cfg = {
         "surface": {"kind": "icosphere", "level": 2, "radius": 1.0},
-        "eigenpairs": 16,
         "seed": 3,
     }
     path = tmp_path / "cfg.json"
@@ -155,8 +154,10 @@ def test_verify_invalid_config_values(tmp_path):
     # json writes NaN and Infinity literals, which json.load accepts
     sphere = {"kind": "icosphere", "level": 1, "radius": 1.0}
     for cfg, message in (
+        # the eigenpair count and every tolerance are frozen, not config values
         ({"surface": sphere, "tolerances": {"solver_tol": float("nan")}},
-         "tolerance solver_tol must be finite and > 0"),
+         "unknown config key 'tolerances'"),
+        ({"surface": sphere, "eigenpairs": 16}, "unknown config key 'eigenpairs'"),
         ({"surface": {**sphere, "radius": float("inf")}},
          "icosphere needs a finite radius > 0"),
         ({"surface": sphere, "eigenpair": 4}, "unknown config key 'eigenpair'"),
@@ -181,9 +182,18 @@ def test_verify_invalid_config_values(tmp_path):
         ({"surface": sphere, "fields": [{"name": "nanq", "kind": "projective_gradient",
                                          "Q": [[float("nan"), 0, 0], [0, 0, 0], [0, 0, 0]]}]},
          "field nanq: quadratic coefficients must be finite"),
+        ({"surface": sphere, "fields": [{"name": "short", "kind": "killing_rotation",
+                                         "axis": [1, 0]}]},
+         "field short: rotation axis must be a 3-vector"),
+        ({"surface": sphere, "fields": [{"name": "long", "kind": "conformal_gradient",
+                                         "direction": [1, 0, 0, 0]}]},
+         "field long: gradient direction must be a 3-vector"),
+        ({"surface": sphere, "fields": [{"name": "huge", "kind": "conformal_gradient",
+                                         "direction": [1e300, 1e300, 0]}]},
+         "field huge: gradient direction must have a finite norm"),
         # grouping uses one fixed relative gap; the old knob is not accepted
         ({"surface": sphere, "tolerances": {"group_rel_gap": 0.5}},
-         "unknown tolerances key 'group_rel_gap'"),
+         "unknown config key 'tolerances'"),
     ):
         path.write_text(json.dumps(cfg))
         proc = run_cli("verify", "--config", str(path))
@@ -272,34 +282,79 @@ def test_hodgelab_seed_takes_precedence(monkeypatch):
     assert cli._seed(3, 4) == 7
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["mesh", "--level", "1"], "m.off"),
+    (["spectrum", "--level", "2", "--count", "4"], "s.csv"),
+    (["verify", "--level", "1"], "r.json"),
+    (["converge", "--levels", "1,2", "--count", "4"], "c.csv"),
+])
+def test_unwritable_output_is_a_usage_error(argv, name, tmp_path, monkeypatch, capsys):
+    from hodgelab import cli, verify
+
+    def never(config):
+        raise AssertionError("verify ran the suite before opening its report")
+
+    monkeypatch.delenv("HODGELAB_SEED", raising=False)
+    monkeypatch.setattr(verify, "run_suite", never)
+    out = tmp_path / "missing" / name
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--level", "1", "--eigenpairs", "16"],
+    ["converge", "--levels", "1,2", "--slack", "0.5"],
+])
+def test_removed_flags_are_usage_errors(argv, capsys):
+    from hodgelab import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert "error: unrecognized arguments: " in capsys.readouterr().err
+
+
+def test_readme_examples_parse():
+    """Every command in README's "Command line" block parses with today's flags."""
+    from hodgelab import cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [line.split("#")[0].split()[1:] for line in block.splitlines()
+                if line.startswith("hodgelab ")]
+    assert len(commands) >= 8
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+
+
 def test_runconfig_roundtrip():
     from hodgelab.config import RunConfig, default_config
 
     cfg = default_config()
     back = RunConfig.from_json_dict(cfg.to_json_dict())
     assert back.surface == cfg.surface
-    assert back.eigenpairs == cfg.eigenpairs
-    assert back.tolerances == cfg.tolerances
+    assert back.seed == cfg.seed
+    assert back.report_path == cfg.report_path
     assert len(back.fields) == 11
     assert [f.name for f in back.fields] == [f.name for f in cfg.fields]
 
 
 @given(kind=st.sampled_from(["icosphere", "spheroid"]), level=st.integers(0, 8),
-       size=st.floats(0.1, 10.0), eigenpairs=st.integers(1, 40),
-       solver_tol=st.floats(1e-12, 1e-2), seed=st.integers(0, 2**32),
+       size=st.floats(0.1, 10.0), seed=st.integers(0, 2**32),
        n_fields=st.integers(0, 11),
        report_path=st.one_of(st.none(), st.text(max_size=8)))
 @settings(max_examples=50, deadline=None)
-def test_runconfig_json_roundtrip_property(kind, level, size, eigenpairs,
-                                           solver_tol, seed, n_fields, report_path):
-    from hodgelab.config import RunConfig, Tolerances, builtin_fields
+def test_runconfig_json_roundtrip_property(kind, level, size, seed, n_fields,
+                                           report_path):
+    from hodgelab.config import RunConfig, builtin_fields
     from hodgelab.mesh import SurfaceSpec
 
     surface = (SurfaceSpec(kind, level, radius=size) if kind == "icosphere"
                else SurfaceSpec(kind, level, a=size, c=2.0))
-    cfg = RunConfig(surface=surface, eigenpairs=eigenpairs,
-                    fields=builtin_fields()[:n_fields],
-                    tolerances=Tolerances(solver_tol=solver_tol), seed=seed,
+    cfg = RunConfig(surface=surface, fields=builtin_fields()[:n_fields], seed=seed,
                     report_path=report_path)
     # every key to_json_dict writes is one from_json_dict accepts
     assert RunConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict()))) == cfg

@@ -171,7 +171,7 @@ def test_codifferential_norm_classifies(sphere_mesh):
 def test_codifferential_norm_exact_gradient(sphere_mesh):
     m = sphere_mesh(3)
     f = m.vertices[:, 0] - 2 * m.vertices[:, 2]
-    w = Cochain(1, d0(m).matrix @ f)
+    w = Cochain(d0(m).matrix @ f)
     nd, nw = codifferential_norm(m, w)
     assert nw < 1e-12
     assert nd > 0.1
@@ -180,16 +180,14 @@ def test_codifferential_norm_exact_gradient(sphere_mesh):
 def test_codifferential_norm_zero_form_error(sphere_mesh):
     m = sphere_mesh(1)
     with pytest.raises(ExteriorError, match="zero form"):
-        codifferential_norm(m, Cochain(1, np.zeros(m.n_edges)))
+        codifferential_norm(m, Cochain(np.zeros(m.n_edges)))
 
 
 def test_cochain_validation(sphere_mesh):
     m = sphere_mesh(0)
     with pytest.raises(ExteriorError):
-        Cochain(3, np.zeros(5))
-    with pytest.raises(ExteriorError):
-        Cochain(1, np.array([1.0, np.nan]))
-    c = Cochain(1, np.zeros(7))
+        Cochain(np.array([1.0, np.nan]))
+    c = Cochain(np.zeros(7))
     with pytest.raises(ExteriorError):
         c.check_mesh(m)
 

@@ -65,6 +65,14 @@ def test_field_parameter_validation():
         Q[0, 0] = bad
         with pytest.raises(FieldError, match="quadratic coefficients must be finite"):
             ProjectiveGradient(Q, UNIT_SPHERE)
+    # an axis or direction is a 3-vector whose norm is finite and nonzero
+    for cls, what in ((KillingRotation, "rotation axis"),
+                      (ConformalGradient, "gradient direction")):
+        for short_or_long in ([1, 0], [1, 0, 0, 0], [[1, 0, 0]]):
+            with pytest.raises(FieldError, match=f"{what} must be a 3-vector"):
+                cls(short_or_long, UNIT_SPHERE)
+        with pytest.raises(FieldError, match=f"{what} must have a finite norm"):
+            cls([1e300, 1e300, 0], UNIT_SPHERE)
 
 
 def _traceless_symmetric(rng):

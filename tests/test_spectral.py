@@ -6,6 +6,7 @@ from scipy.sparse.linalg import eigsh
 
 from hodgelab import exterior, mesh, spectral, verify
 from hodgelab.spectral import (
+    GROUP_REL_GAP,
     ConvergenceError,
     SpectralError,
     dense_reference,
@@ -173,24 +174,21 @@ def test_rayleigh_quotient_basics(scalar_pair_factory, sphere_mesh):
 
 
 def test_group_multiplicities_spec_cases():
-    groups = group_multiplicities([0.0, 1.99, 2.00, 2.01, 6.1], rel_gap=0.02)
+    groups = group_multiplicities([0.0, 1.99, 2.00, 2.01, 6.1])
     assert [g.multiplicity for g in groups] == [1, 3, 1]
     assert groups[1].representative == pytest.approx(2.0)
 
-    same = group_multiplicities([3.0] * 7, rel_gap=0.02)
+    same = group_multiplicities([3.0] * 7)
     assert len(same) == 1 and same[0].multiplicity == 7
 
     assert group_multiplicities([]) == []
 
 
-@given(
-    values=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=30),
-    rel_gap=st.floats(0.001, 0.2),
-)
+@given(values=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=30))
 @settings(max_examples=60, deadline=None)
-def test_group_multiplicities_properties(values, rel_gap):
+def test_group_multiplicities_properties(values):
     ev = np.sort(np.asarray(values))
-    groups = group_multiplicities(ev, rel_gap)
+    groups = group_multiplicities(ev)
     # partition: every index exactly once, in order
     flat = [i for g in groups for i in g.indices]
     assert flat == list(range(len(ev)))
@@ -198,12 +196,12 @@ def test_group_multiplicities_properties(values, rel_gap):
         member_vals = ev[list(g.indices)]
         assert g.multiplicity == len(g.indices)
         assert g.representative == pytest.approx(member_vals.mean())
-    # consecutive groups are separated by at least the requested gap
+    # consecutive groups are separated by at least the grouping gap
     for a, b in zip(groups, groups[1:]):
         lo = ev[a.indices[-1]]
         hi = ev[b.indices[0]]
         scale = max(abs(lo), abs(hi), 1e-8)
-        assert (hi - lo) / scale >= rel_gap
+        assert (hi - lo) / scale >= GROUP_REL_GAP
 
 
 def test_scalar_eigenvalue_monotone_convergence(scalar_pair_factory, sphere_mesh):

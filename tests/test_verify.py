@@ -124,7 +124,7 @@ def test_hodge_split_matches_direct_solver(sphere_mesh):
     assert (split.residuals < 1e-6).all()
     # exact forms are closed, coexact forms are coclosed
     for lam, vec, is_exact in zip(split.eigenvalues, split.eigenvectors.T, flags):
-        nd, nw = exterior.codifferential_norm(m, exterior.Cochain(1, vec))
+        nd, nw = exterior.codifferential_norm(m, exterior.Cochain(vec))
         if is_exact:
             assert nw < 1e-8 <= nd
         else:
