@@ -31,6 +31,7 @@ from .mesh import MeshError, SurfaceSpec
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILURE = 2
+HISTORY_SHOWN = 5  # iterations a convergence failure prints
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,35 +93,44 @@ def _seed(args_seed: int | None, config_seed: int = 0) -> int:
     return int(seed)
 
 
+def _open_out(path, mode="w"):
+    """``path`` opened in ``mode``, or a null context when it is unset.
+
+    Every command opens its output before any build or solve, so that an
+    unwritable path fails at once.
+    """
+    return open(path, mode) if path else contextlib.nullcontext()
+
+
 def cmd_mesh(args) -> int:
     try:
         surface = _surface_from_args(args, args.level)
-        built = mesh_mod.build_surface(surface)
     except (MeshError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    outcome = mesh_mod.validate(built)
-    print(f"V={built.n_vertices} E={built.n_edges} F={built.n_faces}")
-    for name, ok in outcome.checks.items():
-        print(f"  {name}: {'ok' if ok else 'FAIL'}")
-    if outcome.genus is not None:
-        print(f"  genus: {outcome.genus}")
-    if args.out:
-        with open(args.out, "wb") as fh:
+    with _open_out(args.out, "wb") as fh:
+        try:
+            built = mesh_mod.build_surface(surface)
+        except MeshError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        outcome = mesh_mod.validate(built)
+        print(f"V={built.n_vertices} E={built.n_edges} F={built.n_faces}")
+        for name, ok in outcome.checks.items():
+            print(f"  {name}: {'ok' if ok else 'FAIL'}")
+        if outcome.genus is not None:
+            print(f"  genus: {outcome.genus}")
+        if fh is not None:
             fh.write(mesh_mod.export_off(built))
+    if args.out:
         print(f"wrote {args.out}")
     return EXIT_OK if outcome.ok else EXIT_FAILURE
 
 
-def _write_csv(lines, out) -> None:
-    """Write the CSV lines to ``out``, or to stdout when it is unset."""
+def _write_csv(lines, fh) -> None:
+    """Write the CSV lines to the open output ``fh``, or to stdout when None."""
     text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {out}")
-    else:
-        sys.stdout.write(text)
+    (sys.stdout if fh is None else fh).write(text)
 
 
 def _spectrum_rows(result):
@@ -143,25 +153,43 @@ def _lowest_eigenpairs(built, args, seed: int):
     return verify_mod.oneform_spectrum_hodge_split(built, args.count, args.tol, seed=seed)[0]
 
 
+def _history_line(history) -> str:
+    """The last HISTORY_SHOWN entries of a ConvergenceError history."""
+    shown = history[-HISTORY_SHOWN:]
+    entries = ", ".join(f"{k}: {res:.3g}/{active}" for k, (res, active)
+                        in enumerate(shown, len(history) - len(shown)))
+    return f"iteration: largest residual/active columns: {entries}"
+
+
 def cmd_spectrum(args) -> int:
     try:
-        built = mesh_mod.build_surface(_surface_from_args(args, args.level))
+        surface = _surface_from_args(args, args.level)
     except (MeshError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     seed = _seed(args.seed)
-    try:
-        result = _lowest_eigenpairs(built, args, seed)
-    except (exterior.ExteriorError, spectral.SpectralError, verify_mod.VerifyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, spectral.ConvergenceError):
-            print(f"best residuals after {exc.iterations} iterations: "
-                  f"{exc.residuals}", file=sys.stderr)
-        return EXIT_FAILURE
-    rows = _spectrum_rows(result)
-    lines = ["index,eigenvalue,residual,group"]
-    lines += [f"{i},{ev:.12g},{res:.3g},{grp}" for i, ev, res, grp in rows]
-    _write_csv(lines, args.out)
+    with _open_out(args.out) as fh:
+        try:
+            built = mesh_mod.build_surface(surface)
+        except MeshError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        try:
+            result = _lowest_eigenpairs(built, args, seed)
+        except (exterior.ExteriorError, spectral.SpectralError,
+                verify_mod.VerifyError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            if isinstance(exc, spectral.ConvergenceError):
+                print(f"best residuals after {exc.iterations} iterations: "
+                      f"{exc.residuals}", file=sys.stderr)
+                print(_history_line(exc.history), file=sys.stderr)
+            return EXIT_FAILURE
+        rows = _spectrum_rows(result)
+        lines = ["index,eigenvalue,residual,group"]
+        lines += [f"{i},{ev:.12g},{res:.3g},{grp}" for i, ev, res, grp in rows]
+        _write_csv(lines, fh)
+    if args.out:
+        print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -252,9 +280,7 @@ def cmd_verify(args) -> int:
     except (json.JSONDecodeError, ConfigError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out_path = args.out or cfg.report_path
-    # opened before the run, so that an unwritable path fails at once
-    with open(out_path, "w") if out_path else contextlib.nullcontext() as fh:
+    with _open_out(args.out or cfg.report_path) as fh:
         report = verify_mod.run_suite(cfg)
         if fh is not None:
             json.dump(report, fh, indent=1, default=float)
@@ -282,21 +308,23 @@ def cmd_converge(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rows = []
-    for surface in surfaces:
-        level = surface.level
-        try:
-            result = _lowest_eigenpairs(mesh_mod.build_surface(surface), args, seed)
-        except (MeshError, exterior.ExteriorError, spectral.SpectralError,
-                verify_mod.VerifyError) as exc:
-            print(f"error at level {level}: {exc}", file=sys.stderr)
-            return EXIT_FAILURE
-        nearest = min(result.groups,
-                      key=lambda g: abs(g.representative - args.target))
-        lam = nearest.representative
-        rows.append((level, args.target, lam, abs(lam - args.target)))
-    lines = ["level,target,lambda_hat,abs_error"]
-    lines += [f"{lv},{tg:.12g},{lam:.12g},{err:.6g}" for lv, tg, lam, err in rows]
-    _write_csv(lines, args.out)
+    with _open_out(args.out) as fh:
+        for surface in surfaces:
+            try:
+                result = _lowest_eigenpairs(mesh_mod.build_surface(surface), args, seed)
+            except (MeshError, exterior.ExteriorError, spectral.SpectralError,
+                    verify_mod.VerifyError) as exc:
+                print(f"error at level {surface.level}: {exc}", file=sys.stderr)
+                return EXIT_FAILURE
+            nearest = min(result.groups,
+                          key=lambda g: abs(g.representative - args.target))
+            lam = nearest.representative
+            rows.append((surface.level, args.target, lam, abs(lam - args.target)))
+        lines = ["level,target,lambda_hat,abs_error"]
+        lines += [f"{lv},{tg:.12g},{lam:.12g},{err:.6g}" for lv, tg, lam, err in rows]
+        _write_csv(lines, fh)
+    if args.out:
+        print(f"wrote {args.out}")
     if reordered:
         print("note: levels were reordered ascending")
     errors = [row[3] for row in rows]

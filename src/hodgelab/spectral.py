@@ -1,12 +1,27 @@
 """Lowest eigenpairs of the sparse symmetric pencil A x = lambda B x.
 
+B must be SPD diagonal, so the pencil is transformed to a standard problem
+Atil = B^(-1/2) A B^(-1/2); transformed orthonormality is exactly
+B-orthonormality of the returned eigenvectors. A known kernel (the constants
+of the 0-form Laplacian) can be deflated.
+
 The solver is a blocked locally optimal preconditioned conjugate gradient
-(LOBPCG) iteration with full B-orthonormalization, one Rayleigh-Ritz step per
-iteration and optional deflation of a known kernel (the constants of the
-0-form Laplacian). B must be SPD diagonal,
-so the pencil is transformed to a standard problem Atil = B^(-1/2) A B^(-1/2);
-transformed orthonormality is exactly B-orthonormality of the returned
-eigenvectors.
+(LOBPCG) iteration. Each iteration does one Rayleigh-Ritz step over the
+orthonormal basis [X | W | P]: the current Ritz vectors X, the preconditioned
+residuals W and the conjugate directions P. Two standard techniques cut the
+n-row block work:
+
+- soft locking (Duersch, Shao, Yang and Gu, SISC 2018): a column whose
+  residual is at most the tolerance gets no new W or P column, but stays in
+  the Rayleigh-Ritz basis, so it keeps improving and keeps being tested;
+- P in coefficient space (Hetmaniuk and Lehoucq, J. Comput. Phys. 2006): P
+  is formed from the small Rayleigh-Ritz eigenvector matrix, already
+  orthonormal and orthogonal to the next X, so it needs no n-row projection
+  or orthonormalization.
+
+Locking drops the directions of converged columns, which also helped the
+others a little: on the verify pencils a solve sometimes takes one more
+iteration, but each iteration is cheaper.
 
 The preconditioner is a sparse LU factorization of the shifted matrix
 Atil + shift I, applied as an (approximate) inverse of Atil. The shift,
@@ -38,6 +53,10 @@ GROUP_FLOOR = 1e-8
 GROUP_REL_GAP = 0.02
 BLOCK_PADDING = 5
 PRECOND_SHIFT = 1e-6
+ORTHO_PASSES = 3
+# largest |Q^T W| entry accepted after a pass; a second pass brings it to
+# about 1e-16, so this stops the growth long before it matters
+ORTHO_TOL = 1e-14
 
 
 class SpectralError(Exception):
@@ -45,12 +64,20 @@ class SpectralError(Exception):
 
 
 class ConvergenceError(SpectralError):
-    """Iteration cap reached; carries the best residuals and the iterations."""
+    """Iteration cap reached; carries the best residuals, the iterations and
+    the history.
 
-    def __init__(self, message, residuals, iterations):
+    ``history[k]`` is (largest wanted residual, active columns) at the
+    residual evaluation after expansion step k, so it has iterations + 1
+    entries. A stall shows as a residual that stops falling while columns
+    stay active.
+    """
+
+    def __init__(self, message, residuals, iterations, history):
         super().__init__(message)
         self.residuals = residuals
         self.iterations = iterations
+        self.history = history
 
 
 @dataclass(frozen=True)
@@ -164,9 +191,36 @@ def _orthonormalize(V, drop_tol=1e-12):
 
 
 def _project_out(V, Q):
+    """Remove from V, in place, its component in the span of orthonormal Q."""
     if Q is not None and Q.shape[1]:
-        V = V - Q @ (Q.T @ V)
+        V -= Q @ (Q.T @ V)
     return V
+
+
+def _orthonormalize_against(W, blocks):
+    """W made orthogonal to the orthonormal, mutually orthogonal ``blocks``
+    and orthonormalized (SVQB).
+
+    One projection leaves a component of relative size eps ||W|| / ||W'||
+    in the span of the blocks, where W' is the projected W, and the SVQB
+    scaling keeps it. Near convergence the preconditioned residuals lie
+    almost in that span, so the leftover grows, and through P it feeds the
+    next iteration's overlap: a solve stalled at the rounding floor lost
+    about a factor 20 of orthogonality per iteration and drifted off the
+    spectrum. The pass is therefore repeated until the overlap is at
+    rounding level (Duersch, Shao, Yang and Gu, SISC 2018); one pass is
+    usually enough.
+    """
+    blocks = [Q for Q in blocks if Q is not None and Q.shape[1]]
+    overlaps = [Q.T @ W for Q in blocks]
+    for _ in range(ORTHO_PASSES):
+        for Q, c in zip(blocks, overlaps):
+            W -= Q @ c
+        W = _orthonormalize(W)
+        overlaps = [Q.T @ W for Q in blocks]
+        if all(np.abs(c).max(initial=0.0) <= ORTHO_TOL for c in overlaps):
+            break
+    return W
 
 
 def _weighted_residual_norms(R, X, w):
@@ -197,27 +251,54 @@ def _shifted_lu_preconditioner(Atil):
     return precond
 
 
+def _direction_coefficients(C, nb, active):
+    """Coefficients over S = [X W P] of the next P, from the Ritz coefficients C.
+
+    C is the orthogonal eigenvector matrix of the Rayleigh-Ritz step over the
+    orthonormal S, whose first nb rows belong to X; the next X is S C[:, :nb].
+    The conjugate directions of the ``active`` Ritz vectors are S E, where E
+    holds the W and P rows of their coefficient columns. E is projected off
+    C[:, :nb] through the orthogonal complement C[:, nb:] and orthonormalized
+    in the small space, so P = S Z is orthonormal, orthogonal to the next X,
+    and span{X, P} = span{X, S E} (Hetmaniuk and Lehoucq, J. Comput. Phys.
+    2006).
+    """
+    rest = C[:, nb:]
+    return _orthonormalize(rest @ (rest[nb:].T @ C[nb:, :nb][:, active]))
+
+
 def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, w_norm,
             constraints=None):
-    """Standard-problem LOBPCG with one Rayleigh-Ritz step per iteration.
+    """Standard-problem LOBPCG with soft locking and one Rayleigh-Ritz step
+    per iteration.
 
-    Returns (theta, X, residual_norms, converged, iterations), where
-    ``iterations`` counts the expansion steps taken.
+    Returns (theta, X, iterations), where ``iterations`` counts the expansion
+    steps taken; raises ConvergenceError at the iteration cap.
 
     Only the start block gets a Rayleigh-Ritz step of its own. The blocks
     [X | W | P] are kept mutually orthonormal so the Rayleigh-Ritz problem
     over them stays a plain symmetric eigenproblem; its lowest Ritz pairs
     are the next (theta, X), already orthonormal (Duersch, Shao, Yang and
     Gu, SISC 2018). Its Gram matrix is assembled from the block products
-    Si^T (A Sj), i <= j, and the new X and P are formed block by block, so
-    the n x 3nb concatenations of the blocks and of their images are never
-    built. The kernel constraint is reapplied to every block each iteration:
-    the iteration actively converges toward the smallest Rayleigh quotient,
-    so a rounding-level kernel component would otherwise be amplified back
-    in.
+    Si^T (A Sj), i <= j, so the n x 3nb concatenations of the blocks and of
+    their images are never built.
+
+    Soft locking: only the columns whose residual is above ``tol`` (padding
+    columns included) get a preconditioned direction in W and a conjugate
+    direction in P, but every column stays in the Rayleigh-Ritz basis and
+    the stopping test reads every wanted residual. P is built in
+    coefficient space (see _direction_coefficients), so it needs no
+    projection or orthonormalization of its own; only W is made orthogonal
+    to the kernel constraint, X and P and orthonormalized
+    (_orthonormalize_against), and its orthogonality is what keeps every
+    later X and P orthonormal. The next X and P are accumulated block by
+    block, and each consumed block is released at once, so the update never
+    holds more n-row blocks than the Rayleigh-Ritz step. The kernel
+    constraint is reapplied to X each iteration: the iteration actively
+    converges toward the smallest Rayleigh quotient, so a rounding-level
+    kernel component would otherwise be amplified back in.
     """
-    X = _project_out(X0, constraints)
-    X = _orthonormalize(X)
+    X = _orthonormalize(_project_out(X0.copy(), constraints))
     if X.shape[1] < n_wanted:
         raise SpectralError("starting block lost rank under deflation")
     nb = X.shape[1]
@@ -227,27 +308,23 @@ def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, w_norm,
     X = X @ C
     AX = AX @ C
     P = np.zeros((X.shape[0], 0))
-    res = None
+    history = []
     # one extra pass evaluates the state left by the last expansion, so the
-    # returned (theta, X, res) are always consistent
+    # returned (theta, X) and the residuals behind them are always consistent
     for iteration in range(maxiter + 1):
         R = AX - X * theta
         res = _weighted_residual_norms(R, X, w_norm)
-        if np.all(res[:n_wanted] <= tol):
-            return theta, X, res, True, iteration
+        active = res > tol
+        history.append((float(res[:n_wanted].max()), int(active.sum())))
+        if not active[:n_wanted].any():
+            return theta, X, iteration
         if iteration == maxiter:
             break
-        # the dels free n x nb blocks before the next ones are allocated;
-        # at n = 10242 they lower the process's peak RSS by about 6 MB
+        R = R[:, active]  # the full R is released before the LU solve
         W = precond(R)
         del R
-        W = _project_out(W, constraints)
-        W = _project_out(W, X)
-        W = _orthonormalize(W)
-        P = _project_out(P, constraints)
-        P = _project_out(P, X)
-        P = _project_out(P, W)
-        P = _orthonormalize(P)
+        W = _orthonormalize_against(W, (constraints, X, P))
+        nw = W.shape[1]
         S = (X, W, P)
         AS = (AX, Amat @ W, Amat @ P)
         upper = {(i, j): S[i].T @ AS[j] for i in range(3) for j in range(i, 3)}
@@ -256,14 +333,22 @@ def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, w_norm,
                        for j in range(3)] for i in range(3)])
         vals, C = np.linalg.eigh(0.5 * (G + G.T))
         theta = vals[:nb]
-        nx, nw = X.shape[1], W.shape[1]
+        Z = _direction_coefficients(C, nb, active)
         Cx = C[:, :nb]
-        P = W @ Cx[nx:nx + nw] + P @ Cx[nx + nw:]
+        # X <- S Cx and P <- S Z, consuming S one block at a time
+        X_next, P_next = X @ Cx[:nb], X @ Z[:nb]
+        del X
+        X_next += W @ Cx[nb:nb + nw]
+        P_next += W @ Z[nb:nb + nw]
         del W
-        X = X @ Cx[:nx] + P
-        X = _project_out(X, constraints)
+        X_next += P @ Cx[nb + nw:]
+        P_next += P @ Z[nb + nw:]
+        X, P = _project_out(X_next, constraints), P_next
         AX = Amat @ X
-    return theta, X, res, False, maxiter
+    raise ConvergenceError(
+        f"no convergence after {maxiter} iterations "
+        f"(best residuals {res[:n_wanted]})",
+        residuals=res[:n_wanted], iterations=maxiter, history=history)
 
 
 def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
@@ -275,8 +360,8 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
     and returned as an exact zero-eigenvalue pair.
 
     Deterministic for a fixed ``seed``: the starting block is drawn from a
-    seeded generator. Raises ConvergenceError (carrying the best residuals)
-    if the iteration cap is reached.
+    seeded generator. Raises ConvergenceError (carrying the best residuals
+    and the per-iteration history) if the iteration cap is reached.
     """
     Amat = _as_matrix(A)
     d = _diagonal_spd(B)
@@ -305,16 +390,9 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
         block = min(m + BLOCK_PADDING, n - n_kernel)
         rng = np.random.default_rng(seed)
         X0 = rng.standard_normal((n, block))
-        theta, X, res, converged, iterations = _lobpcg(
+        theta, X, iterations = _lobpcg(
             Atil, X0, n_iter, tol, maxiter, precond, d, constraints=kernel
         )
-        if not converged:
-            raise ConvergenceError(
-                f"no convergence after {maxiter} iterations "
-                f"(best residuals {res[:n_iter]})",
-                residuals=res[:n_iter],
-                iterations=iterations,
-            )
         vals = theta[:n_iter]
         vecs_t = X[:, :n_iter]
         if theta.shape[0] > n_iter:

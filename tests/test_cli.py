@@ -289,13 +289,15 @@ def test_hodgelab_seed_takes_precedence(monkeypatch):
     (["converge", "--levels", "1,2", "--count", "4"], "c.csv"),
 ])
 def test_unwritable_output_is_a_usage_error(argv, name, tmp_path, monkeypatch, capsys):
-    from hodgelab import cli, verify
+    from hodgelab import cli, mesh, spectral, verify
 
-    def never(config):
-        raise AssertionError("verify ran the suite before opening its report")
+    def never(*args, **kwargs):
+        raise AssertionError("a command built or solved before opening its output")
 
     monkeypatch.delenv("HODGELAB_SEED", raising=False)
-    monkeypatch.setattr(verify, "run_suite", never)
+    for module, attr in [(verify, "run_suite"), (mesh, "build_surface"),
+                         (spectral, "solve_lowest"), (verify, "solve_lowest")]:
+        monkeypatch.setattr(module, attr, never)
     out = tmp_path / "missing" / name
     assert cli.main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -371,4 +373,9 @@ def test_convergence_failure_prints_iterations(monkeypatch, capsys):
     code = cli.main(["spectrum", "--kind", "icosphere", "--level", "2",
                      "--form", "0", "--count", "6", "--tol", "1e-14"])
     assert code == 2
-    assert "best residuals after 1 iterations:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "best residuals after 1 iterations:" in err
+    # the history has one entry per residual evaluation: iterations 0 and 1
+    history = err.splitlines()[-1]
+    assert history.startswith("iteration: largest residual/active columns: 0: ")
+    assert ", 1: " in history and ", 2: " not in history

@@ -56,6 +56,24 @@ def test_nonconvergence_reports_residuals():
         solve_lowest(A, B, 6, tol=1e-14, maxiter=2)
     assert err.value.residuals.shape == (6,)
     assert err.value.iterations == 2
+    # one (largest wanted residual, active columns) entry per residual
+    # evaluation; the last is the state the residuals above describe
+    history = err.value.history
+    assert len(history) == err.value.iterations + 1
+    assert history[-1][0] == err.value.residuals.max()
+    block = 6 + spectral.BLOCK_PADDING
+    assert all(res > 1e-14 and 1 <= active <= block for res, active in history)
+
+
+def test_stalled_solve_keeps_its_accuracy(scalar_pair_factory, sphere_mesh):
+    # a tolerance below the rounding floor is never met; the iteration must
+    # keep its blocks orthonormal while it stalls, not drift off the spectrum
+    A, B = scalar_pair_factory(2)
+    with pytest.raises(ConvergenceError) as err:
+        solve_lowest(A, B, 6, tol=1e-15, seed=0, maxiter=60,
+                     known_kernel=np.ones(sphere_mesh(2).n_vertices))
+    assert err.value.residuals.max() < 1e-10
+    assert max(res for res, _ in err.value.history[20:]) < 1e-10
 
 
 def test_iterations_recorded(scalar_pair_factory, sphere_mesh):
@@ -305,3 +323,57 @@ def test_orthonormalize_drops_what_the_normalized_filter_drops(case):
         assert np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1]), 2) <= 1e-14
         # same span: the projectors agree
         assert np.abs(Q @ Q.T - ref @ ref.T).max() < 1e-10
+
+
+def test_direction_coefficients_build_p_in_coefficient_space():
+    # S = [X W P] orthonormal and C orthogonal, as in a Rayleigh-Ritz step:
+    # P = S Z is orthonormal, orthogonal to X = S C[:, :nb], and spans with
+    # X the same space as X and the classic directions S E of the active
+    # Ritz vectors (their W and P coefficient rows)
+    rng = np.random.default_rng(3)
+    nb, nw, n_p = 7, 5, 4
+    S, _ = np.linalg.qr(rng.standard_normal((400, nb + nw + n_p)))
+    C, _ = np.linalg.qr(rng.standard_normal((nb + nw + n_p,) * 2))
+    active = np.array([True, False, True, True, False, True, True])
+    Z = spectral._direction_coefficients(C, nb, active)
+    X, P = S @ C[:, :nb], S @ Z
+    XP = np.hstack([X, P])
+    assert P.shape[1] == active.sum()
+    assert np.abs(XP.T @ XP - np.eye(XP.shape[1])).max() <= 1e-13
+    E = C[:, :nb][:, active].copy()
+    E[:nb] = 0.0
+    Q, _ = np.linalg.qr(np.hstack([X, S @ E]))
+    assert np.abs(XP @ XP.T - Q @ Q.T).max() < 1e-12
+
+
+def test_soft_locking_narrows_the_block(monkeypatch, scalar_pair_factory, sphere_mesh):
+    # converged columns get no preconditioned direction, so the LU solves
+    # narrow below the block width before the solve ends; the result is as
+    # accurate as the unlocked iteration's
+    widths = []
+    build = spectral._shifted_lu_preconditioner
+
+    def recording(Atil):
+        precond = build(Atil)
+
+        def wrapped(R):
+            widths.append(R.shape[1])
+            return precond(R)
+
+        return wrapped
+
+    monkeypatch.setattr(spectral, "_shifted_lu_preconditioner", recording)
+    A, B = scalar_pair_factory(4)
+    m, tol = 16, 1e-6
+    result = solve_lowest(A, B, m, tol, seed=0,
+                          known_kernel=np.ones(sphere_mesh(4).n_vertices))
+    block = m + spectral.BLOCK_PADDING
+    assert len(widths) == result.iterations
+    assert widths[0] == block and min(widths) < block
+    assert (result.residuals <= tol).all()
+    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
+    reference = np.sort(eigsh(A.matrix, k=m + ORACLE_PADDING, M=B.matrix,
+                              sigma=ORACLE_SHIFT, which="LM", v0=v0,
+                              return_eigenvectors=False))[:m]
+    err = np.abs(result.eigenvalues - reference) / np.maximum(np.abs(reference), 1e-3)
+    assert err.max() < 1e-9
