@@ -34,6 +34,11 @@ the Rayleigh-Ritz step and the returned vectors stay in float64, so the
 factor's precision changes the number of iterations, never the accuracy of
 a converged pair.
 
+A caller that already holds approximate eigenvectors (the Hodge split holds
+the scalar spectrum's) passes them as ``start``; they replace the leading
+random columns of the starting block (a warm start; Knyazev and Neymeyr,
+ETNA 15, 2003).
+
 Eigenvectors inside a degenerate cluster are unique only up to rotation;
 comparisons across solves must therefore compare subspaces, not vectors.
 """
@@ -351,13 +356,31 @@ def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, w_norm,
         residuals=res[:n_wanted], iterations=maxiter, history=history)
 
 
+def _start_block(start, n: int) -> np.ndarray:
+    """``start`` as an n-row float block; rejects any other shape or non-finite values."""
+    start = np.asarray(start, dtype=float)
+    if start.ndim != 2:
+        raise SpectralError(f"start must be a 2-D block, got {start.ndim} dimension(s)")
+    if start.shape[0] != n:
+        raise SpectralError(f"start has {start.shape[0]} rows, the pencil has {n}")
+    if not np.isfinite(start).all():
+        raise SpectralError("start has non-finite entries")
+    return start
+
+
 def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
-                 known_kernel=None, maxiter: int = 1500) -> SpectrumResult:
+                 known_kernel=None, maxiter: int = 1500, start=None) -> SpectrumResult:
     """Lowest ``m`` eigenpairs of A x = lambda B x.
 
     ``known_kernel``: optional vector spanning a known exact kernel of A (for
     the 0-form Laplacian, the constants). It is deflated from the iteration
     and returned as an exact zero-eigenvalue pair.
+
+    ``start``: optional n x k block of approximate eigenvectors, in the
+    original variables and orthogonal to the known kernel. Its columns fill
+    the leading columns of the LOBPCG starting block (as many as its m + 5
+    columns hold); seeded random columns pad the rest. A start already
+    converged to ``tol`` ends the solve within one iteration.
 
     Deterministic for a fixed ``seed``: the starting block is drawn from a
     seeded generator. Raises ConvergenceError (carrying the best residuals
@@ -368,6 +391,8 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
     n = Amat.shape[0]
     if not 1 <= m <= n:
         raise SpectralError(f"m={m} out of range 1..{n}")
+    if start is not None:
+        start = _start_block(start, n)
 
     s = np.sqrt(d)
     inv_s = 1.0 / s
@@ -390,6 +415,9 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
         block = min(m + BLOCK_PADDING, n - n_kernel)
         rng = np.random.default_rng(seed)
         X0 = rng.standard_normal((n, block))
+        if start is not None:
+            k = min(start.shape[1], block)
+            X0[:, :k] = start[:, :k] * s[:, None]
         theta, X, iterations = _lobpcg(
             Atil, X0, n_iter, tol, maxiter, precond, d, constraints=kernel
         )

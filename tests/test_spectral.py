@@ -377,3 +377,31 @@ def test_soft_locking_narrows_the_block(monkeypatch, scalar_pair_factory, sphere
                               return_eigenvectors=False))[:m]
     err = np.abs(result.eigenvalues - reference) / np.maximum(np.abs(reference), 1e-3)
     assert err.max() < 1e-9
+
+
+@pytest.mark.parametrize("start,message", [
+    (np.ones((41, 3)), "41 rows, the pencil has 42"),
+    (np.ones(42), "2-D block, got 1 dimension"),
+    (np.ones((42, 3, 1)), "2-D block, got 3 dimension"),
+    (np.full((42, 3), np.nan), "non-finite"),
+    (np.full((42, 3), np.inf), "non-finite"),
+])
+def test_bad_start_is_a_spectral_error(start, message):
+    eye = sp.identity(42, format="csr")
+    with pytest.raises(SpectralError, match=message):
+        solve_lowest(eye, eye, 3, start=start)
+
+
+def test_converged_start_returns_at_once(scalar_pair_factory, sphere_mesh):
+    # a start already converged to tol needs at most one expansion step and
+    # lands on the cold solve's eigenvalues
+    A, B = scalar_pair_factory(4)
+    kernel = np.ones(sphere_mesh(4).n_vertices)
+    m, tol = 16, 1e-8
+    cold = solve_lowest(A, B, m, tol, seed=0, known_kernel=kernel)
+    warm = solve_lowest(A, B, m, tol, seed=1, known_kernel=kernel,
+                        start=cold.eigenvectors[:, 1:])
+    assert cold.iterations > 5
+    assert warm.iterations <= 1
+    assert np.abs(warm.eigenvalues - cold.eigenvalues).max() <= 1e-10
+    assert (warm.residuals <= tol).all()

@@ -122,7 +122,8 @@ def test_hodge_split_matches_direct_solver(sphere_mesh):
     A1, B1 = exterior.laplacian1(m)
     direct = spectral.solve_lowest(A1, B1, 12, 1e-8, seed=0)
     assert np.abs(split.eigenvalues - direct.eigenvalues).max() < 1e-7
-    assert (split.residuals < 1e-6).all()
+    # certification holds every mapped pair to the split's own tol
+    assert (split.residuals <= 1e-8).all()
     # exact forms are closed, coexact forms are coclosed
     for lam, vec, is_exact in zip(split.eigenvalues, split.eigenvectors.T, flags):
         nd, nw = exterior.codifferential_norm(m, exterior.Cochain(vec))
@@ -132,7 +133,8 @@ def test_hodge_split_matches_direct_solver(sphere_mesh):
             assert nd < 1e-8 <= nw
 
 
-def test_hodge_split_window_extension_matches_eigsh(monkeypatch, spheroid_mesh):
+def test_hodge_split_window_extension_matches_eigsh(monkeypatch, spheroid_mesh,
+                                                    spheroid_l4_reference):
     # on the level-4 (1,1,2) spheroid the vertex side's window cuts the merge
     # short once: the split solves both sides and re-solves the vertex side
     # over a wider window, three solves in all
@@ -147,13 +149,88 @@ def test_hodge_split_window_extension_matches_eigsh(monkeypatch, spheroid_mesh):
     m = spheroid_mesh(4)
     split, _ = oneform_spectrum_hodge_split(m, 16, 1e-6)
     assert calls == [(m.n_vertices, 9), (m.n_faces, 9), (m.n_vertices, 11)]
-    # shift-invert ARPACK on the one-form pencil itself is an independent
-    # reference; a seeded start and extra pairs keep it deterministic
-    A1, B1 = exterior.laplacian1(m)
-    v0 = np.random.default_rng(0).standard_normal(A1.shape[0])
-    reference = np.sort(eigsh(A1.matrix, k=20, M=B1.matrix, sigma=-0.1,
-                              which="LM", v0=v0, return_eigenvectors=False))[:16]
+    reference = spheroid_l4_reference
     assert (np.abs(split.eigenvalues - reference) / reference).max() <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def spheroid_l4_reference(spheroid_mesh):
+    """Lowest 16 eigenvalues of (A1, B1) on the level-4 (1,1,2) spheroid.
+
+    Shift-invert ARPACK on the one-form pencil itself is an independent
+    reference; a seeded start and extra pairs keep it deterministic.
+    """
+    A1, B1 = exterior.laplacian1(spheroid_mesh(4))
+    v0 = np.random.default_rng(0).standard_normal(A1.shape[0])
+    return np.sort(eigsh(A1.matrix, k=20, M=B1.matrix, sigma=-0.1,
+                         which="LM", v0=v0, return_eigenvectors=False))[:16]
+
+
+def _scalar_basis(m):
+    """The nonkernel eigenvectors of the scalar spectrum, as verify solves it."""
+    A0, B0 = exterior.laplacian0(m)
+    scalar = spectral.solve_lowest(A0, B0, verify.EIGENPAIRS, verify.SOLVER_TOL,
+                                   seed=0, known_kernel=np.ones(m.n_vertices))
+    return scalar.eigenvectors[:, 1:]
+
+
+def _iterations(solves):
+    return {(s["pencil"], s["why"]): s["iterations"] for s in solves}
+
+
+def test_seeded_hodge_split_matches_eigsh(spheroid_mesh, spheroid_l4_reference):
+    # the scalar eigenvectors seed the vertex side and its extension, which
+    # then need about one iteration, and their face averages the face side
+    m = spheroid_mesh(4)
+    solves = []
+    seeded, _ = oneform_spectrum_hodge_split(m, 16, 1e-6, start=_scalar_basis(m),
+                                             solves=solves)
+    A2, B2 = verify.face_pencil(m)
+    cold_face = spectral.solve_lowest(A2, B2, 9, 1e-6 / 30.0, seed=0,
+                                      known_kernel=np.ones(m.n_faces))
+    its = _iterations(solves)
+    assert list(its) == [("vertex side", "first"), ("face side", "first"),
+                         ("vertex side", "extension")]
+    assert all(s["seeded"] for s in solves)
+    assert its["vertex side", "first"] <= 2 and its["vertex side", "extension"] <= 2
+    assert its["face side", "first"] < cold_face.iterations
+    reference = spheroid_l4_reference
+    assert (np.abs(seeded.eigenvalues - reference) / reference).max() <= 1e-9
+    assert (seeded.residuals <= 1e-6).all()
+
+
+def test_hodge_split_certification_resolves_a_loose_side(monkeypatch, spheroid_mesh):
+    # the face side's first solve is made too loose for its mapped pairs; the
+    # certification re-solves it, from the same start, until every mapped
+    # residual meets tol. The face window bounds the merge here
+    m = spheroid_mesh(4)
+    tol = 1e-6
+    start = _scalar_basis(m)
+    plain, _ = oneform_spectrum_hodge_split(m, 16, tol, start=start)
+    solve = verify.solve_lowest
+    loosened = []
+
+    def loose_first_face(A, B, k, side_tol, **kwargs):
+        if A.shape[0] == m.n_faces and not loosened:
+            loosened.append(side_tol)
+            side_tol = 30.0 * side_tol
+        return solve(A, B, k, side_tol, **kwargs)
+
+    monkeypatch.setattr(verify, "solve_lowest", loose_first_face)
+    solves = []
+    split, _ = oneform_spectrum_hodge_split(m, 16, tol, start=start, solves=solves)
+    certified = [s for s in solves if s["why"] == "certification"]
+    assert [s["pencil"] for s in certified] == ["face side"]
+    assert certified[0]["tol"] < tol / 30.0
+    A1, B1 = exterior.laplacian1(m)
+    V = split.eigenvectors
+    BV = B1.matrix @ V
+    mapped = np.linalg.norm(A1.matrix @ V - BV * split.eigenvalues, axis=0) / np.linalg.norm(
+        BV, axis=0)
+    assert mapped.max() <= tol
+    np.testing.assert_allclose(split.residuals, mapped, rtol=1e-6)
+    assert split.next_estimate == pytest.approx(plain.next_estimate, rel=1e-8)
+    assert np.abs(split.eigenvalues - plain.eigenvalues).max() <= 1e-9 * plain.eigenvalues.max()
 
 
 def test_eigenform_alignment_mixture_oracle(sphere_mesh):
@@ -239,6 +316,16 @@ def test_run_suite_level3_passes(sphere_mesh):
     assert modes["gradient_x"] == "conformal"
     notes = [f["bounds"].get("note") for f in rep["fields"]]
     assert "inconsistent as printed" in notes
+    # one record per solve; the scalar eigenvectors seed both split sides
+    solves = rep["run"]["solves"]
+    assert [(s["pencil"], s["why"], s["seeded"]) for s in solves] == [
+        ("scalar", "first", False), ("vertex side", "first", True),
+        ("face side", "first", True)]
+    assert [s["n"] for s in solves] == [rep["mesh"]["vertices"], rep["mesh"]["vertices"],
+                                        rep["mesh"]["faces"]]
+    assert all(0 < s["max_residual"] <= s["tol"] for s in solves)
+    assert solves[1]["iterations"] <= 2 < solves[0]["iterations"]
+    assert rep["spectra"]["oneform"]["max_residual"] <= verify.SOLVER_TOL
 
 
 def test_run_suite_insufficient_resolution():
@@ -278,6 +365,7 @@ def test_run_suite_failing_solver_stage(monkeypatch, tmp_path):
     assert rep["checks"]["scalar_spectrum"] is False
     assert rep["checks"]["oneform_spectrum"] is False
     assert rep["spectra"] == {"scalar": None, "oneform": None}
+    assert rep["run"]["solves"] == []
     # the fields and multiplicity stages need the one-form spectrum
     assert rep["fields"] == [] and rep["multiplicity"] == []
     assert "classification" not in rep["checks"]
@@ -289,6 +377,25 @@ def test_run_suite_failing_solver_stage(monkeypatch, tmp_path):
     assert rep["pass"] is False
     assert list(rep["run"]["stages"]) == ["mesh", "curvature", "scalar spectrum",
                                           "one-form spectrum", "oracle"]
+
+
+def test_run_suite_failing_split_keeps_its_solves(monkeypatch, sphere_mesh):
+    # the split raises at its face side; the solves made before that still
+    # reach run.solves
+    n_faces = sphere_mesh(3).n_faces
+    solve = verify.solve_lowest
+
+    def face_side_fails(A, B, *args, **kwargs):
+        if A.shape[0] == n_faces:
+            raise spectral.SpectralError("face side unavailable")
+        return solve(A, B, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "solve_lowest", face_side_fails)
+    rep = run_suite(_level3_config())
+    assert rep["failures"] == ["one-form spectrum: face side unavailable"]
+    assert rep["checks"]["oneform_spectrum"] is False
+    assert [(s["pencil"], s["why"]) for s in rep["run"]["solves"]] == [
+        ("scalar", "first"), ("vertex side", "first")]
 
 
 def test_run_suite_failing_field(monkeypatch):
