@@ -16,7 +16,8 @@ def main():
         m = mesh.build_icosphere(level, 1.0)
         A, B = exterior.laplacian0(m)
         result = spectral.solve_lowest(A, B, 9, tol=1e-7, seed=0,
-                                       known_kernel=np.ones(m.n_vertices))
+                                       known_kernel=np.ones(m.n_vertices),
+                                       hierarchy=m.vertex_prolongations())
         mu1 = result.groups[1].representative
         mu2 = result.groups[2].representative
         w_rot = fields.sample_oneform(fields.KillingRotation([0, 0, 1], m.source), m)

@@ -149,7 +149,8 @@ def _lowest_eigenpairs(built, args, seed: int):
     if args.form == 0:
         A, B = exterior.laplacian0(built)
         return spectral.solve_lowest(A, B, args.count, args.tol, seed=seed,
-                                     known_kernel=np.ones(built.n_vertices))
+                                     known_kernel=np.ones(built.n_vertices),
+                                     hierarchy=built.vertex_prolongations())
     return verify_mod.oneform_spectrum_hodge_split(built, args.count, args.tol, seed=seed)[0]
 
 

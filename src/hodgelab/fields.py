@@ -123,15 +123,18 @@ class ProjectiveGradient:
 AnalyticField = KillingRotation | ConformalGradient | ProjectiveGradient
 
 
+def _tangential(vals: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """``vals`` minus their components along the unit ``normals``."""
+    return vals - normals * np.einsum("ij,ij->i", normals, vals)[:, None]
+
+
 def evaluate(field: AnalyticField, points) -> np.ndarray:
     """Tangential projection of the field's ambient formula at surface points."""
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     _check_on_surface(field.surface, pts)
-    vals = field.ambient(pts)
-    normals = _unit_normals(field.surface, pts)
-    vals = vals - normals * np.einsum("ij,ij->i", normals, vals)[:, None]
+    vals = _tangential(field.ambient(pts), _unit_normals(field.surface, pts))
     return vals[0] if single else vals
 
 
@@ -154,6 +157,24 @@ def _projected_chord(surface: SurfaceSpec, p0, p1, t):
     return gamma, dgamma
 
 
+def _edge_quadrature(mesh: TriangleMesh):
+    """(points, unit normals, velocities) at the edge quadrature nodes.
+
+    Points and normals are flattened to (n_edges * nodes, 3); velocities keep
+    the (n_edges, nodes, 3) shape. They depend on the mesh alone, so they are
+    computed, and the points checked on the surface, once per mesh.
+    """
+    def build():
+        p0 = mesh.vertices[mesh.edges[:, 0]]
+        p1 = mesh.vertices[mesh.edges[:, 1]]
+        gamma, dgamma = _projected_chord(mesh.source, p0, p1, _GL_NODES)
+        points = gamma.reshape(-1, 3)
+        _check_on_surface(mesh.source, points)
+        return points, _unit_normals(mesh.source, points), dgamma
+
+    return mesh.memoized("edge_quadrature", build)
+
+
 def sample_oneform(field: AnalyticField, mesh: TriangleMesh) -> Cochain:
     """Integrate the field's dual one-form over every canonical edge.
 
@@ -168,12 +189,8 @@ def sample_oneform(field: AnalyticField, mesh: TriangleMesh) -> Cochain:
             f"field surface {field.surface} does not match mesh surface "
             f"{mesh.source}"
         )
-    p0 = mesh.vertices[mesh.edges[:, 0]]
-    p1 = mesh.vertices[mesh.edges[:, 1]]
-    gamma, dgamma = _projected_chord(field.surface, p0, p1, _GL_NODES)
-    shape = gamma.shape
-    flat = gamma.reshape(-1, 3)
-    vals = evaluate(field, flat).reshape(shape)
+    points, normals, dgamma = _edge_quadrature(mesh)
+    vals = _tangential(field.ambient(points), normals).reshape(dgamma.shape)
     integrand = np.einsum("eti,eti->et", vals, dgamma)
     return Cochain(integrand @ _GL_WEIGHTS)
 

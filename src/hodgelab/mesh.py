@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from io import BytesIO
 
 import numpy as np
+import scipy.sparse as sp
 
 MAX_SUBDIVISION_LEVEL = 8
 
@@ -82,6 +83,10 @@ class TriangleMesh:
     index. ``edge_faces`` holds, per edge, the two incident face indices, and
     ``edge_face_signs`` the agreement (+1/-1) of the canonical edge direction
     with each face's traversal order.
+
+    ``coarse_edges`` holds, for a mesh built by midpoint subdivision, the
+    canonical edges of every coarser mesh of the hierarchy, coarsest first;
+    it is None for any other mesh.
     """
 
     vertices: np.ndarray
@@ -92,6 +97,7 @@ class TriangleMesh:
     face_edges: np.ndarray = field(init=False)
     face_edge_signs: np.ndarray = field(init=False)
     source: SurfaceSpec | None = None
+    coarse_edges: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
@@ -176,6 +182,35 @@ class TriangleMesh:
     def corner_angles(self) -> np.ndarray:
         """Interior angle at each face corner, shape (n_faces, 3)."""
         return np.arctan2(*self.corner_cross_dot())
+
+    def vertex_prolongations(self) -> tuple | None:
+        """Vertex prolongations of the subdivision hierarchy, coarsest first.
+
+        The k-th maps values on the vertices of level k to level k + 1: the
+        identity on the old vertices (subdivision keeps their indices) and
+        the mean of the two endpoints on the midpoint of each coarse edge,
+        appended in canonical edge order. Rows sum to 1, so constants map to
+        constants. None for a mesh not built by subdivision.
+        """
+        if self.coarse_edges is None:
+            return None
+
+        def build():
+            prolongations = []
+            n_fine = self.n_vertices
+            for edges in reversed(self.coarse_edges):
+                n_mid = edges.shape[0]
+                n_old = n_fine - n_mid
+                indptr = np.concatenate([np.arange(n_old),
+                                         n_old + 2 * np.arange(n_mid + 1)])
+                indices = np.concatenate([np.arange(n_old), edges.ravel()])
+                data = np.concatenate([np.ones(n_old), np.full(2 * n_mid, 0.5)])
+                prolongations.append(sp.csr_matrix((data, indices, indptr),
+                                                   shape=(n_fine, n_old)))
+                n_fine = n_old
+            return tuple(reversed(prolongations))
+
+        return self.memoized("vertex_prolongations", build)
 
 
 def _half_edges(faces: np.ndarray) -> np.ndarray:
@@ -271,7 +306,11 @@ def _icosahedron():
 
 
 def _subdivide(verts: np.ndarray, faces: np.ndarray):
-    """One 4-to-1 midpoint split; midpoints are not yet projected."""
+    """One 4-to-1 midpoint split; midpoints are not yet projected.
+
+    Returns the new vertices and faces and the coarse canonical edges, whose
+    midpoints follow the old vertices in that order.
+    """
     edges, inverse = _unique_edges(_half_edges(faces))
     mid = 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]])
     new_verts = np.concatenate([verts, mid], axis=0)
@@ -288,15 +327,18 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray):
             np.stack([mab, mbc, mca], axis=1),
         ]
     )
-    return new_verts, new_faces
+    return new_verts, new_faces, edges
 
 
 def _build_unit_icosphere(level: int):
+    """Vertices, faces and the coarse edges of each subdivision step."""
     verts, faces = _icosahedron()
+    coarse_edges = []
     for _ in range(level):
-        verts, faces = _subdivide(verts, faces)
+        verts, faces, edges = _subdivide(verts, faces)
         verts = verts / np.linalg.norm(verts, axis=1, keepdims=True)
-    return verts, faces
+        coarse_edges.append(edges)
+    return verts, faces, tuple(coarse_edges)
 
 
 def build_icosphere(level: int, radius: float = 1.0) -> TriangleMesh:
@@ -306,8 +348,9 @@ def build_icosphere(level: int, radius: float = 1.0) -> TriangleMesh:
     F = 20*4^level.
     """
     spec = SurfaceSpec(kind="icosphere", level=level, radius=float(radius))
-    verts, faces = _build_unit_icosphere(level)
-    return TriangleMesh(vertices=radius * verts, faces=faces, source=spec)
+    verts, faces, coarse_edges = _build_unit_icosphere(level)
+    return TriangleMesh(vertices=radius * verts, faces=faces, source=spec,
+                        coarse_edges=coarse_edges)
 
 
 def _conformal_latitude_table(a: float, c: float, npts: int = 200001):
@@ -347,9 +390,10 @@ def build_spheroid(level: int, a: float, c: float) -> TriangleMesh:
     Poles map to (0, 0, +-c); all vertices lie exactly on the surface.
     """
     spec = SurfaceSpec(kind="spheroid", level=level, a=float(a), c=float(c))
-    verts, faces = _build_unit_icosphere(level)
+    verts, faces, coarse_edges = _build_unit_icosphere(level)
     if a == c:
-        return TriangleMesh(vertices=verts * a, faces=faces, source=spec)
+        return TriangleMesh(vertices=verts * a, faces=faces, source=spec,
+                            coarse_edges=coarse_edges)
 
     phi_grid, t_grid = _conformal_latitude_table(a, c)
     z = np.clip(verts[:, 2], -1.0, 1.0)
@@ -361,7 +405,8 @@ def build_spheroid(level: int, a: float, c: float) -> TriangleMesh:
     mapped = np.empty_like(verts)
     mapped[:, :2] = a * np.cos(t)[:, None] * dir2
     mapped[:, 2] = np.sign(verts[:, 2]) * c * np.sin(t)
-    return TriangleMesh(vertices=mapped, faces=faces, source=spec)
+    return TriangleMesh(vertices=mapped, faces=faces, source=spec,
+                        coarse_edges=coarse_edges)
 
 
 def build_surface(spec: SurfaceSpec) -> TriangleMesh:

@@ -21,9 +21,11 @@ vertex side (which then converges in about one iteration) and averaged over
 each face's corners on the face side. Every mapped pair's residual against
 the true one-form pencil must meet the solver tolerance; a side with a pair
 above it is re-solved tighter. The pairs carry an exact/coexact tag used by
-the multiplicity records. ``report["run"]["solves"]`` records every solve:
-its pencil, size, tolerance, iterations, largest residual, whether it was
-seeded and why it ran.
+the multiplicity records. Both vertex-pencil solves pass the mesh's
+subdivision hierarchy, so they run the multigrid preconditioner; the face
+pencil runs the LU. ``report["run"]["solves"]`` records every solve: its
+pencil, size, tolerance, preconditioner, block width, iterations, largest
+residual, whether it was seeded and why it ran.
 
 The per-field ``eigenform_residual`` reported here is a spectral alignment
 residual: the B-weighted spread of the form's eigenvalue content around its
@@ -198,9 +200,11 @@ class _SplitSide:
     while its ``result`` stands.
     """
 
-    def __init__(self, label, pencil, to_oneform, exact, m, tol, start):
+    def __init__(self, label, pencil, to_oneform, exact, m, tol, start,
+                 hierarchy=None):
         self.label, self.pencil, self.to_oneform = label, pencil, to_oneform
         self.exact, self.m, self.tol, self.start = exact, m, tol, start
+        self.hierarchy = hierarchy
         self.result = None
         self.why = "first"
 
@@ -208,7 +212,8 @@ class _SplitSide:
         A, B = self.pencil
         n = A.shape[0]
         self.result = solve_lowest(A, B, min(self.m, n), self.tol, seed=seed,
-                                   known_kernel=np.ones(n), start=self.start)
+                                   known_kernel=np.ones(n), start=self.start,
+                                   hierarchy=self.hierarchy)
         if solves is not None:
             solves.append(_solve_record(self.label, self.why, self.result, self.tol,
                                         self.start is not None))
@@ -233,6 +238,7 @@ def _solve_record(pencil: str, why: str, result: SpectrumResult, tol: float,
         "pencil": pencil, "n": int(result.eigenvectors.shape[0]),
         "m": int(result.eigenvalues.shape[0]), "tol": float(tol),
         "iterations": result.iterations,
+        "preconditioner": result.preconditioner, "block": result.block,
         "max_residual": float(result.residuals.max()),
         "seeded": bool(seeded), "why": why,
     }
@@ -280,7 +286,7 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     # below tightens a side whose mapped pairs miss tol
     m_side = m // 2 + 1
     vert = _SplitSide("vertex side", exterior.laplacian0(mesh), lambda u: D0 @ u,
-                      True, m_side, tol / 30.0, start)
+                      True, m_side, tol / 30.0, start, mesh.vertex_prolongations())
     face = _SplitSide("face side", face_pencil(mesh), lambda g: (D1.T @ g) / s1,
                       False, m_side, tol / 30.0,
                       None if start is None else _face_average(mesh, start))
@@ -614,7 +620,8 @@ def _scalar_stage(report, mesh, config, alpha, solves):
     """The scalar spectrum's nonkernel eigenvectors, which seed the Hodge split."""
     A0, B0 = exterior.laplacian0(mesh)
     result = solve_lowest(A0, B0, EIGENPAIRS, SOLVER_TOL, seed=config.seed,
-                          known_kernel=np.ones(mesh.n_vertices))
+                          known_kernel=np.ones(mesh.n_vertices),
+                          hierarchy=mesh.vertex_prolongations())
     solves.append(_solve_record("scalar", "first", result, SOLVER_TOL, False))
     report["spectra"]["scalar"] = _spectrum_json(result)
     start = result.eigenvectors[:, result.eigenvalues > KERNEL_FLOOR]

@@ -156,6 +156,43 @@ def test_spheroid_vertices_on_surface(a, c, level):
     assert np.abs(level_set - 1.0).max() < 1e-12
 
 
+@pytest.mark.parametrize("builder", [
+    lambda lv: build_icosphere(lv, 2.0),
+    lambda lv: build_spheroid(lv, 1.0, 2.0),
+])
+def test_vertex_prolongations_are_averaging(builder):
+    # rows sum to 1 (so constants map to constants), and the shapes chain
+    # from the icosahedron to the mesh
+    m = builder(4)
+    prolongations = m.vertex_prolongations()
+    assert m.vertex_prolongations() is prolongations  # memoized on the mesh
+    assert [P.shape for P in prolongations] == [
+        (10 * 4**k + 2, 10 * 4**(k - 1) + 2) for k in range(1, 5)]
+    for P in prolongations:
+        assert np.array_equal(P.sum(axis=1).A1, np.ones(P.shape[0]))
+        assert np.array_equal(P @ np.ones(P.shape[1]), np.ones(P.shape[0]))
+    assert builder(0).vertex_prolongations() == ()
+
+
+def test_vertex_prolongations_give_the_midpoints():
+    # on the unprojected coarse unit-icosphere vertices each prolongation is
+    # the subdivision step itself: old vertices stay, new ones are the
+    # midpoints, which project radially onto the fine vertices
+    fine = build_icosphere(4, 1.0)
+    for level, P in enumerate(fine.vertex_prolongations()):
+        coarse = build_icosphere(level, 1.0).vertices
+        mid = P @ coarse
+        assert np.array_equal(mid[:coarse.shape[0]], coarse)
+        projected = mid / np.linalg.norm(mid, axis=1, keepdims=True)
+        assert np.abs(projected - build_icosphere(level + 1, 1.0).vertices).max() <= 1e-15
+
+
+def test_raw_mesh_has_no_prolongations():
+    m = build_icosphere(2, 1.0)
+    assert TriangleMesh(vertices=m.vertices, faces=m.faces,
+                        source=m.source).vertex_prolongations() is None
+
+
 def _parse_off(data: bytes):
     lines = data.decode().splitlines()
     assert lines[0] == "OFF"

@@ -239,42 +239,57 @@ def test_scalar_eigenvalue_monotone_convergence(scalar_pair_factory, sphere_mesh
 # Full-size solver oracle: ARPACK (eigsh) in shift-invert mode is a code path
 # independent of the LOBPCG, cheap enough to run on the production pencils.
 # Each case is solved as the suite solves it: the scalar pencil at the CLI
-# default tolerance, the spheroid face pencil at the Hodge split's side
-# tolerance, both with the constants deflated. ARPACK draws a random start
-# vector by default and can then miss one copy of a degenerate eigenvalue;
-# a seeded start and a few extra pairs keep the reference deterministic.
+# default tolerance (with the multigrid V-cycle, and with the LU a mesh
+# without a hierarchy gets), the spheroid face pencil at the Hodge split's
+# side tolerance, all with the constants deflated. ARPACK draws a random
+# start vector by default and can then miss one copy of a degenerate
+# eigenvalue; a seeded start and a few extra pairs keep the reference
+# deterministic.
 ORACLE_SHIFT = -0.1  # below the spectrum, so A - shift B is definite
 ORACLE_PADDING = 4
 FULL_SIZE_MAXITER = 1500
 HEADROOM_ITERATIONS = 40
 
 
-@pytest.fixture(scope="module", params=["scalar-l5", "spheroid-l4-face"])
-def full_size_solve(request, scalar_pair_factory, spheroid_mesh):
-    if request.param == "scalar-l5":
+def _eigsh_reference(A, B, m):
+    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
+    return np.sort(eigsh(A.matrix, k=m + ORACLE_PADDING, M=B.matrix,
+                         sigma=ORACLE_SHIFT, which="LM", v0=v0,
+                         return_eigenvectors=False))[:m]
+
+
+def _relative_error(values, reference):
+    return (np.abs(values - reference) / np.maximum(np.abs(reference), 1e-3)).max()
+
+
+@pytest.fixture(scope="module",
+                params=["scalar-l5", "scalar-l5-multigrid", "spheroid-l4-face"])
+def full_size_solve(request, scalar_pair_factory, sphere_mesh, spheroid_mesh):
+    hierarchy = None
+    if request.param.startswith("scalar-l5"):
         A, B = scalar_pair_factory(5)
         m, tol = 16, 1e-6
+        if request.param == "scalar-l5-multigrid":
+            hierarchy = sphere_mesh(5).vertex_prolongations()
     else:
         A, B = verify.face_pencil(spheroid_mesh(4))
         m, tol = 9, 1e-6 / 30.0
     result = solve_lowest(A, B, m, tol, seed=1, known_kernel=np.ones(A.shape[0]),
-                          maxiter=FULL_SIZE_MAXITER)
-    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
-    reference = np.sort(eigsh(A.matrix, k=m + ORACLE_PADDING, M=B.matrix,
-                              sigma=ORACLE_SHIFT, which="LM", v0=v0,
-                              return_eigenvectors=False))[:m]
-    return result, reference, B
+                          maxiter=FULL_SIZE_MAXITER, hierarchy=hierarchy)
+    assert result.preconditioner == ("lu" if hierarchy is None else "multigrid")
+    return result, _eigsh_reference(A, B, m), B
 
 
 def test_full_size_solver_matches_shift_invert_eigsh(full_size_solve):
     result, reference, _ = full_size_solve
-    err = np.abs(result.eigenvalues - reference) / np.maximum(np.abs(reference), 1e-3)
-    assert err.max() < 1e-9
+    assert _relative_error(result.eigenvalues, reference) < 1e-9
 
 
 def test_full_size_solver_headroom(full_size_solve):
-    # the LU preconditioner converges in about 12 iterations; a fallback to a
-    # weak preconditioner takes hundreds and turns this red
+    # the LU and the V-cycle converge in about 12 iterations; a fallback to a
+    # weak preconditioner takes hundreds and turns this red, and so does a
+    # V-cycle on a wrong prolongation, which still converges to the right
+    # eigenvalues (74 iterations with the midpoint rows in reverse order)
     result, _, _ = full_size_solve
     assert result.iterations <= HEADROOM_ITERATIONS < FULL_SIZE_MAXITER
 
@@ -371,12 +386,7 @@ def test_soft_locking_narrows_the_block(monkeypatch, scalar_pair_factory, sphere
     assert len(widths) == result.iterations
     assert widths[0] == block and min(widths) < block
     assert (result.residuals <= tol).all()
-    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
-    reference = np.sort(eigsh(A.matrix, k=m + ORACLE_PADDING, M=B.matrix,
-                              sigma=ORACLE_SHIFT, which="LM", v0=v0,
-                              return_eigenvectors=False))[:m]
-    err = np.abs(result.eigenvalues - reference) / np.maximum(np.abs(reference), 1e-3)
-    assert err.max() < 1e-9
+    assert _relative_error(result.eigenvalues, _eigsh_reference(A, B, m)) < 1e-9
 
 
 @pytest.mark.parametrize("start,message", [
@@ -405,3 +415,76 @@ def test_converged_start_returns_at_once(scalar_pair_factory, sphere_mesh):
     assert warm.iterations <= 1
     assert np.abs(warm.eigenvalues - cold.eigenvalues).max() <= 1e-10
     assert (warm.residuals <= tol).all()
+
+
+def _transformed(A, B):
+    """(B^-1/2 A B^-1/2, sqrt(b)): the standard problem the solver iterates on."""
+    s = np.sqrt(B.diagonal())
+    return (sp.diags(1.0 / s) @ A.matrix @ sp.diags(1.0 / s)).tocsr(), s
+
+
+@pytest.mark.parametrize("surface", [
+    lambda: mesh.build_icosphere(4, 1.0),
+    lambda: mesh.build_spheroid(4, 1.0, 2.0),
+])
+def test_vcycle_is_symmetric_positive(surface):
+    # the preconditioned iteration needs an SPD preconditioner: equal
+    # Jacobi sweeps before and after the coarse correction make the cycle
+    # symmetric up to float32 rounding
+    m = surface()
+    Atil, s = _transformed(*exterior.laplacian0(m))
+    precond = spectral._multigrid_preconditioner(Atil, s, m.vertex_prolongations())
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((m.n_vertices, 12))
+    Y = rng.standard_normal((m.n_vertices, 12))
+    XMY, YMX = X.T @ precond(Y), Y.T @ precond(X)
+    assert np.abs(XMY - YMX.T).max() <= 1e-5 * np.abs(XMY).max()
+    XMX = X.T @ precond(X)
+    assert np.linalg.eigvalsh(0.5 * (XMX + XMX.T)).min() > 0
+
+
+def test_vcycle_is_the_coarse_cholesky_at_level_2(sphere_mesh):
+    # at the direct level the cycle is an exact solve of Atil + shift I
+    m = sphere_mesh(2)
+    Atil, s = _transformed(*exterior.laplacian0(m))
+    precond = spectral._multigrid_preconditioner(Atil, s, m.vertex_prolongations())
+    R = np.random.default_rng(2).standard_normal((m.n_vertices, 4))
+    shifted = spectral._shifted(Atil).toarray()
+    np.testing.assert_allclose(shifted @ precond(R), R, atol=1e-8)
+
+
+@pytest.mark.parametrize("surface", [
+    lambda: mesh.build_icosphere(3, 1.0),
+    lambda: mesh.build_icosphere(4, 1.0),
+    lambda: mesh.build_spheroid(3, 1.0, 2.0),
+    lambda: mesh.build_spheroid(4, 1.0, 2.0),
+])
+def test_multigrid_solve_matches_shift_invert_eigsh(surface):
+    m = surface()
+    A, B = exterior.laplacian0(m)
+    result = solve_lowest(A, B, 16, 1e-6, seed=0, known_kernel=np.ones(m.n_vertices),
+                          hierarchy=m.vertex_prolongations())
+    assert (result.preconditioner, result.block) == ("multigrid", 16 + spectral.BLOCK_PADDING)
+    assert (result.residuals <= 1e-6).all()
+    assert _relative_error(result.eigenvalues, _eigsh_reference(A, B, 16)) < 1e-9
+
+
+def test_pencils_without_a_hierarchy_keep_the_lu(sphere_mesh):
+    # a mesh not built by subdivision has no hierarchy, and the face pencil
+    # is never given one
+    m = sphere_mesh(3)
+    raw = mesh.TriangleMesh(vertices=m.vertices, faces=m.faces, source=m.source)
+    A, B = exterior.laplacian0(raw)
+    scalar = solve_lowest(A, B, 6, 1e-6, known_kernel=np.ones(raw.n_vertices),
+                          hierarchy=raw.vertex_prolongations())
+    solves = []
+    verify.oneform_spectrum_hodge_split(m, 8, 1e-6, solves=solves)
+    assert scalar.preconditioner == "lu"
+    assert {s["pencil"]: s["preconditioner"] for s in solves} == {
+        "vertex side": "multigrid", "face side": "lu"}
+
+
+def test_hierarchy_of_another_mesh_is_a_spectral_error(sphere_mesh):
+    A, B = exterior.laplacian0(sphere_mesh(3))
+    with pytest.raises(SpectralError, match="hierarchy ends at 162 vertices"):
+        solve_lowest(A, B, 4, hierarchy=sphere_mesh(2).vertex_prolongations())

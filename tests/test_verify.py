@@ -170,7 +170,8 @@ def _scalar_basis(m):
     """The nonkernel eigenvectors of the scalar spectrum, as verify solves it."""
     A0, B0 = exterior.laplacian0(m)
     scalar = spectral.solve_lowest(A0, B0, verify.EIGENPAIRS, verify.SOLVER_TOL,
-                                   seed=0, known_kernel=np.ones(m.n_vertices))
+                                   seed=0, known_kernel=np.ones(m.n_vertices),
+                                   hierarchy=m.vertex_prolongations())
     return scalar.eigenvectors[:, 1:]
 
 
@@ -325,6 +326,12 @@ def test_run_suite_level3_passes(sphere_mesh):
                                         rep["mesh"]["faces"]]
     assert all(0 < s["max_residual"] <= s["tol"] for s in solves)
     assert solves[1]["iterations"] <= 2 < solves[0]["iterations"]
+    # the vertex pencil runs the V-cycle, the face pencil the LU; the block
+    # is the requested pairs plus the padding
+    assert [(s["preconditioner"], s["block"]) for s in solves] == [
+        ("multigrid", verify.EIGENPAIRS + spectral.BLOCK_PADDING),
+        ("multigrid", solves[1]["m"] + spectral.BLOCK_PADDING),
+        ("lu", solves[2]["m"] + spectral.BLOCK_PADDING)]
     assert rep["spectra"]["oneform"]["max_residual"] <= verify.SOLVER_TOL
 
 
