@@ -103,17 +103,9 @@ def _open_out(path, mode="w"):
 
 
 def cmd_mesh(args) -> int:
-    try:
-        surface = _surface_from_args(args, args.level)
-    except (MeshError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    surface = _surface_from_args(args, args.level)
     with _open_out(args.out, "wb") as fh:
-        try:
-            built = mesh_mod.build_surface(surface)
-        except MeshError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        built = mesh_mod.build_surface(surface)
         outcome = mesh_mod.validate(built)
         print(f"V={built.n_vertices} E={built.n_edges} F={built.n_faces}")
         for name, ok in outcome.checks.items():
@@ -163,18 +155,10 @@ def _history_line(history) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    try:
-        surface = _surface_from_args(args, args.level)
-    except (MeshError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    surface = _surface_from_args(args, args.level)
     seed = _seed(args.seed)
     with _open_out(args.out) as fh:
-        try:
-            built = mesh_mod.build_surface(surface)
-        except MeshError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        built = mesh_mod.build_surface(surface)
         try:
             result = _lowest_eigenpairs(built, args, seed)
         except (exterior.ExteriorError, spectral.SpectralError,
@@ -265,22 +249,18 @@ def _format_report_table(report: dict) -> str:
 
 
 def cmd_verify(args) -> int:
-    try:
-        if args.config:
-            with open(args.config) as fh:
-                data = json.load(fh)
-            cfg = RunConfig.from_json_dict(data)
-        else:
-            cfg = default_config()
-        overrides = {}
-        if any(flag is not None
-               for flag in (args.kind, args.level, args.radius, args.a, args.c)):
-            level = args.level if args.level is not None else cfg.surface.level
-            overrides["surface"] = _surface_from_args(args, level, cfg.surface)
-        cfg = dataclasses.replace(cfg, seed=_seed(args.seed, cfg.seed), **overrides)
-    except (json.JSONDecodeError, ConfigError, MeshError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.config:
+        with open(args.config) as fh:
+            data = json.load(fh)
+        cfg = RunConfig.from_json_dict(data)
+    else:
+        cfg = default_config()
+    overrides = {}
+    if any(flag is not None
+           for flag in (args.kind, args.level, args.radius, args.a, args.c)):
+        level = args.level if args.level is not None else cfg.surface.level
+        overrides["surface"] = _surface_from_args(args, level, cfg.surface)
+    cfg = dataclasses.replace(cfg, seed=_seed(args.seed, cfg.seed), **overrides)
     with _open_out(args.out or cfg.report_path) as fh:
         report = verify_mod.run_suite(cfg)
         if fh is not None:
@@ -303,17 +283,14 @@ def cmd_converge(args) -> int:
     ordered = sorted(levels)
     reordered = ordered != levels
     seed = _seed(args.seed)
-    try:
-        surfaces = [_surface_from_args(args, level) for level in ordered]
-    except MeshError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    surfaces = [_surface_from_args(args, level) for level in ordered]
     rows = []
     with _open_out(args.out) as fh:
         for surface in surfaces:
+            built = mesh_mod.build_surface(surface)
             try:
-                result = _lowest_eigenpairs(mesh_mod.build_surface(surface), args, seed)
-            except (MeshError, exterior.ExteriorError, spectral.SpectralError,
+                result = _lowest_eigenpairs(built, args, seed)
+            except (exterior.ExteriorError, spectral.SpectralError,
                     verify_mod.VerifyError) as exc:
                 print(f"error at level {surface.level}: {exc}", file=sys.stderr)
                 return EXIT_FAILURE
@@ -385,12 +362,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (mesh_mod.ResourceGuardError, ConfigError, OSError) as exc:
+    except (MeshError, ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MeshError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -108,7 +108,9 @@ class SpectrumGroup:
 class SpectrumResult:
     """Ascending eigenvalues with B-orthonormal eigenvectors.
 
-    ``residuals`` holds ||A x - lambda B x|| / ||B x|| per pair; ``groups``
+    ``residuals`` holds ||A x - lambda B x|| / ||B x|| per pair, or
+    ||M (A x - lambda B x)|| / ||M B x|| for the iterated pairs of a solve
+    given a ``residual_map`` M (see ``solve_lowest``); ``groups``
     clusters near-degenerate eigenvalues at ``GROUP_REL_GAP``.
     ``next_estimate`` is the first unreturned Ritz value (an upper estimate of
     eigenvalue m+1 from the padding block); it witnesses that the last
@@ -244,15 +246,13 @@ def _orthonormalize_against(W, blocks):
     return W
 
 
-def _weighted_residual_norms(R, X, w):
-    """||A x - theta B x|| / ||B x|| in original-pencil variables.
+def _residual_norms(R, X, G):
+    """sqrt(r^T G r) / sqrt(x^T G x) per column, for a Gram operator G = N^T N.
 
-    With x = S^-1 y the original residual is S r for the transformed residual
-    r, so norms are sqrt(r^T diag(w) r) / sqrt(y^T diag(w) y).
+    That is ||N r|| / ||N x||, evaluated without forming the N-images, whose
+    rows may outnumber those of R (the Hodge split's maps land on the edges).
     """
-    num = np.sqrt(np.einsum("ij,ij,i->j", R, R, w))
-    den = np.sqrt(np.einsum("ij,ij,i->j", X, X, w))
-    return num / den
+    return np.sqrt(np.einsum("ij,ij->j", R, G @ R) / np.einsum("ij,ij->j", X, G @ X))
 
 
 def _shifted(Atil):
@@ -347,13 +347,14 @@ def _direction_coefficients(C, nb, active):
     return _orthonormalize(rest @ (rest[nb:].T @ C[nb:, :nb][:, active]))
 
 
-def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, w_norm,
+def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, gram,
             constraints=None):
     """Standard-problem LOBPCG with soft locking and one Rayleigh-Ritz step
     per iteration.
 
     Returns (theta, X, iterations), where ``iterations`` counts the expansion
-    steps taken; raises ConvergenceError at the iteration cap.
+    steps taken; raises ConvergenceError at the iteration cap. A column's
+    residual is measured as ``_residual_norms(R, X, gram)``.
 
     Only the start block gets a Rayleigh-Ritz step of its own. The blocks
     [X | W | P] are kept mutually orthonormal so the Rayleigh-Ritz problem
@@ -393,7 +394,7 @@ def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, w_norm,
     # returned (theta, X) and the residuals behind them are always consistent
     for iteration in range(maxiter + 1):
         R = AX - X * theta
-        res = _weighted_residual_norms(R, X, w_norm)
+        res = _residual_norms(R, X, gram)
         active = res > tol
         history.append((float(res[:n_wanted].max()), int(active.sum())))
         if not active[:n_wanted].any():
@@ -445,7 +446,7 @@ def _start_block(start, n: int) -> np.ndarray:
 
 def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
                  known_kernel=None, maxiter: int = 1500, start=None,
-                 hierarchy=None) -> SpectrumResult:
+                 hierarchy=None, residual_map=None) -> SpectrumResult:
     """Lowest ``m`` eigenpairs of A x = lambda B x.
 
     ``known_kernel``: optional vector spanning a known exact kernel of A (for
@@ -462,6 +463,14 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
     hierarchy, coarsest first (``TriangleMesh.vertex_prolongations()``),
     for a vertex pencil. They replace the sparse LU preconditioner by a
     multigrid V-cycle.
+
+    ``residual_map``: optional sparse matrix M with n columns. Each iterated
+    pair is then measured, in the stopping test and in the returned
+    residuals, as ||M (A x - lambda B x)|| / ||M B x|| instead of
+    ||A x - lambda B x|| / ||B x||. The Hodge split passes the fixed map that
+    sends a side's residual to the residual of its one-form, so its sides
+    stop on the one-form residual itself. The known-kernel pair keeps the
+    pencil's own residual (M sends the split's kernel, the constants, to 0).
 
     Deterministic for a fixed ``seed``: the starting block is drawn from a
     seeded generator. Raises ConvergenceError (carrying the best residuals
@@ -480,6 +489,13 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
 
     s = np.sqrt(d)
     inv_s = 1.0 / s
+    # residual Gram operator (M S)^T (M S) of the transformed variables,
+    # where the original residual is S r and B x is S y, with S = diag(s)
+    if residual_map is None:
+        G = sp.diags(d)
+    else:
+        G = residual_map @ sp.diags(s)
+        G = (G.T @ G).tocsr()
     Atil = sp.diags(inv_s) @ Amat @ sp.diags(inv_s)
     Atil = (0.5 * (Atil + Atil.T)).tocsr()
 
@@ -509,7 +525,7 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
             k = min(start.shape[1], block)
             X0[:, :k] = start[:, :k] * s[:, None]
         theta, X, iterations = _lobpcg(
-            Atil, X0, n_iter, tol, maxiter, precond, d, constraints=kernel
+            Atil, X0, n_iter, tol, maxiter, precond, G, constraints=kernel
         )
         vals = theta[:n_iter]
         vecs_t = X[:, :n_iter]
@@ -524,9 +540,13 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
     vecs = vecs_t[:, order] * inv_s[:, None]
 
     Bx = vecs * d[:, None]
-    residuals = np.linalg.norm(Amat @ vecs - Bx * vals, axis=0) / np.linalg.norm(
-        Bx, axis=0
-    )
+    R = Amat @ vecs - Bx * vals
+    residuals = np.linalg.norm(R, axis=0) / np.linalg.norm(Bx, axis=0)
+    if residual_map is not None:
+        # S^-1 R and S^-1 B x are the transformed residuals and vectors
+        it = order >= n_kernel
+        residuals[it] = _residual_norms(R[:, it] * inv_s[:, None],
+                                        Bx[:, it] * inv_s[:, None], G)
     return SpectrumResult(
         eigenvalues=vals,
         eigenvectors=vecs,

@@ -18,14 +18,16 @@ through d0, and eigenpairs of the face pencil (d1 star1^-1 d1^T against face
 areas) map to coexact ones through star1^-1 d1^T; with b1 = 0 nothing else
 exists. The scalar stage's eigenvectors seed both sides: as they are on the
 vertex side (which then converges in about one iteration) and averaged over
-each face's corners on the face side. Every mapped pair's residual against
-the true one-form pencil must meet the solver tolerance; a side with a pair
-above it is re-solved tighter. The pairs carry an exact/coexact tag used by
-the multiplicity records. Both vertex-pencil solves pass the mesh's
-subdivision hierarchy, so they run the multigrid preconditioner; the face
-pencil runs the LU. ``report["run"]["solves"]`` records every solve: its
-pencil, size, tolerance, preconditioner, block width, iterations, largest
-residual, whether it was seeded and why it ran.
+each face's corners on the face side. A side's residual maps to its
+one-form's residual through a fixed linear map, so each side stops on the
+one-form residual itself; every merged pair's residual against the true
+one-form pencil must then meet the solver tolerance, or the split fails.
+The pairs carry an exact/coexact tag used by the multiplicity records. Both
+vertex-pencil solves pass the mesh's subdivision hierarchy, so they run the
+multigrid preconditioner; the face pencil runs the LU.
+``report["run"]["solves"]`` records every solve: its pencil, size,
+tolerance, preconditioner, block width, iterations, largest residual,
+whether it was seeded and why it ran.
 
 The per-field ``eigenform_residual`` reported here is a spectral alignment
 residual: the B-weighted spread of the form's eigenvalue content around its
@@ -72,7 +74,7 @@ N_DIM = 2  # intrinsic dimension of every built-in surface
 ORACLE_DIMENSIONS = (2, 3, 5)
 ORACLE_RADII = (1.0, 2.0)
 KERNEL_FLOOR = 1e-10  # eigenvalues at or below it belong to a pencil's kernel
-SPLIT_PASSES = 6  # solve rounds of the Hodge split: extensions and certifications
+SPLIT_PASSES = 6  # solve rounds of the Hodge split: the first and its window extensions
 
 
 class VerifyError(Exception):
@@ -177,6 +179,16 @@ def face_pencil(mesh: mesh_mod.TriangleMesh):
     return A2, B2
 
 
+def face_residual_map(mesh: mesh_mod.TriangleMesh):
+    """d1^T star2: sends a face-pencil residual A2 g - lam B2 g to the
+    residual A1 w - lam B1 w of its coexact one-form w = star1^-1 d1^T g.
+
+    The star1 d0 star0^-1 d0^T star1 half of A1 vanishes on w (d0^T d1^T = 0),
+    and B2 = star2^-1.
+    """
+    return exterior.d1(mesh).matrix.T @ sp.diags(1.0 / mesh.face_areas())
+
+
 def _face_average(mesh: mesh_mod.TriangleMesh, basis: np.ndarray) -> np.ndarray:
     """Vertex functions (columns of ``basis``) averaged over each face's corners.
 
@@ -195,35 +207,38 @@ class _SplitSide:
     """One pencil of the Hodge split and the state of its solve.
 
     ``to_oneform`` maps an eigenvector of the pencil to a one-form of the
-    same eigenvalue (before normalization). ``why`` is the reason the side
-    must be solved next ("first", "extension" or "certification"), or None
-    while its ``result`` stands.
+    same eigenvalue (before normalization). ``residual_map`` sends the
+    pencil's residual A x - lambda B x to that one-form's residual against
+    (A1, B1), and the side's solves stop on the mapped residual. ``why`` is
+    the reason the side must be solved next ("first" or "extension"), or
+    None while its ``result`` stands.
     """
 
-    def __init__(self, label, pencil, to_oneform, exact, m, tol, start,
+    def __init__(self, label, pencil, to_oneform, residual_map, exact, m, start,
                  hierarchy=None):
         self.label, self.pencil, self.to_oneform = label, pencil, to_oneform
-        self.exact, self.m, self.tol, self.start = exact, m, tol, start
+        self.residual_map, self.exact, self.m, self.start = residual_map, exact, m, start
         self.hierarchy = hierarchy
         self.result = None
         self.why = "first"
 
-    def solve(self, seed: int, solves):
+    def solve(self, tol: float, seed: int, solves):
         A, B = self.pencil
         n = A.shape[0]
-        self.result = solve_lowest(A, B, min(self.m, n), self.tol, seed=seed,
+        self.result = solve_lowest(A, B, min(self.m, n), tol, seed=seed,
                                    known_kernel=np.ones(n), start=self.start,
-                                   hierarchy=self.hierarchy)
+                                   hierarchy=self.hierarchy,
+                                   residual_map=self.residual_map)
         if solves is not None:
-            solves.append(_solve_record(self.label, self.why, self.result, self.tol,
+            solves.append(_solve_record(self.label, self.why, self.result, tol,
                                         self.start is not None))
         self.why = None
 
     def candidates(self):
-        """(eigenvalue, unit one-form, exact flag, side residual) per nonkernel pair."""
+        """(eigenvalue, unit one-form, exact flag) per nonkernel pair."""
         r = self.result
-        return [(float(lam), self.to_oneform(x) / np.sqrt(lam), self.exact, float(res))
-                for lam, x, res in zip(r.eigenvalues, r.eigenvectors.T, r.residuals)
+        return [(float(lam), self.to_oneform(x) / np.sqrt(lam), self.exact)
+                for lam, x in zip(r.eigenvalues, r.eigenvectors.T)
                 if lam > KERNEL_FLOOR]
 
     def window(self) -> float:
@@ -244,28 +259,14 @@ def _solve_record(pencil: str, why: str, result: SpectrumResult, tol: float,
     }
 
 
-def _certified_side_tol(side_tol, side_residuals, mapped, tol):
-    """None if every mapped residual is at most ``tol``, else the side
-    tolerance that should bring each of them there.
-
-    A mapped residual is the side residual sent through a fixed linear map
-    (star1 d0 star0^-1 on the vertex side, d1^T star2 on the face side, both
-    over sqrt(lambda)), so their ratio is that pair's amplification. The
-    side is tightened to ``tol`` over the largest one measured.
-    """
-    if mapped.max(initial=0.0) <= tol:
-        return None
-    amplification = mapped / np.maximum(side_residuals, np.finfo(float).tiny)
-    return min(side_tol, tol / amplification.max())
-
-
 def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float,
                                  seed: int = 0, start=None, solves=None):
     """One-form spectrum via the exact Hodge split on a genus-0 surface.
 
     Returns (SpectrumResult, exact_flags); exact_flags[i] is True when
     eigenvector i is an exact form d0 u. Every returned pair's residual
-    against the true one-form pencil (A1, B1) is at most ``tol``.
+    against the true one-form pencil (A1, B1) is at most ``tol``, or
+    VerifyError names the worst one.
 
     ``start``: optional nonkernel eigenvectors of the vertex pencil (the
     scalar spectrum's). They seed every vertex-side solve, and their face
@@ -275,59 +276,50 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     ``solves``: optional list; each side solve appends its ``run.solves``
     record to it as it ends, so the records survive a split that raises.
     """
-    A1, B1 = exterior.laplacian1(mesh)
+    A1, _ = exterior.laplacian1(mesh)
     s1 = exterior.star1_values(mesh)
     D0 = exterior.d0(mesh).matrix
     D1 = exterior.d1(mesh).matrix
 
-    # mapping through d0 / d1^T amplifies the side residuals by a factor that
-    # measured 20-85x on the built-in meshes. tol / 30 is only the first
-    # guess, which most meshes meet without a re-solve; the certification
-    # below tightens a side whose mapped pairs miss tol
+    # each side stops on the one-form residual of its pairs: the map sends a
+    # side residual to it (on the vertex side, d1 d0 = 0 removes the other
+    # half of A1 and A1 d0 u - lam B1 d0 u = star1 d0 star0^-1 (A0 u - lam B0 u))
     m_side = m // 2 + 1
     vert = _SplitSide("vertex side", exterior.laplacian0(mesh), lambda u: D0 @ u,
-                      True, m_side, tol / 30.0, start, mesh.vertex_prolongations())
+                      sp.diags(s1) @ D0 @ sp.diags(1.0 / mesh.vertex_areas()),
+                      True, m_side, start, mesh.vertex_prolongations())
     face = _SplitSide("face side", face_pencil(mesh), lambda g: (D1.T @ g) / s1,
-                      False, m_side, tol / 30.0,
+                      face_residual_map(mesh), False, m_side,
                       None if start is None else _face_average(mesh, start))
     for _ in range(SPLIT_PASSES):
         if vert.why is not None:
-            vert.solve(seed, solves)
+            vert.solve(tol, seed, solves)
         if face.why is not None:
-            face.solve(seed, solves)
+            face.solve(tol, seed, solves)
         candidates = sorted(vert.candidates() + face.candidates(), key=lambda c: c[0])
         window = min(vert.window(), face.window())
         # ties at the window edge (cut degenerate pairs) are legitimate: any
         # m lowest-with-ties selection is a valid answer
-        if len(candidates) < m or candidates[m - 1][0] > window * (1 + 1e-9):
-            # only the side whose window limits the merge can hide
-            # eigenvalues; extend that side and keep the other side's solve
-            side = vert if vert.window() <= face.window() else face
-            side.m += max(2, m // 8)
-            side.why = "extension"
-            problem = "Hodge-split window did not cover the requested count"
-            continue
-        candidates = candidates[:m]
-        vals = np.array([c[0] for c in candidates])
-        vecs = np.stack([c[1] for c in candidates], axis=1)
-        flags = [c[2] for c in candidates]
-        Bx = vecs * s1[:, None]
-        residuals = (np.linalg.norm(A1.matrix @ vecs - Bx * vals, axis=0)
-                     / np.linalg.norm(Bx, axis=0))
-        side_residuals = np.array([c[3] for c in candidates])
-        exact = np.asarray(flags)
-        for side in (vert, face):
-            mine = exact == side.exact
-            tightened = _certified_side_tol(side.tol, side_residuals[mine],
-                                            residuals[mine], tol)
-            if tightened is not None:
-                side.tol, side.why = tightened, "certification"
-        if vert.why is None and face.why is None:
+        if len(candidates) >= m and candidates[m - 1][0] <= window * (1 + 1e-9):
             break
-        problem = (f"Hodge-split residuals above {tol:g} after {SPLIT_PASSES} "
-                   f"passes (worst {residuals.max():.3g})")
+        # only the side whose window limits the merge can hide eigenvalues;
+        # extend that side and keep the other side's solve
+        side = vert if vert.window() <= face.window() else face
+        side.m += max(2, m // 8)
+        side.why = "extension"
     else:
-        raise VerifyError(problem)
+        raise VerifyError("Hodge-split window did not cover the requested count")
+
+    candidates = candidates[:m]
+    vals = np.array([c[0] for c in candidates])
+    vecs = np.stack([c[1] for c in candidates], axis=1)
+    flags = [c[2] for c in candidates]
+    Bx = vecs * s1[:, None]
+    residuals = (np.linalg.norm(A1.matrix @ vecs - Bx * vals, axis=0)
+                 / np.linalg.norm(Bx, axis=0))
+    if residuals.max() > tol:
+        raise VerifyError(f"Hodge-split residuals above {tol:g} "
+                          f"(worst {residuals.max():.3g})")
 
     result = SpectrumResult(
         eigenvalues=vals,

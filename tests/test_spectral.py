@@ -241,7 +241,8 @@ def test_scalar_eigenvalue_monotone_convergence(scalar_pair_factory, sphere_mesh
 # Each case is solved as the suite solves it: the scalar pencil at the CLI
 # default tolerance (with the multigrid V-cycle, and with the LU a mesh
 # without a hierarchy gets), the spheroid face pencil at the Hodge split's
-# side tolerance, all with the constants deflated. ARPACK draws a random
+# tolerance and stopping test (its one-form residual map), all with the
+# constants deflated. ARPACK draws a random
 # start vector by default and can then miss one copy of a degenerate
 # eigenvalue; a seeded start and a few extra pairs keep the reference
 # deterministic.
@@ -265,7 +266,7 @@ def _relative_error(values, reference):
 @pytest.fixture(scope="module",
                 params=["scalar-l5", "scalar-l5-multigrid", "spheroid-l4-face"])
 def full_size_solve(request, scalar_pair_factory, sphere_mesh, spheroid_mesh):
-    hierarchy = None
+    hierarchy = residual_map = None
     if request.param.startswith("scalar-l5"):
         A, B = scalar_pair_factory(5)
         m, tol = 16, 1e-6
@@ -273,9 +274,11 @@ def full_size_solve(request, scalar_pair_factory, sphere_mesh, spheroid_mesh):
             hierarchy = sphere_mesh(5).vertex_prolongations()
     else:
         A, B = verify.face_pencil(spheroid_mesh(4))
-        m, tol = 9, 1e-6 / 30.0
+        m, tol = 9, 1e-6
+        residual_map = verify.face_residual_map(spheroid_mesh(4))
     result = solve_lowest(A, B, m, tol, seed=1, known_kernel=np.ones(A.shape[0]),
-                          maxiter=FULL_SIZE_MAXITER, hierarchy=hierarchy)
+                          maxiter=FULL_SIZE_MAXITER, hierarchy=hierarchy,
+                          residual_map=residual_map)
     assert result.preconditioner == ("lu" if hierarchy is None else "multigrid")
     return result, _eigsh_reference(A, B, m), B
 
@@ -488,3 +491,49 @@ def test_hierarchy_of_another_mesh_is_a_spectral_error(sphere_mesh):
     A, B = exterior.laplacian0(sphere_mesh(3))
     with pytest.raises(SpectralError, match="hierarchy ends at 162 vertices"):
         solve_lowest(A, B, 4, hierarchy=sphere_mesh(2).vertex_prolongations())
+
+
+def test_residual_map_measures_the_mapped_one_forms(spheroid_mesh):
+    # with the face map, the solver stops on and returns the residuals of the
+    # coexact one-forms w = star1^-1 d1^T g against (A1, B1)
+    m = spheroid_mesh(4)
+    A2, B2 = verify.face_pencil(m)
+    kernel = np.ones(m.n_faces)
+    tol = 1e-6
+    result = solve_lowest(A2, B2, 9, tol, seed=0, known_kernel=kernel,
+                          residual_map=verify.face_residual_map(m))
+    A1, B1 = exterior.laplacian1(m)
+    W = (exterior.d1(m).matrix.T @ result.eigenvectors[:, 1:]) / B1.diagonal()[:, None]
+    BW = B1.matrix @ W
+    oneform = (np.linalg.norm(A1.matrix @ W - BW * result.eigenvalues[1:], axis=0)
+               / np.linalg.norm(BW, axis=0))
+    # applying A1 to w leaves a rounding-level d0^T star1 w of a few 1e-14,
+    # which atol absorbs on the pairs that converged far below tol
+    np.testing.assert_allclose(result.residuals[1:], oneform, rtol=1e-6, atol=1e-6 * tol)
+    assert (result.residuals[1:] <= tol).all()
+    # M sends the constants to 0, so the kernel pair keeps its own residual
+    g = result.eigenvectors[:, 0]
+    own = np.linalg.norm(A2.matrix @ g) / np.linalg.norm(B2.matrix @ g)
+    assert result.residuals[0] == pytest.approx(own, rel=1e-12)
+
+
+def test_no_residual_map_keeps_the_weighted_norm(monkeypatch, spheroid_mesh):
+    # without a map the Gram operator is diag(b), whose norm is the diagonal
+    # weighted norm the solver used before maps existed: the solve is
+    # bit-identical under it
+    A2, B2 = verify.face_pencil(spheroid_mesh(4))
+    kernel = np.ones(A2.shape[0])
+    result = solve_lowest(A2, B2, 9, 1e-6, seed=0, known_kernel=kernel)
+
+    def weighted_norms(R, X, G):
+        w = G.diagonal()
+        return (np.sqrt(np.einsum("ij,ij,i->j", R, R, w))
+                / np.sqrt(np.einsum("ij,ij,i->j", X, X, w)))
+
+    monkeypatch.setattr(spectral, "_residual_norms", weighted_norms)
+    reference = solve_lowest(A2, B2, 9, 1e-6, seed=0, known_kernel=kernel)
+    assert result.iterations == reference.iterations
+    for got, want in [(result.eigenvalues, reference.eigenvalues),
+                      (result.eigenvectors, reference.eigenvectors),
+                      (result.residuals, reference.residuals)]:
+        assert np.array_equal(got, want)

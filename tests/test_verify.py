@@ -122,7 +122,8 @@ def test_hodge_split_matches_direct_solver(sphere_mesh):
     A1, B1 = exterior.laplacian1(m)
     direct = spectral.solve_lowest(A1, B1, 12, 1e-8, seed=0)
     assert np.abs(split.eigenvalues - direct.eigenvalues).max() < 1e-7
-    # certification holds every mapped pair to the split's own tol
+    # each side stops on its pairs' one-form residuals, so every merged pair
+    # meets the split's own tol
     assert (split.residuals <= 1e-8).all()
     # exact forms are closed, coexact forms are coclosed
     for lam, vec, is_exact in zip(split.eigenvalues, split.eigenvectors.T, flags):
@@ -187,8 +188,9 @@ def test_seeded_hodge_split_matches_eigsh(spheroid_mesh, spheroid_l4_reference):
     seeded, _ = oneform_spectrum_hodge_split(m, 16, 1e-6, start=_scalar_basis(m),
                                              solves=solves)
     A2, B2 = verify.face_pencil(m)
-    cold_face = spectral.solve_lowest(A2, B2, 9, 1e-6 / 30.0, seed=0,
-                                      known_kernel=np.ones(m.n_faces))
+    cold_face = spectral.solve_lowest(A2, B2, 9, 1e-6, seed=0,
+                                      known_kernel=np.ones(m.n_faces),
+                                      residual_map=verify.face_residual_map(m))
     its = _iterations(solves)
     assert list(its) == [("vertex side", "first"), ("face side", "first"),
                          ("vertex side", "extension")]
@@ -200,14 +202,12 @@ def test_seeded_hodge_split_matches_eigsh(spheroid_mesh, spheroid_l4_reference):
     assert (seeded.residuals <= 1e-6).all()
 
 
-def test_hodge_split_certification_resolves_a_loose_side(monkeypatch, spheroid_mesh):
-    # the face side's first solve is made too loose for its mapped pairs; the
-    # certification re-solves it, from the same start, until every mapped
-    # residual meets tol. The face window bounds the merge here
+def test_hodge_split_fails_closed_on_a_loose_side(monkeypatch, spheroid_mesh):
+    # the face side's first solve is made 30 times too loose for its one-form
+    # pairs; the split does not re-solve it but fails, naming the worst
+    # one-form residual
     m = spheroid_mesh(4)
     tol = 1e-6
-    start = _scalar_basis(m)
-    plain, _ = oneform_spectrum_hodge_split(m, 16, tol, start=start)
     solve = verify.solve_lowest
     loosened = []
 
@@ -219,19 +219,14 @@ def test_hodge_split_certification_resolves_a_loose_side(monkeypatch, spheroid_m
 
     monkeypatch.setattr(verify, "solve_lowest", loose_first_face)
     solves = []
-    split, _ = oneform_spectrum_hodge_split(m, 16, tol, start=start, solves=solves)
-    certified = [s for s in solves if s["why"] == "certification"]
-    assert [s["pencil"] for s in certified] == ["face side"]
-    assert certified[0]["tol"] < tol / 30.0
-    A1, B1 = exterior.laplacian1(m)
-    V = split.eigenvectors
-    BV = B1.matrix @ V
-    mapped = np.linalg.norm(A1.matrix @ V - BV * split.eigenvalues, axis=0) / np.linalg.norm(
-        BV, axis=0)
-    assert mapped.max() <= tol
-    np.testing.assert_allclose(split.residuals, mapped, rtol=1e-6)
-    assert split.next_estimate == pytest.approx(plain.next_estimate, rel=1e-8)
-    assert np.abs(split.eigenvalues - plain.eigenvalues).max() <= 1e-9 * plain.eigenvalues.max()
+    with pytest.raises(VerifyError, match=r"residuals above 1e-06 \(worst ") as exc:
+        oneform_spectrum_hodge_split(m, 16, tol, start=_scalar_basis(m), solves=solves)
+    assert loosened == [tol]
+    assert [(s["pencil"], s["why"]) for s in solves] == [
+        ("vertex side", "first"), ("face side", "first"), ("vertex side", "extension")]
+    worst = float(str(exc.value).split("worst ")[1].rstrip(")"))
+    assert worst > tol
+    assert worst == pytest.approx(solves[1]["max_residual"], rel=5e-3)
 
 
 def test_eigenform_alignment_mixture_oracle(sphere_mesh):
