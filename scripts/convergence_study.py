@@ -4,7 +4,7 @@ Weitzenboeck-identity residuals over subdivision levels 3..6."""
 
 import numpy as np
 
-from hodgelab import exterior, fields, mesh, spectral, verify
+from hodgelab import fields, mesh, verify
 
 LEVELS = (3, 4, 5, 6)
 
@@ -14,10 +14,7 @@ def main():
     quad = np.array([[0, 0.5, 0], [0.5, 0, 0], [0, 0, 0.0]])
     for level in LEVELS:
         m = mesh.build_icosphere(level, 1.0)
-        A, B = exterior.laplacian0(m)
-        result = spectral.solve_lowest(A, B, 9, tol=1e-7, seed=0,
-                                       known_kernel=np.ones(m.n_vertices),
-                                       hierarchy=m.vertex_prolongations())
+        result = verify.scalar_spectrum(m, 9, 1e-7, seed=0)
         mu1 = result.groups[1].representative
         mu2 = result.groups[2].representative
         w_rot = fields.sample_oneform(fields.KillingRotation([0, 0, 1], m.source), m)

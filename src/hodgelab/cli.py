@@ -32,6 +32,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILURE = 2
 HISTORY_SHOWN = 5  # iterations a convergence failure prints
+SOLVE_ERRORS = (exterior.ExteriorError, spectral.SpectralError,
+                verify_mod.VerifyError)  # a failed spectrum: exit code 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,11 +141,12 @@ def _spectrum_rows(result):
 def _lowest_eigenpairs(built, args, seed: int):
     """The ``args.count`` lowest eigenpairs of the degree-``args.form`` Laplacian."""
     if args.form == 0:
-        A, B = exterior.laplacian0(built)
-        return spectral.solve_lowest(A, B, args.count, args.tol, seed=seed,
-                                     known_kernel=np.ones(built.n_vertices),
-                                     hierarchy=built.vertex_prolongations())
-    return verify_mod.oneform_spectrum_hodge_split(built, args.count, args.tol, seed=seed)[0]
+        return verify_mod.scalar_spectrum(built, args.count, args.tol, seed=seed)
+    pairs = max(args.count, args.count // 2 + 2)  # the split's minimum, see its docstring
+    scalar = verify_mod.scalar_spectrum(built, min(pairs, built.n_vertices),
+                                        args.tol, seed=seed)
+    return verify_mod.oneform_spectrum_hodge_split(built, args.count, args.tol, scalar,
+                                                   seed=seed)[0]
 
 
 def _history_line(history) -> str:
@@ -161,8 +164,7 @@ def cmd_spectrum(args) -> int:
         built = mesh_mod.build_surface(surface)
         try:
             result = _lowest_eigenpairs(built, args, seed)
-        except (exterior.ExteriorError, spectral.SpectralError,
-                verify_mod.VerifyError) as exc:
+        except SOLVE_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             if isinstance(exc, spectral.ConvergenceError):
                 print(f"best residuals after {exc.iterations} iterations: "
@@ -290,8 +292,7 @@ def cmd_converge(args) -> int:
             built = mesh_mod.build_surface(surface)
             try:
                 result = _lowest_eigenpairs(built, args, seed)
-            except (exterior.ExteriorError, spectral.SpectralError,
-                    verify_mod.VerifyError) as exc:
+            except SOLVE_ERRORS as exc:
                 print(f"error at level {surface.level}: {exc}", file=sys.stderr)
                 return EXIT_FAILURE
             nearest = min(result.groups,

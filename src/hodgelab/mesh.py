@@ -80,9 +80,9 @@ class TriangleMesh:
     ``faces`` are index triples with counterclockwise orientation as seen from
     outside. ``edges`` are canonical vertex pairs (i, j) with i < j, sorted
     lexicographically; the canonical edge orientation is low index -> high
-    index. ``edge_faces`` holds, per edge, the two incident face indices, and
-    ``edge_face_signs`` the agreement (+1/-1) of the canonical edge direction
-    with each face's traversal order.
+    index. ``face_edges`` holds, per face, the indices of its three edges in
+    traversal order, and ``face_edge_signs`` the agreement (+1/-1) of each
+    canonical edge direction with the face's traversal.
 
     ``coarse_edges`` holds, for a mesh built by midpoint subdivision, the
     canonical edges of every coarser mesh of the hierarchy, coarsest first;
@@ -92,8 +92,6 @@ class TriangleMesh:
     vertices: np.ndarray
     faces: np.ndarray
     edges: np.ndarray = field(init=False)
-    edge_faces: np.ndarray = field(init=False)
-    edge_face_signs: np.ndarray = field(init=False)
     face_edges: np.ndarray = field(init=False)
     face_edge_signs: np.ndarray = field(init=False)
     source: SurfaceSpec | None = None
@@ -110,10 +108,8 @@ class TriangleMesh:
             raise MeshError(f"face index outside [0, {v.shape[0]})")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
-        edges, e_faces, e_signs, f_edges, f_signs = _edge_incidence(f)
+        edges, f_edges, f_signs = _edge_incidence(f)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "edge_faces", e_faces)
-        object.__setattr__(self, "edge_face_signs", e_signs)
         object.__setattr__(self, "face_edges", f_edges)
         object.__setattr__(self, "face_edge_signs", f_signs)
         # memo space for derived immutable quantities (operators, areas)
@@ -235,7 +231,7 @@ def _unique_edges(he: np.ndarray):
 
 
 def _edge_incidence(faces: np.ndarray):
-    """Canonical edge list plus edge<->face incidence with orientation signs."""
+    """Canonical edge list plus face->edge incidence with orientation signs."""
     n_faces = faces.shape[0]
     he = _half_edges(faces)
     he_face = np.tile(np.arange(n_faces), 3)
@@ -250,19 +246,11 @@ def _edge_incidence(faces: np.ndarray):
     if counts.min(initial=2) < 2:
         raise MeshError("boundary edge (exactly 2 incident faces required)")
 
-    edge_faces = np.full((n_edges, 2), -1, dtype=np.int64)
-    edge_signs = np.zeros((n_edges, 2), dtype=np.int8)
-    order = np.argsort(inverse, kind="stable")
-    ef = he_face[order].reshape(n_edges, 2)
-    es = sign[order].reshape(n_edges, 2)
-    edge_faces[:, :] = ef
-    edge_signs[:, :] = es
-
     face_edges = np.empty((n_faces, 3), dtype=np.int64)
     face_signs = np.empty((n_faces, 3), dtype=np.int8)
     face_edges[he_face, he_slot] = inverse
     face_signs[he_face, he_slot] = sign
-    return edges, edge_faces, edge_signs, face_edges, face_signs
+    return edges, face_edges, face_signs
 
 
 @dataclass
@@ -434,8 +422,10 @@ def validate(mesh: TriangleMesh) -> ValidationOutcome:
         return ValidationOutcome(checks, None)
     checks["closed_two_manifold"] = True
 
-    # opposite induced orientations <=> the two half-edge signs cancel
-    oriented = bool((mesh.edge_face_signs.sum(axis=1) == 0).all())
+    # opposite induced orientations <=> each edge's two half-edge signs cancel
+    signs = np.bincount(mesh.face_edges.ravel(), weights=mesh.face_edge_signs.ravel(),
+                        minlength=mesh.n_edges)
+    oriented = bool((signs == 0).all())
     checks["consistent_orientation"] = oriented
 
     areas = mesh.face_areas()

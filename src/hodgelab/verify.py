@@ -16,15 +16,16 @@ One-form spectra on genus-0 surfaces are computed through the exact discrete
 Hodge split: eigenpairs of the vertex pencil map to exact one-form eigenpairs
 through d0, and eigenpairs of the face pencil (d1 star1^-1 d1^T against face
 areas) map to coexact ones through star1^-1 d1^T; with b1 = 0 nothing else
-exists. The scalar stage's eigenvectors seed both sides: as they are on the
-vertex side (which then converges in about one iteration) and averaged over
-each face's corners on the face side. A side's residual maps to its
-one-form's residual through a fixed linear map, so each side stops on the
-one-form residual itself; every merged pair's residual against the true
-one-form pencil must then meet the solver tolerance, or the split fails.
-The pairs carry an exact/coexact tag used by the multiplicity records. Both
-vertex-pencil solves pass the mesh's subdivision hierarchy, so they run the
-multigrid preconditioner; the face pencil runs the LU.
+exists. Every split starts from the scalar spectrum (``scalar_spectrum``),
+whose nonkernel eigenvectors seed both sides: as they are on the vertex side
+(which then converges in about one iteration) and averaged over each face's
+corners on the face side. A side's residual maps to its one-form's residual
+through a fixed linear map, so each side stops on the one-form residual
+itself; every merged pair's residual against the true one-form pencil must
+then meet the solver tolerance, or the split fails. The pairs carry an
+exact/coexact tag used by the multiplicity records. Both vertex-pencil solves
+pass the mesh's subdivision hierarchy, so they run the multigrid
+preconditioner; the face pencil runs the LU.
 ``report["run"]["solves"]`` records every solve: its pencil, size,
 tolerance, preconditioner, block width, iterations, largest residual,
 whether it was seeded and why it ran.
@@ -173,8 +174,9 @@ def face_pencil(mesh: mesh_mod.TriangleMesh):
     """
     s1 = exterior.star1_values(mesh)
     D1 = exterior.d1(mesh).matrix
-    A2 = (D1 @ sp.diags(1.0 / s1) @ D1.T).tocsr()
-    A2 = exterior.SparseOperator((0.5 * (A2 + A2.T)).tocsr(), symmetric=True)
+    # each off-diagonal entry is one product, so A2 is exactly symmetric
+    A2 = exterior.SparseOperator((D1 @ sp.diags(1.0 / s1) @ D1.T).tocsr(),
+                                 symmetric=True)
     B2 = exterior.SparseOperator(sp.diags(mesh.face_areas()).tocsr(), symmetric=True)
     return A2, B2
 
@@ -230,8 +232,7 @@ class _SplitSide:
                                    hierarchy=self.hierarchy,
                                    residual_map=self.residual_map)
         if solves is not None:
-            solves.append(_solve_record(self.label, self.why, self.result, tol,
-                                        self.start is not None))
+            solves.append(_solve_record(self.label, self.why, self.result, tol))
         self.why = None
 
     def candidates(self):
@@ -246,8 +247,7 @@ class _SplitSide:
         return estimate if estimate is not None else np.inf
 
 
-def _solve_record(pencil: str, why: str, result: SpectrumResult, tol: float,
-                  seeded: bool) -> dict:
+def _solve_record(pencil: str, why: str, result: SpectrumResult, tol: float) -> dict:
     """One ``run.solves`` entry of the report."""
     return {
         "pencil": pencil, "n": int(result.eigenvectors.shape[0]),
@@ -255,12 +255,20 @@ def _solve_record(pencil: str, why: str, result: SpectrumResult, tol: float,
         "iterations": result.iterations,
         "preconditioner": result.preconditioner, "block": result.block,
         "max_residual": float(result.residuals.max()),
-        "seeded": bool(seeded), "why": why,
+        "seeded": pencil != "scalar", "why": why,  # split sides start from the scalar
     }
 
 
+def scalar_spectrum(mesh: mesh_mod.TriangleMesh, m: int, tol: float,
+                    seed: int = 0) -> SpectrumResult:
+    """Lowest ``m`` eigenpairs of ``laplacian0``, the start of every one-form solve."""
+    A0, B0 = exterior.laplacian0(mesh)
+    return solve_lowest(A0, B0, m, tol, seed=seed, known_kernel=np.ones(mesh.n_vertices),
+                        hierarchy=mesh.vertex_prolongations())
+
+
 def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float,
-                                 seed: int = 0, start=None, solves=None):
+                                 scalar: SpectrumResult, seed: int = 0, solves=None):
     """One-form spectrum via the exact Hodge split on a genus-0 surface.
 
     Returns (SpectrumResult, exact_flags); exact_flags[i] is True when
@@ -268,18 +276,22 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     against the true one-form pencil (A1, B1) is at most ``tol``, or
     VerifyError names the worst one.
 
-    ``start``: optional nonkernel eigenvectors of the vertex pencil (the
-    scalar spectrum's). They seed every vertex-side solve, and their face
-    averages every face-side solve. Without them every solve starts from a
-    seeded random block.
+    ``scalar``: the mesh's ``scalar_spectrum``. Its nonkernel eigenvectors
+    seed every vertex-side solve, and their face averages every face-side
+    solve. It needs ``m // 2 + 2`` pairs, or all of them: one beyond the first
+    vertex-side solve's ``m // 2 + 1`` seeds its window estimate, which an
+    unseeded column could overstate and so hide eigenvalues from the merge.
 
     ``solves``: optional list; each side solve appends its ``run.solves``
     record to it as it ends, so the records survive a split that raises.
     """
+    if m < 1:
+        raise VerifyError(f"m={m}: the Hodge split needs at least one pair")
     A1, _ = exterior.laplacian1(mesh)
     s1 = exterior.star1_values(mesh)
     D0 = exterior.d0(mesh).matrix
     D1 = exterior.d1(mesh).matrix
+    start = scalar.eigenvectors[:, scalar.eigenvalues > KERNEL_FLOOR]
 
     # each side stops on the one-form residual of its pairs: the map sends a
     # side residual to it (on the vertex side, d1 d0 = 0 removes the other
@@ -289,8 +301,7 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
                       sp.diags(s1) @ D0 @ sp.diags(1.0 / mesh.vertex_areas()),
                       True, m_side, start, mesh.vertex_prolongations())
     face = _SplitSide("face side", face_pencil(mesh), lambda g: (D1.T @ g) / s1,
-                      face_residual_map(mesh), False, m_side,
-                      None if start is None else _face_average(mesh, start))
+                      face_residual_map(mesh), False, m_side, _face_average(mesh, start))
     for _ in range(SPLIT_PASSES):
         if vert.why is not None:
             vert.solve(tol, seed, solves)
@@ -339,9 +350,8 @@ def eigenform_alignment(spectrum: SpectrumResult, A, B, w: np.ndarray):
     mass outside the computed window is assigned the next-eigenvalue
     estimate (a conservative placement).
     """
-    Bmat = B.matrix if isinstance(B, exterior.SparseOperator) else B
     lam_hat = rayleigh_quotient(A, B, w)
-    Bw = Bmat @ w
+    Bw = B.matrix @ w
     wn2 = float(w @ Bw)
     c = spectrum.eigenvectors.T @ Bw
     tail2 = max(wn2 - float(c @ c), 0.0)
@@ -609,27 +619,24 @@ def _curvature_stage(report, mesh, surface, alpha):
 
 
 def _scalar_stage(report, mesh, config, alpha, solves):
-    """The scalar spectrum's nonkernel eigenvectors, which seed the Hodge split."""
-    A0, B0 = exterior.laplacian0(mesh)
-    result = solve_lowest(A0, B0, EIGENPAIRS, SOLVER_TOL, seed=config.seed,
-                          known_kernel=np.ones(mesh.n_vertices),
-                          hierarchy=mesh.vertex_prolongations())
-    solves.append(_solve_record("scalar", "first", result, SOLVER_TOL, False))
+    """The scalar spectrum, which seeds the Hodge split."""
+    result = scalar_spectrum(mesh, EIGENPAIRS, SOLVER_TOL, seed=config.seed)
+    solves.append(_solve_record("scalar", "first", result, SOLVER_TOL))
     report["spectra"]["scalar"] = _spectrum_json(result)
-    start = result.eigenvectors[:, result.eigenvalues > KERNEL_FLOOR]
     if alpha is None:
-        return start, {}
-    return start, {"scalar_spectrum": _clusters_match(
+        return result, {}
+    return result, {"scalar_spectrum": _clusters_match(
         result.groups[1:], alpha, (N_DIM + 1, 2 * N_DIM + 1), SCALAR_CLUSTER_RTOL,
     )}
 
 
-def _oneform_stage(report, mesh, config, alpha, start, solves):
+def _oneform_stage(report, mesh, config, alpha, scalar, solves):
     """(spectrum, exact flags, (A1, B1)) of the one-form Laplacian."""
+    if scalar is None:
+        raise VerifyError("no scalar spectrum to start the Hodge split from")
     pencil = exterior.laplacian1(mesh)
-    result, flags = oneform_spectrum_hodge_split(mesh, EIGENPAIRS, SOLVER_TOL,
-                                                 seed=config.seed, start=start,
-                                                 solves=solves)
+    result, flags = oneform_spectrum_hodge_split(mesh, EIGENPAIRS, SOLVER_TOL, scalar,
+                                                 seed=config.seed, solves=solves)
     report["spectra"]["oneform"] = _spectrum_json(result)
     if alpha is None:
         return (result, flags, pencil), {}
@@ -714,9 +721,10 @@ def run_suite(config: RunConfig) -> dict:
     ``_StageGuard``, so a stage that raises is reported and the later stages
     still run. A stage is skipped when one it needs failed, below
     ``MIN_SPECTRAL_LEVEL`` (spectra and fields) and off the round sphere
-    (multiplicity). ``report["pass"]`` is True iff every mandatory check
-    passed and no stage failed; ``report["run"]`` gives the elapsed time and
-    each stage's, in seconds.
+    (multiplicity); the one-form stage fails if the scalar one did, its start.
+    ``report["pass"]`` is True iff every mandatory check passed and no stage
+    failed; ``report["run"]`` gives the elapsed time and each stage's, in
+    seconds.
     """
     start = time.perf_counter()
     surface = config.surface
@@ -742,11 +750,11 @@ def run_suite(config: RunConfig) -> dict:
                 f"checks need level >= {MIN_SPECTRAL_LEVEL}"
             )
         else:
-            basis = guard.run("scalar spectrum", ("scalar_spectrum",), _scalar_stage,
-                              report, mesh, config, alpha, solves)
+            scalar = guard.run("scalar spectrum", ("scalar_spectrum",), _scalar_stage,
+                               report, mesh, config, alpha, solves)
             oneform = guard.run("one-form spectrum", ("oneform_spectrum",),
-                                _oneform_stage, report, mesh, config, alpha, basis, solves)
-            del basis  # the split's seed; release it before the fields run
+                                _oneform_stage, report, mesh, config, alpha, scalar, solves)
+            del scalar  # the split's seed; release it before the fields run
 
     if oneform is not None and curv is not None:
         # each field can only clear these; an empty roster passes them

@@ -294,13 +294,9 @@ def _row_unique_incidence(faces):
     he = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
     edges, inverse = np.unique(np.sort(he, axis=1), axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
-    he_face = np.tile(np.arange(n_faces), 3)
     sign = np.where(he[:, 0] < he[:, 1], 1, -1).astype(np.int8)
-    order = np.argsort(inverse, kind="stable")
     return {
         "edges": edges,
-        "edge_faces": he_face[order].reshape(-1, 2),
-        "edge_face_signs": sign[order].reshape(-1, 2),
         "face_edges": inverse.reshape(3, n_faces).T,
         "face_edge_signs": sign.reshape(3, n_faces).T,
     }

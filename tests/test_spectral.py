@@ -481,7 +481,8 @@ def test_pencils_without_a_hierarchy_keep_the_lu(sphere_mesh):
     scalar = solve_lowest(A, B, 6, 1e-6, known_kernel=np.ones(raw.n_vertices),
                           hierarchy=raw.vertex_prolongations())
     solves = []
-    verify.oneform_spectrum_hodge_split(m, 8, 1e-6, solves=solves)
+    verify.oneform_spectrum_hodge_split(m, 8, 1e-6, verify.scalar_spectrum(m, 8, 1e-6),
+                                        solves=solves)
     assert scalar.preconditioner == "lu"
     assert {s["pencil"]: s["preconditioner"] for s in solves} == {
         "vertex side": "multigrid", "face side": "lu"}

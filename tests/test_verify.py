@@ -118,7 +118,7 @@ def test_discrete_identity_residual_validation(sphere_mesh):
 
 def test_hodge_split_matches_direct_solver(sphere_mesh):
     m = sphere_mesh(2)
-    split, flags = oneform_spectrum_hodge_split(m, 12, 1e-8, seed=0)
+    split, flags = oneform_spectrum_hodge_split(m, 12, 1e-8, verify.scalar_spectrum(m, 12, 1e-8))
     A1, B1 = exterior.laplacian1(m)
     direct = spectral.solve_lowest(A1, B1, 12, 1e-8, seed=0)
     assert np.abs(split.eigenvalues - direct.eigenvalues).max() < 1e-7
@@ -134,26 +134,6 @@ def test_hodge_split_matches_direct_solver(sphere_mesh):
             assert nd < 1e-8 <= nw
 
 
-def test_hodge_split_window_extension_matches_eigsh(monkeypatch, spheroid_mesh,
-                                                    spheroid_l4_reference):
-    # on the level-4 (1,1,2) spheroid the vertex side's window cuts the merge
-    # short once: the split solves both sides and re-solves the vertex side
-    # over a wider window, three solves in all
-    calls = []
-    solve = verify.solve_lowest
-
-    def counting(A, B, m, tol, **kwargs):
-        calls.append((A.shape[0], m))
-        return solve(A, B, m, tol, **kwargs)
-
-    monkeypatch.setattr(verify, "solve_lowest", counting)
-    m = spheroid_mesh(4)
-    split, _ = oneform_spectrum_hodge_split(m, 16, 1e-6)
-    assert calls == [(m.n_vertices, 9), (m.n_faces, 9), (m.n_vertices, 11)]
-    reference = spheroid_l4_reference
-    assert (np.abs(split.eigenvalues - reference) / reference).max() <= 1e-9
-
-
 @pytest.fixture(scope="module")
 def spheroid_l4_reference(spheroid_mesh):
     """Lowest 16 eigenvalues of (A1, B1) on the level-4 (1,1,2) spheroid.
@@ -167,26 +147,35 @@ def spheroid_l4_reference(spheroid_mesh):
                          which="LM", v0=v0, return_eigenvectors=False))[:16]
 
 
-def _scalar_basis(m):
-    """The nonkernel eigenvectors of the scalar spectrum, as verify solves it."""
-    A0, B0 = exterior.laplacian0(m)
-    scalar = spectral.solve_lowest(A0, B0, verify.EIGENPAIRS, verify.SOLVER_TOL,
-                                   seed=0, known_kernel=np.ones(m.n_vertices),
-                                   hierarchy=m.vertex_prolongations())
-    return scalar.eigenvectors[:, 1:]
+def _scalar_spectrum(m):
+    """The scalar spectrum, as verify solves it."""
+    return verify.scalar_spectrum(m, verify.EIGENPAIRS, verify.SOLVER_TOL)
 
 
 def _iterations(solves):
     return {(s["pencil"], s["why"]): s["iterations"] for s in solves}
 
 
-def test_seeded_hodge_split_matches_eigsh(spheroid_mesh, spheroid_l4_reference):
-    # the scalar eigenvectors seed the vertex side and its extension, which
-    # then need about one iteration, and their face averages the face side
+def test_seeded_hodge_split_matches_eigsh(monkeypatch, spheroid_mesh,
+                                          spheroid_l4_reference):
+    # on the level-4 (1,1,2) spheroid the vertex side's window cuts the merge
+    # short once: the split solves both sides and re-solves the vertex side
+    # over a wider window, three solves in all. The scalar eigenvectors seed
+    # the vertex side and its extension, which then need about one
+    # iteration, and their face averages the face side
     m = spheroid_mesh(4)
+    scalar = _scalar_spectrum(m)
+    calls = []
+    solve = verify.solve_lowest
+
+    def counting(A, B, k, tol, **kwargs):
+        calls.append((A.shape[0], k))
+        return solve(A, B, k, tol, **kwargs)
+
+    monkeypatch.setattr(verify, "solve_lowest", counting)
     solves = []
-    seeded, _ = oneform_spectrum_hodge_split(m, 16, 1e-6, start=_scalar_basis(m),
-                                             solves=solves)
+    seeded, _ = oneform_spectrum_hodge_split(m, 16, 1e-6, scalar, solves=solves)
+    assert calls == [(m.n_vertices, 9), (m.n_faces, 9), (m.n_vertices, 11)]
     A2, B2 = verify.face_pencil(m)
     cold_face = spectral.solve_lowest(A2, B2, 9, 1e-6, seed=0,
                                       known_kernel=np.ones(m.n_faces),
@@ -220,7 +209,7 @@ def test_hodge_split_fails_closed_on_a_loose_side(monkeypatch, spheroid_mesh):
     monkeypatch.setattr(verify, "solve_lowest", loose_first_face)
     solves = []
     with pytest.raises(VerifyError, match=r"residuals above 1e-06 \(worst ") as exc:
-        oneform_spectrum_hodge_split(m, 16, tol, start=_scalar_basis(m), solves=solves)
+        oneform_spectrum_hodge_split(m, 16, tol, _scalar_spectrum(m), solves=solves)
     assert loosened == [tol]
     assert [(s["pencil"], s["why"]) for s in solves] == [
         ("vertex side", "first"), ("face side", "first"), ("vertex side", "extension")]
@@ -235,7 +224,7 @@ def test_eigenform_alignment_mixture_oracle(sphere_mesh):
     # (half the cluster distance) / midpoint
     m = sphere_mesh(3)
     A1, B1 = exterior.laplacian1(m)
-    split, _ = oneform_spectrum_hodge_split(m, 16, 1e-8, seed=0)
+    split, _ = oneform_spectrum_hodge_split(m, 16, 1e-8, verify.scalar_spectrum(m, 16, 1e-8))
     v2 = split.eigenvectors[:, 0]
     v6 = split.eigenvectors[:, 6]
     lam2, lam6 = split.eigenvalues[0], split.eigenvalues[6]
@@ -362,8 +351,11 @@ def test_run_suite_failing_solver_stage(monkeypatch, tmp_path):
     out = tmp_path / "report.json"
     assert cli.main(["verify", "--level", "3", "--out", str(out)]) == 2
     rep = json.loads(out.read_text())
-    assert rep["failures"] == ["scalar spectrum: solver unavailable",
-                               "one-form spectrum: solver unavailable"]
+    # the split starts from the scalar spectrum, so the one-form stage fails
+    # without solving
+    assert rep["failures"] == [
+        "scalar spectrum: solver unavailable",
+        "one-form spectrum: no scalar spectrum to start the Hodge split from"]
     assert rep["checks"]["scalar_spectrum"] is False
     assert rep["checks"]["oneform_spectrum"] is False
     assert rep["spectra"] == {"scalar": None, "oneform": None}
