@@ -156,13 +156,11 @@ def _iterations(solves):
     return {(s["pencil"], s["why"]): s["iterations"] for s in solves}
 
 
-def test_seeded_hodge_split_matches_eigsh(monkeypatch, spheroid_mesh,
-                                          spheroid_l4_reference):
+def test_hodge_split_window_extension_matches_eigsh(monkeypatch, spheroid_mesh,
+                                                    spheroid_l4_reference):
     # on the level-4 (1,1,2) spheroid the vertex side's window cuts the merge
     # short once: the split solves both sides and re-solves the vertex side
-    # over a wider window, three solves in all. The scalar eigenvectors seed
-    # the vertex side and its extension, which then need about one
-    # iteration, and their face averages the face side
+    # over a wider window, three solves in all
     m = spheroid_mesh(4)
     scalar = _scalar_spectrum(m)
     calls = []
@@ -173,9 +171,19 @@ def test_seeded_hodge_split_matches_eigsh(monkeypatch, spheroid_mesh,
         return solve(A, B, k, tol, **kwargs)
 
     monkeypatch.setattr(verify, "solve_lowest", counting)
-    solves = []
-    seeded, _ = oneform_spectrum_hodge_split(m, 16, 1e-6, scalar, solves=solves)
+    split, _ = oneform_spectrum_hodge_split(m, 16, 1e-6, scalar)
     assert calls == [(m.n_vertices, 9), (m.n_faces, 9), (m.n_vertices, 11)]
+    reference = spheroid_l4_reference
+    assert (np.abs(split.eigenvalues - reference) / reference).max() <= 1e-9
+
+
+def test_seeded_hodge_split_matches_eigsh(spheroid_mesh, spheroid_l4_reference):
+    # the scalar eigenvectors seed the vertex side and its extension, which
+    # then need about one iteration, and their face averages the face side
+    m = spheroid_mesh(4)
+    solves = []
+    seeded, _ = oneform_spectrum_hodge_split(m, 16, 1e-6, _scalar_spectrum(m),
+                                             solves=solves)
     A2, B2 = verify.face_pencil(m)
     cold_face = spectral.solve_lowest(A2, B2, 9, 1e-6, seed=0,
                                       known_kernel=np.ones(m.n_faces),
