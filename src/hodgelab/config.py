@@ -4,8 +4,8 @@ A RunConfig carries the surface, the analytic field roster, the seed and an
 optional report path; ``default_config()`` reproduces the acceptance setup
 (unit icosphere, level 5, the 11 built-in fields). The eigenpair count and
 every tolerance are frozen constants of :mod:`hodgelab.verify`, not config
-values. JSON round-trips via ``RunConfig.from_json_dict`` /
-``to_json_dict``; CLI flags override fields.
+values. ``RunConfig.from_json_dict`` reads a JSON config file (unknown keys
+are rejected); CLI flags override its fields.
 """
 
 from __future__ import annotations
@@ -82,22 +82,6 @@ class RunConfig:
                 raise ConfigError(f"field {spec.name}: missing parameter {exc}") from exc
             except (ConfigError, field_mod.FieldError, TypeError, ValueError) as exc:
                 raise ConfigError(f"field {spec.name}: {exc}") from exc
-
-    def to_json_dict(self) -> dict:
-        surf = {"kind": self.surface.kind, "level": self.surface.level}
-        if self.surface.kind == "icosphere":
-            surf["radius"] = self.surface.radius
-        else:
-            surf["a"] = self.surface.a
-            surf["c"] = self.surface.c
-        return {
-            "surface": surf,
-            "fields": [
-                {"name": f.name, "kind": f.kind, **f.parameters} for f in self.fields
-            ],
-            "seed": self.seed,
-            "report_path": self.report_path,
-        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":

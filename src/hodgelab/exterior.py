@@ -2,10 +2,16 @@
 
 A ``Cochain`` is a discrete one-form: the integrals of a smooth one-form over
 the oriented edges (de Rham map). The coboundary operators d0 and d1 are
-exact integer matrices, so the identity d1 @ d0 = 0 holds at integer
-precision. Hodge stars are diagonal: barycentric lumped areas on vertices,
-cotangent weights (cot a + cot b)/2 on edges, inverse face areas on faces.
-Laplacians are assembled in weak form against these diagonal masses.
+exact integer csr matrices, so the identity d1 @ d0 = 0 holds at integer
+precision. Hodge stars are diagonal: barycentric lumped areas on vertices
+(star0), cotangent weights (cot a + cot b)/2 on edges (``star1_values``),
+inverse face areas on faces (star2). This module owns the three weak-form
+pencils, each a ``SparseOperator`` pair (stiffness, diagonal mass):
+``laplacian0`` on vertices, ``laplacian1`` on edges and ``laplacian2`` on
+faces, and the two maps the one-form stiffness is built from:
+``exact_map`` (star1 d0 star0^-1) and ``coexact_map`` (d1^T star2), with
+A1 = coexact_map d1 + exact_map d0^T star1. The same two maps send a vertex-
+or face-pencil residual to the residual of its one-form against (A1, B1).
 """
 
 from __future__ import annotations
@@ -46,69 +52,51 @@ class Cochain:
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """Sparse bilinear operator; ``symmetric`` asserts exact A == A^T."""
+    """Matrix of a symmetric pencil; construction asserts exact A == A^T."""
 
     matrix: sp.csr_matrix
-    symmetric: bool = False
 
     def __post_init__(self):
         m = sp.csr_matrix(self.matrix)
         m.sum_duplicates()
-        if self.symmetric:
-            skew = (m - m.T).tocoo()
-            scale = np.abs(m.data).max() if m.nnz else 0.0
-            if skew.nnz and np.abs(skew.data).max() > 1e-12 * max(scale, 1.0):
-                raise ExteriorError("operator flagged symmetric is not")
-            if skew.nnz:
-                # remove rounding asymmetry from sparse matmul exactly
-                m = ((m + m.T) * 0.5).tocsr()
+        skew = (m - m.T).tocoo()
+        scale = np.abs(m.data).max() if m.nnz else 0.0
+        if skew.nnz and np.abs(skew.data).max() > 1e-12 * max(scale, 1.0):
+            raise ExteriorError("pencil matrix is not symmetric")
+        if skew.nnz:
+            # remove rounding asymmetry from sparse matmul exactly
+            m = ((m + m.T) * 0.5).tocsr()
         object.__setattr__(self, "matrix", m)
 
     @property
     def shape(self):
         return self.matrix.shape
 
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
 
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-
-def d0(mesh: TriangleMesh) -> SparseOperator:
+def d0(mesh: TriangleMesh) -> sp.csr_matrix:
     """Coboundary on 0-cochains: row per canonical edge (i, j), -1 at i, +1 at j."""
     return mesh.memoized("d0", lambda: _build_d0(mesh))
 
 
-def _build_d0(mesh: TriangleMesh) -> SparseOperator:
+def _build_d0(mesh: TriangleMesh) -> sp.csr_matrix:
     ne = mesh.n_edges
     rows = np.repeat(np.arange(ne), 2)
     cols = mesh.edges.reshape(-1)
     vals = np.tile(np.array([-1.0, 1.0]), ne)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(ne, mesh.n_vertices))
-    return SparseOperator(mat)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(ne, mesh.n_vertices))
 
 
-def d1(mesh: TriangleMesh) -> SparseOperator:
+def d1(mesh: TriangleMesh) -> sp.csr_matrix:
     """Coboundary on 1-cochains: +-1 per boundary edge of each face."""
     return mesh.memoized("d1", lambda: _build_d1(mesh))
 
 
-def _build_d1(mesh: TriangleMesh) -> SparseOperator:
+def _build_d1(mesh: TriangleMesh) -> sp.csr_matrix:
     nf = mesh.n_faces
     rows = np.repeat(np.arange(nf), 3)
     cols = mesh.face_edges.reshape(-1)
     vals = mesh.face_edge_signs.reshape(-1).astype(float)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(nf, mesh.n_edges))
-    return SparseOperator(mat)
-
-
-def star0(mesh: TriangleMesh) -> SparseOperator:
-    """Diagonal vertex mass: barycentric lumped areas (always positive)."""
-    areas = mesh.vertex_areas()
-    if (areas <= 0).any():
-        raise ExteriorError("vertex with nonpositive lumped area")
-    return SparseOperator(sp.diags(areas).tocsr(), symmetric=True)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(nf, mesh.n_edges))
 
 
 def _cotangents(mesh: TriangleMesh) -> np.ndarray:
@@ -121,16 +109,12 @@ def _cotangents(mesh: TriangleMesh) -> np.ndarray:
     return dot / cross
 
 
-def star1(mesh: TriangleMesh) -> SparseOperator:
+def star1_values(mesh: TriangleMesh) -> np.ndarray:
     """Diagonal edge star: (cot a + cot b)/2 over the two opposite angles.
 
     Negative entries are permitted here; consumers that need an SPD edge mass
     (the 1-form Laplacian) must check positivity themselves.
     """
-    return SparseOperator(sp.diags(star1_values(mesh)).tocsr(), symmetric=True)
-
-
-def star1_values(mesh: TriangleMesh) -> np.ndarray:
     return mesh.memoized("star1_values", lambda: _build_star1_values(mesh))
 
 
@@ -143,29 +127,53 @@ def _build_star1_values(mesh: TriangleMesh) -> np.ndarray:
     return vals
 
 
+def exact_map(mesh: TriangleMesh):
+    """star1 d0 star0^-1: the exact half of A1 is exact_map @ d0^T star1.
+
+    It sends a vertex-pencil residual A0 u - lam B0 u to the residual
+    A1 w - lam B1 w of the exact one-form w = d0 u, because d1 d0 = 0
+    removes the other half of A1.
+    """
+    return (sp.diags(star1_values(mesh)) @ d0(mesh)
+            @ sp.diags(1.0 / mesh.vertex_areas()))
+
+
+def coexact_map(mesh: TriangleMesh):
+    """d1^T star2: the coexact half of A1 is coexact_map @ d1.
+
+    It sends a face-pencil residual A2 g - lam B2 g to the residual
+    A1 w - lam B1 w of the coexact one-form w = star1^-1 d1^T g, because
+    d0^T d1^T = 0 removes the other half of A1 and B2 = star2^-1.
+    """
+    return d1(mesh).T @ sp.diags(1.0 / mesh.face_areas())
+
+
 def laplacian0(mesh: TriangleMesh):
     """Weak-form 0-form Hodge Laplacian pair (A, B).
 
     A = d0^T star1 d0 (symmetric positive semidefinite, constants in the
-    kernel), B = star0 (SPD diagonal mass). Generalized pencil for the
-    scalar spectrum.
+    kernel), B = star0, the barycentric lumped vertex areas (SPD diagonal
+    mass). Generalized pencil for the scalar spectrum.
     """
     return mesh.memoized("laplacian0", lambda: _build_laplacian0(mesh))
 
 
 def _build_laplacian0(mesh: TriangleMesh):
-    D0 = d0(mesh).matrix
+    D0 = d0(mesh)
     S1 = sp.diags(star1_values(mesh))
     A = (D0.T @ S1 @ D0).tocsr()
-    B = star0(mesh)
-    return SparseOperator(A, symmetric=True), B
+    areas = mesh.vertex_areas()
+    if (areas <= 0).any():
+        raise ExteriorError("vertex with nonpositive lumped area")
+    return SparseOperator(A), SparseOperator(sp.diags(areas).tocsr())
 
 
 def laplacian1(mesh: TriangleMesh):
     """Weak-form 1-form Hodge Laplacian pair (A, B).
 
-    A = d1^T star2 d1 + star1 d0 star0^-1 d0^T star1, B = star1. Requires all
-    star1 entries positive so that B is SPD.
+    A = coexact_map d1 + exact_map d0^T star1, i.e. d1^T star2 d1 +
+    star1 d0 star0^-1 d0^T star1, and B = star1. Requires all star1 entries
+    positive so that B is SPD.
     """
     return mesh.memoized("laplacian1", lambda: _build_laplacian1(mesh))
 
@@ -178,15 +186,22 @@ def _build_laplacian1(mesh: TriangleMesh):
             f"mesh quality insufficient for 1-form mass ({bad} nonpositive "
             "edge star entries)"
         )
-    D0 = d0(mesh).matrix
-    D1 = d1(mesh).matrix
     S1 = sp.diags(s1)
-    S2 = sp.diags(1.0 / mesh.face_areas())
-    inv_s0 = sp.diags(1.0 / mesh.vertex_areas())
-    curl = D1.T @ S2 @ D1
-    div = S1 @ D0 @ inv_s0 @ D0.T @ S1
-    A = (curl + div).tocsr()
-    return SparseOperator(A, symmetric=True), star1(mesh)
+    A = coexact_map(mesh) @ d1(mesh) + exact_map(mesh) @ d0(mesh).T @ S1
+    return SparseOperator(A.tocsr()), SparseOperator(S1.tocsr())
+
+
+def laplacian2(mesh: TriangleMesh):
+    """Face pencil (A2, B2) = (d1 star1^-1 d1^T, diag(face areas)).
+
+    Its eigenpairs (lambda, g) map through star1^-1 d1^T to the coexact
+    one-form eigenpairs; its kernel is the constants. Not memoized: only the
+    Hodge split solves it.
+    """
+    D1 = d1(mesh)
+    # each off-diagonal entry is one product, so A2 is exactly symmetric
+    A2 = SparseOperator((D1 @ sp.diags(1.0 / star1_values(mesh)) @ D1.T).tocsr())
+    return A2, SparseOperator(sp.diags(mesh.face_areas()).tocsr())
 
 
 def codifferential_norm(mesh: TriangleMesh, omega: Cochain):
@@ -201,11 +216,11 @@ def codifferential_norm(mesh: TriangleMesh, omega: Cochain):
     norm_w = float(np.sqrt(w @ (s1 * w)))
     if norm_w == 0.0:
         raise ExteriorError("cannot normalize zero form")
-    D0 = d0(mesh).matrix
+    D0 = d0(mesh)
     areas_v = mesh.vertex_areas()
     x = (D0.T @ (s1 * w)) / areas_v
     norm_dstar = float(np.sqrt(x @ (areas_v * x))) / norm_w
-    D1 = d1(mesh).matrix
+    D1 = d1(mesh)
     y = D1 @ w
     norm_d = float(np.sqrt(y @ (y / mesh.face_areas()))) / norm_w
     return norm_dstar, norm_d

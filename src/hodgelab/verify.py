@@ -13,19 +13,21 @@ checks fail, and the report is still emitted. The report is a stable-keyed
 JSON document.
 
 One-form spectra on genus-0 surfaces are computed through the exact discrete
-Hodge split: eigenpairs of the vertex pencil map to exact one-form eigenpairs
-through d0, and eigenpairs of the face pencil (d1 star1^-1 d1^T against face
-areas) map to coexact ones through star1^-1 d1^T; with b1 = 0 nothing else
-exists. Every split starts from the scalar spectrum (``scalar_spectrum``),
-whose nonkernel eigenvectors seed both sides: as they are on the vertex side
-(which then converges in about one iteration) and averaged over each face's
-corners on the face side. A side's residual maps to its one-form's residual
-through a fixed linear map, so each side stops on the one-form residual
-itself; every merged pair's residual against the true one-form pencil must
-then meet the solver tolerance, or the split fails. The pairs carry an
-exact/coexact tag used by the multiplicity records. Both vertex-pencil solves
-pass the mesh's subdivision hierarchy, so they run the multigrid
-preconditioner; the face pencil runs the LU.
+Hodge split: eigenpairs of the vertex pencil (``exterior.laplacian0``) map
+to exact one-form eigenpairs through d0, and eigenpairs of the face pencil
+(``exterior.laplacian2``, d1 star1^-1 d1^T against face areas) map to
+coexact ones through star1^-1 d1^T; with b1 = 0 nothing else exists. Every
+split starts from the scalar spectrum (``scalar_spectrum``), whose nonkernel
+eigenvectors seed both sides: as they are on the vertex side (which then
+converges in about one iteration) and averaged over each face's corners on
+the face side. A side's residual maps to its one-form's residual through
+``exterior.exact_map`` or ``exterior.coexact_map``, the two maps A1 is built
+from, so each side stops on the one-form residual itself; every merged
+pair's residual against the true one-form pencil must then meet the solver
+tolerance, or the split fails. The pairs carry an exact/coexact tag used by
+the multiplicity records. Both vertex-pencil solves pass the mesh's
+subdivision hierarchy, so they run the multigrid preconditioner; the face
+pencil runs the LU.
 ``report["run"]["solves"]`` records every solve: its pencil, size,
 tolerance, preconditioner, block width, iterations, largest residual,
 whether it was seeded and why it ran.
@@ -46,7 +48,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import curvature as curvature_mod
 from . import exterior, fields as fields_mod, mesh as mesh_mod, sphere_oracle
@@ -157,38 +158,13 @@ def discrete_identity_residual(mesh: mesh_mod.TriangleMesh, omega: exterior.Coch
     A1, _ = exterior.laplacian1(mesh)
     w = omega.values
     s1 = exterior.star1_values(mesh)
-    D0 = exterior.d0(mesh).matrix
+    D0 = exterior.d0(mesh)
     dd_weak = s1 * (D0 @ ((D0.T @ (s1 * w)) / mesh.vertex_areas()))
     K = curvature_mod.angle_defect_curvature(mesh).per_vertex_K
     ric_w = curvature_mod.ricci_apply(mesh, K, omega).values
     delta_w = A1.matrix @ w
     residual = delta_w - 2.0 * (s1 * ric_w) - coeff * dd_weak
     return float(abs(w @ residual) / (w @ delta_w))
-
-
-def face_pencil(mesh: mesh_mod.TriangleMesh):
-    """(A2, B2) = (D1 star1^-1 D1^T, diag(face areas)): the coexact side.
-
-    Its eigenpairs (lambda, g) map through star1^-1 D1^T to the coexact
-    one-form eigenpairs; its kernel is the constants.
-    """
-    s1 = exterior.star1_values(mesh)
-    D1 = exterior.d1(mesh).matrix
-    # each off-diagonal entry is one product, so A2 is exactly symmetric
-    A2 = exterior.SparseOperator((D1 @ sp.diags(1.0 / s1) @ D1.T).tocsr(),
-                                 symmetric=True)
-    B2 = exterior.SparseOperator(sp.diags(mesh.face_areas()).tocsr(), symmetric=True)
-    return A2, B2
-
-
-def face_residual_map(mesh: mesh_mod.TriangleMesh):
-    """d1^T star2: sends a face-pencil residual A2 g - lam B2 g to the
-    residual A1 w - lam B1 w of its coexact one-form w = star1^-1 d1^T g.
-
-    The star1 d0 star0^-1 d0^T star1 half of A1 vanishes on w (d0^T d1^T = 0),
-    and B2 = star2^-1.
-    """
-    return exterior.d1(mesh).matrix.T @ sp.diags(1.0 / mesh.face_areas())
 
 
 def _face_average(mesh: mesh_mod.TriangleMesh, basis: np.ndarray) -> np.ndarray:
@@ -209,16 +185,18 @@ class _SplitSide:
     """One pencil of the Hodge split and the state of its solve.
 
     ``to_oneform`` maps an eigenvector of the pencil to a one-form of the
-    same eigenvalue (before normalization). ``residual_map`` sends the
-    pencil's residual A x - lambda B x to that one-form's residual against
-    (A1, B1), and the side's solves stop on the mapped residual. ``why`` is
+    same eigenvalue (before normalization). ``residual_map`` builds, from the
+    mesh, the matrix that sends the pencil's residual A x - lambda B x to that
+    one-form's residual against (A1, B1) (``exterior.exact_map`` or
+    ``exterior.coexact_map``); each solve builds it afresh and stops on the
+    mapped residual, so no map outlives its solve. ``why`` is
     the reason the side must be solved next ("first" or "extension"), or
     None while its ``result`` stands.
     """
 
-    def __init__(self, label, pencil, to_oneform, residual_map, exact, m, start,
+    def __init__(self, label, mesh, pencil, to_oneform, residual_map, exact, m, start,
                  hierarchy=None):
-        self.label, self.pencil, self.to_oneform = label, pencil, to_oneform
+        self.label, self.mesh, self.pencil, self.to_oneform = label, mesh, pencil, to_oneform
         self.residual_map, self.exact, self.m, self.start = residual_map, exact, m, start
         self.hierarchy = hierarchy
         self.result = None
@@ -230,7 +208,7 @@ class _SplitSide:
         self.result = solve_lowest(A, B, min(self.m, n), tol, seed=seed,
                                    known_kernel=np.ones(n), start=self.start,
                                    hierarchy=self.hierarchy,
-                                   residual_map=self.residual_map)
+                                   residual_map=self.residual_map(self.mesh))
         if solves is not None:
             solves.append(_solve_record(self.label, self.why, self.result, tol))
         self.why = None
@@ -278,9 +256,10 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
 
     ``scalar``: the mesh's ``scalar_spectrum``. Its nonkernel eigenvectors
     seed every vertex-side solve, and their face averages every face-side
-    solve. It needs ``m // 2 + 2`` pairs, or all of them: one beyond the first
-    vertex-side solve's ``m // 2 + 1`` seeds its window estimate, which an
-    unseeded column could overstate and so hide eigenvalues from the merge.
+    solve. It needs ``max(m // 2 + 2, 3)`` pairs, or all of them: one beyond
+    the first vertex-side solve's ``max(m // 2 + 1, 2)`` seeds its window
+    estimate, which an unseeded column could overstate and so hide
+    eigenvalues from the merge.
 
     ``solves``: optional list; each side solve appends its ``run.solves``
     record to it as it ends, so the records survive a split that raises.
@@ -289,19 +268,19 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
         raise VerifyError(f"m={m}: the Hodge split needs at least one pair")
     A1, _ = exterior.laplacian1(mesh)
     s1 = exterior.star1_values(mesh)
-    D0 = exterior.d0(mesh).matrix
-    D1 = exterior.d1(mesh).matrix
+    D0 = exterior.d0(mesh)
+    D1 = exterior.d1(mesh)
     start = scalar.eigenvectors[:, scalar.eigenvalues > KERNEL_FLOOR]
 
-    # each side stops on the one-form residual of its pairs: the map sends a
-    # side residual to it (on the vertex side, d1 d0 = 0 removes the other
-    # half of A1 and A1 d0 u - lam B1 d0 u = star1 d0 star0^-1 (A0 u - lam B0 u))
-    m_side = m // 2 + 1
-    vert = _SplitSide("vertex side", exterior.laplacian0(mesh), lambda u: D0 @ u,
-                      sp.diags(s1) @ D0 @ sp.diags(1.0 / mesh.vertex_areas()),
-                      True, m_side, start, mesh.vertex_prolongations())
-    face = _SplitSide("face side", face_pencil(mesh), lambda g: (D1.T @ g) / s1,
-                      face_residual_map(mesh), False, m_side, _face_average(mesh, start))
+    # each side stops on the one-form residual of its pairs, which the
+    # side's exterior map sends its own residual to; every side solves at
+    # least one nonkernel pair, so each bounds the merge with a window
+    m_side = max(m // 2 + 1, 2)
+    vert = _SplitSide("vertex side", mesh, exterior.laplacian0(mesh), lambda u: D0 @ u,
+                      exterior.exact_map, True, m_side, start, mesh.vertex_prolongations())
+    face = _SplitSide("face side", mesh, exterior.laplacian2(mesh),
+                      lambda g: (D1.T @ g) / s1, exterior.coexact_map, False, m_side,
+                      _face_average(mesh, start))
     for _ in range(SPLIT_PASSES):
         if vert.why is not None:
             vert.solve(tol, seed, solves)

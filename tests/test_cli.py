@@ -130,6 +130,22 @@ def test_spectrum_oneform_small_count_matches_dense(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err == "error: m=0: the Hodge split needs at least one pair\n"
 
 
+@pytest.mark.parametrize("level", [2, 3])
+def test_spectrum_oneform_count_one_matches_dense(level, tmp_path, monkeypatch):
+    # with one requested pair each side of the split still solves one
+    # nonkernel pair, so neither side's window is missing from the merge
+    from hodgelab import cli, exterior, mesh, spectral
+
+    monkeypatch.delenv("HODGELAB_SEED", raising=False)
+    csv = tmp_path / "one.csv"
+    assert cli.main(["spectrum", "--kind", "spheroid", "--level", str(level), "--a", "1",
+                     "--c", "2", "--form", "1", "--count", "1", "--seed", "0",
+                     "--out", str(csv)]) == 0
+    values = [float(line.split(",")[1]) for line in csv.read_text().strip().splitlines()[1:]]
+    pencil = exterior.laplacian1(mesh.build_spheroid(level, 1.0, 2.0))
+    np.testing.assert_allclose(values, spectral.dense_reference(*pencil, 1), rtol=1e-9)
+
+
 def test_spectrum_invalid_form():
     proc = run_cli("spectrum", "--kind", "icosphere", "--level", "1",
                    "--form", "3")
@@ -370,13 +386,11 @@ def test_readme_examples_parse():
 def test_runconfig_roundtrip():
     from hodgelab.config import RunConfig, default_config
 
-    cfg = default_config()
-    back = RunConfig.from_json_dict(cfg.to_json_dict())
-    assert back.surface == cfg.surface
-    assert back.seed == cfg.seed
-    assert back.report_path == cfg.report_path
-    assert len(back.fields) == 11
-    assert [f.name for f in back.fields] == [f.name for f in cfg.fields]
+    data = {"surface": {"kind": "icosphere", "level": 5, "radius": 1.0},
+            "seed": 0, "report_path": None}
+    assert RunConfig.from_json_dict(data) == default_config()
+    back = RunConfig.from_json_dict({**data, "fields": []})
+    assert back.fields == () and back.surface == default_config().surface
 
 
 @given(kind=st.sampled_from(["icosphere", "spheroid"]), level=st.integers(0, 8),
@@ -391,10 +405,16 @@ def test_runconfig_json_roundtrip_property(kind, level, size, seed, n_fields,
 
     surface = (SurfaceSpec(kind, level, radius=size) if kind == "icosphere"
                else SurfaceSpec(kind, level, a=size, c=2.0))
-    cfg = RunConfig(surface=surface, fields=builtin_fields()[:n_fields], seed=seed,
-                    report_path=report_path)
-    # every key to_json_dict writes is one from_json_dict accepts
-    assert RunConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict()))) == cfg
+    fields = builtin_fields()[:n_fields]
+    expected = RunConfig(surface=surface, fields=fields, seed=seed,
+                         report_path=report_path)
+    surf = ({"kind": kind, "level": level, "radius": size} if kind == "icosphere"
+            else {"kind": kind, "level": level, "a": size, "c": 2.0})
+    data = {"surface": surf,
+            "fields": [{"name": f.name, "kind": f.kind, **f.parameters} for f in fields],
+            "seed": seed, "report_path": report_path}
+    # every key of a written config survives a JSON text round trip
+    assert RunConfig.from_json_dict(json.loads(json.dumps(data))) == expected
 
 
 def test_convergence_failure_prints_iterations(monkeypatch, capsys):

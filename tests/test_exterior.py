@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from hodgelab import exterior, mesh
@@ -10,10 +11,9 @@ from hodgelab.exterior import (
     codifferential_norm,
     d0,
     d1,
+    exact_map,
     laplacian0,
     laplacian1,
-    star0,
-    star1,
     star1_values,
 )
 
@@ -30,13 +30,13 @@ def test_d0_shape_and_rows(sphere_mesh):
 
 def test_d0_of_constant(sphere_mesh):
     m = sphere_mesh(2)
-    assert np.all(d0(m).matrix @ np.ones(m.n_vertices) == 0)
+    assert np.all(d0(m) @ np.ones(m.n_vertices) == 0)
 
 
 def test_d0_of_coordinate(sphere_mesh):
     m = sphere_mesh(1)
     z = m.vertices[:, 2]
-    vals = d0(m).matrix @ z
+    vals = d0(m) @ z
     expected = z[m.edges[:, 1]] - z[m.edges[:, 0]]
     assert np.array_equal(vals, expected)
 
@@ -57,7 +57,7 @@ def test_d1_shape_and_rows(sphere_mesh):
 ])
 def test_d1_d0_zero_exactly(build):
     m = build()
-    prod = d1(m).matrix @ d0(m).matrix
+    prod = d1(m) @ d0(m)
     assert prod.nnz == 0 or np.abs(prod.data).max() == 0.0
 
 
@@ -65,19 +65,19 @@ def test_d1_d0_zero_exactly(build):
 @settings(max_examples=20, deadline=None)
 def test_d1_d0_zero_exactly_drawn(a, c, level):
     m = mesh.build_spheroid(level, a, c)
-    prod = d1(m).matrix @ d0(m).matrix
+    prod = d1(m) @ d0(m)
     assert prod.nnz == 0 or np.abs(prod.data).max() == 0.0
 
 
 def test_star0_partitions_area(sphere_mesh):
     m = sphere_mesh(2)
-    diag = star0(m).diagonal()
+    diag = laplacian0(m)[1].matrix.diagonal()
     assert (diag > 0).all()
     assert abs(diag.sum() - m.face_areas().sum()) < 1e-12
 
 
 def test_star0_converges_to_sphere_area(sphere_mesh):
-    total = star0(sphere_mesh(5)).diagonal().sum()
+    total = laplacian0(sphere_mesh(5))[1].matrix.diagonal().sum()
     assert abs(total - 4 * np.pi) / (4 * np.pi) < 1e-3
 
 
@@ -171,7 +171,7 @@ def test_codifferential_norm_classifies(sphere_mesh):
 def test_codifferential_norm_exact_gradient(sphere_mesh):
     m = sphere_mesh(3)
     f = m.vertices[:, 0] - 2 * m.vertices[:, 2]
-    w = Cochain(d0(m).matrix @ f)
+    w = Cochain(d0(m) @ f)
     nd, nw = codifferential_norm(m, w)
     assert nw < 1e-12
     assert nd > 0.1
@@ -192,10 +192,47 @@ def test_cochain_validation(sphere_mesh):
         c.check_mesh(m)
 
 
-def test_sparse_operator_symmetry_flag():
-    import scipy.sparse as sp
-
+def test_sparse_operator_rejects_asymmetric_matrix():
     asym = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ExteriorError):
-        SparseOperator(asym, symmetric=True)
-    SparseOperator(asym)  # fine without the flag
+    with pytest.raises(ExteriorError, match="not symmetric"):
+        SparseOperator(asym)
+    # rounding-level asymmetry is removed exactly
+    near = sp.csr_matrix(np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]]))
+    op = SparseOperator(near)
+    assert (op.matrix != op.matrix.T).nnz == 0
+
+
+def test_coboundaries_are_csr(spheroid_mesh):
+    m = spheroid_mesh(2)
+    assert sp.isspmatrix_csr(d0(m)) and sp.isspmatrix_csr(d1(m))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mesh.build_icosphere(3, 2.0),
+    lambda: mesh.build_spheroid(4, 1.0, 2.0),
+])
+def test_laplacian1_stiffness_is_the_inline_formula(build):
+    # the maps add the two halves in the order and sparse formats of the
+    # inline d1^T star2 d1 + star1 d0 star0^-1 d0^T star1, bit for bit
+    m = build()
+    D0, D1 = d0(m), d1(m)
+    S1 = sp.diags(star1_values(m))
+    curl = D1.T @ sp.diags(1.0 / m.face_areas()) @ D1
+    div = S1 @ D0 @ sp.diags(1.0 / m.vertex_areas()) @ D0.T @ S1
+    inline = SparseOperator((curl + div).tocsr()).matrix
+    A1 = laplacian1(m)[0].matrix
+    for got, want in [(A1.indptr, inline.indptr), (A1.indices, inline.indices),
+                      (A1.data, inline.data)]:
+        assert np.array_equal(got, want)
+
+
+def test_exact_map_measures_the_exact_one_forms(rng, spheroid_mesh):
+    # A1 d0 U = exact_map A0 U, because d1 d0 = 0, and B1 d0 U = exact_map B0 U:
+    # the vertex-side twin of the face side's coexact_map identity
+    m = spheroid_mesh(4)
+    U = rng.standard_normal((m.n_vertices, 5))
+    M = exact_map(m)
+    for vertex_op, edge_op in zip(laplacian0(m), laplacian1(m)):
+        lhs = edge_op.matrix @ (d0(m) @ U)
+        rhs = M @ (vertex_op.matrix @ U)
+        assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lhs).max()

@@ -105,7 +105,7 @@ def test_sampling_gradient_matches_d0(sphere_mesh):
     grad = ConformalGradient([0, 0, 1], m.source)
     w = sample_oneform(grad, m).values
     f = m.vertices[:, 2]
-    d0f = exterior.d0(m).matrix @ f
+    d0f = exterior.d0(m) @ f
     assert np.abs(w - d0f).max() < 1e-6
 
 

@@ -273,9 +273,9 @@ def full_size_solve(request, scalar_pair_factory, sphere_mesh, spheroid_mesh):
         if request.param == "scalar-l5-multigrid":
             hierarchy = sphere_mesh(5).vertex_prolongations()
     else:
-        A, B = verify.face_pencil(spheroid_mesh(4))
+        A, B = exterior.laplacian2(spheroid_mesh(4))
         m, tol = 9, 1e-6
-        residual_map = verify.face_residual_map(spheroid_mesh(4))
+        residual_map = exterior.coexact_map(spheroid_mesh(4))
     result = solve_lowest(A, B, m, tol, seed=1, known_kernel=np.ones(A.shape[0]),
                           maxiter=FULL_SIZE_MAXITER, hierarchy=hierarchy,
                           residual_map=residual_map)
@@ -422,7 +422,7 @@ def test_converged_start_returns_at_once(scalar_pair_factory, sphere_mesh):
 
 def _transformed(A, B):
     """(B^-1/2 A B^-1/2, sqrt(b)): the standard problem the solver iterates on."""
-    s = np.sqrt(B.diagonal())
+    s = np.sqrt(B.matrix.diagonal())
     return (sp.diags(1.0 / s) @ A.matrix @ sp.diags(1.0 / s)).tocsr(), s
 
 
@@ -498,13 +498,13 @@ def test_residual_map_measures_the_mapped_one_forms(spheroid_mesh):
     # with the face map, the solver stops on and returns the residuals of the
     # coexact one-forms w = star1^-1 d1^T g against (A1, B1)
     m = spheroid_mesh(4)
-    A2, B2 = verify.face_pencil(m)
+    A2, B2 = exterior.laplacian2(m)
     kernel = np.ones(m.n_faces)
     tol = 1e-6
     result = solve_lowest(A2, B2, 9, tol, seed=0, known_kernel=kernel,
-                          residual_map=verify.face_residual_map(m))
+                          residual_map=exterior.coexact_map(m))
     A1, B1 = exterior.laplacian1(m)
-    W = (exterior.d1(m).matrix.T @ result.eigenvectors[:, 1:]) / B1.diagonal()[:, None]
+    W = (exterior.d1(m).T @ result.eigenvectors[:, 1:]) / B1.matrix.diagonal()[:, None]
     BW = B1.matrix @ W
     oneform = (np.linalg.norm(A1.matrix @ W - BW * result.eigenvalues[1:], axis=0)
                / np.linalg.norm(BW, axis=0))
@@ -522,7 +522,7 @@ def test_no_residual_map_keeps_the_weighted_norm(monkeypatch, spheroid_mesh):
     # without a map the Gram operator is diag(b), whose norm is the diagonal
     # weighted norm the solver used before maps existed: the solve is
     # bit-identical under it
-    A2, B2 = verify.face_pencil(spheroid_mesh(4))
+    A2, B2 = exterior.laplacian2(spheroid_mesh(4))
     kernel = np.ones(A2.shape[0])
     result = solve_lowest(A2, B2, 9, 1e-6, seed=0, known_kernel=kernel)
 

@@ -184,10 +184,10 @@ def test_seeded_hodge_split_matches_eigsh(spheroid_mesh, spheroid_l4_reference):
     solves = []
     seeded, _ = oneform_spectrum_hodge_split(m, 16, 1e-6, _scalar_spectrum(m),
                                              solves=solves)
-    A2, B2 = verify.face_pencil(m)
+    A2, B2 = exterior.laplacian2(m)
     cold_face = spectral.solve_lowest(A2, B2, 9, 1e-6, seed=0,
                                       known_kernel=np.ones(m.n_faces),
-                                      residual_map=verify.face_residual_map(m))
+                                      residual_map=exterior.coexact_map(m))
     its = _iterations(solves)
     assert list(its) == [("vertex side", "first"), ("face side", "first"),
                          ("vertex side", "extension")]
