@@ -142,7 +142,7 @@ def _lowest_eigenpairs(built, args, seed: int):
     """The ``args.count`` lowest eigenpairs of the degree-``args.form`` Laplacian."""
     if args.form == 0:
         return verify_mod.scalar_spectrum(built, args.count, args.tol, seed=seed)
-    pairs = max(args.count, args.count // 2 + 2, 3)  # the split's minimum, see its docstring
+    pairs = max(args.count, 4)  # the split's minimum, see its docstring
     scalar = verify_mod.scalar_spectrum(built, min(pairs, built.n_vertices),
                                         args.tol, seed=seed)
     return verify_mod.oneform_spectrum_hodge_split(built, args.count, args.tol, scalar,

@@ -17,10 +17,13 @@ Hodge split: eigenpairs of the vertex pencil (``exterior.laplacian0``) map
 to exact one-form eigenpairs through d0, and eigenpairs of the face pencil
 (``exterior.laplacian2``, d1 star1^-1 d1^T against face areas) map to
 coexact ones through star1^-1 d1^T; with b1 = 0 nothing else exists. Every
-split starts from the scalar spectrum (``scalar_spectrum``), whose nonkernel
-eigenvectors seed both sides: as they are on the vertex side (which then
+split starts from the scalar spectrum (``scalar_spectrum``): its nonkernel
+eigenvalues are the exact spectrum below its window, and its nonkernel
+eigenvectors seed both sides, as they are on the vertex side (which then
 converges in about one iteration) and averaged over each face's corners on
-the face side. A side's residual maps to its one-form's residual through
+the face side. The face side is solved first, and widened while its window
+cuts the merge short; the vertex side is solved once, for the exact pairs
+the merge takes. A side's residual maps to its one-form's residual through
 ``exterior.exact_map`` or ``exterior.coexact_map``, the two maps A1 is built
 from, so each side stops on the one-form residual itself; every merged
 pair's residual against the true one-form pencil must then meet the solver
@@ -75,8 +78,7 @@ MIN_SPECTRAL_LEVEL = 3
 N_DIM = 2  # intrinsic dimension of every built-in surface
 ORACLE_DIMENSIONS = (2, 3, 5)
 ORACLE_RADII = (1.0, 2.0)
-KERNEL_FLOOR = 1e-10  # eigenvalues at or below it belong to a pencil's kernel
-SPLIT_PASSES = 6  # solve rounds of the Hodge split: the first and its window extensions
+SPLIT_PASSES = 6  # face-side solves of the Hodge split: the first and its extensions
 
 
 class VerifyError(Exception):
@@ -181,50 +183,6 @@ def _face_average(mesh: mesh_mod.TriangleMesh, basis: np.ndarray) -> np.ndarray:
     return average
 
 
-class _SplitSide:
-    """One pencil of the Hodge split and the state of its solve.
-
-    ``to_oneform`` maps an eigenvector of the pencil to a one-form of the
-    same eigenvalue (before normalization). ``residual_map`` builds, from the
-    mesh, the matrix that sends the pencil's residual A x - lambda B x to that
-    one-form's residual against (A1, B1) (``exterior.exact_map`` or
-    ``exterior.coexact_map``); each solve builds it afresh and stops on the
-    mapped residual, so no map outlives its solve. ``why`` is
-    the reason the side must be solved next ("first" or "extension"), or
-    None while its ``result`` stands.
-    """
-
-    def __init__(self, label, mesh, pencil, to_oneform, residual_map, exact, m, start,
-                 hierarchy=None):
-        self.label, self.mesh, self.pencil, self.to_oneform = label, mesh, pencil, to_oneform
-        self.residual_map, self.exact, self.m, self.start = residual_map, exact, m, start
-        self.hierarchy = hierarchy
-        self.result = None
-        self.why = "first"
-
-    def solve(self, tol: float, seed: int, solves):
-        A, B = self.pencil
-        n = A.shape[0]
-        self.result = solve_lowest(A, B, min(self.m, n), tol, seed=seed,
-                                   known_kernel=np.ones(n), start=self.start,
-                                   hierarchy=self.hierarchy,
-                                   residual_map=self.residual_map(self.mesh))
-        if solves is not None:
-            solves.append(_solve_record(self.label, self.why, self.result, tol))
-        self.why = None
-
-    def candidates(self):
-        """(eigenvalue, unit one-form, exact flag) per nonkernel pair."""
-        r = self.result
-        return [(float(lam), self.to_oneform(x) / np.sqrt(lam), self.exact)
-                for lam, x in zip(r.eigenvalues, r.eigenvectors.T)
-                if lam > KERNEL_FLOOR]
-
-    def window(self) -> float:
-        estimate = self.result.next_estimate
-        return estimate if estimate is not None else np.inf
-
-
 def _solve_record(pencil: str, why: str, result: SpectrumResult, tol: float) -> dict:
     """One ``run.solves`` entry of the report."""
     return {
@@ -245,6 +203,23 @@ def scalar_spectrum(mesh: mesh_mod.TriangleMesh, m: int, tol: float,
                         hierarchy=mesh.vertex_prolongations())
 
 
+def _window(result: SpectrumResult) -> float:
+    """A solve's ``next_estimate``, or inf when it returned its whole spectrum."""
+    return np.inf if result.next_estimate is None else result.next_estimate
+
+
+def _side_solve(label, why, pencil, m, tol, seed, start, residual_map, solves,
+                hierarchy=None) -> SpectrumResult:
+    """One seeded solve of a Hodge-split pencil, stopped on its one-form residual."""
+    A, B = pencil
+    n = A.shape[0]
+    result = solve_lowest(A, B, min(m, n), tol, seed=seed, known_kernel=np.ones(n),
+                          start=start, hierarchy=hierarchy, residual_map=residual_map)
+    if solves is not None:
+        solves.append(_solve_record(label, why, result, tol))
+    return result
+
+
 def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float,
                                  scalar: SpectrumResult, seed: int = 0, solves=None):
     """One-form spectrum via the exact Hodge split on a genus-0 surface.
@@ -254,56 +229,73 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     against the true one-form pencil (A1, B1) is at most ``tol``, or
     VerifyError names the worst one.
 
-    ``scalar``: the mesh's ``scalar_spectrum``. Its nonkernel eigenvectors
-    seed every vertex-side solve, and their face averages every face-side
-    solve. It needs ``max(m // 2 + 2, 3)`` pairs, or all of them: one beyond
-    the first vertex-side solve's ``max(m // 2 + 1, 2)`` seeds its window
-    estimate, which an unseeded column could overstate and so hide
-    eigenvalues from the merge.
+    ``scalar``: the mesh's ``scalar_spectrum`` with at least ``max(m, 4)``
+    pairs, or all of them. Its nonkernel eigenvalues are the exact one-form
+    spectrum below its window (``next_estimate``), and its nonkernel
+    eigenvectors seed both sides. The face side is solved first and widened
+    until the exact and coexact values below both windows hold the m lowest;
+    if the scalar window is the one that falls short, VerifyError says so.
+    The vertex side is then solved once, for the exact pairs the merge takes.
 
     ``solves``: optional list; each side solve appends its ``run.solves``
     record to it as it ends, so the records survive a split that raises.
     """
     if m < 1:
         raise VerifyError(f"m={m}: the Hodge split needs at least one pair")
-    A1, _ = exterior.laplacian1(mesh)
-    s1 = exterior.star1_values(mesh)
-    D0 = exterior.d0(mesh)
-    D1 = exterior.d1(mesh)
-    start = scalar.eigenvectors[:, scalar.eigenvalues > KERNEL_FLOOR]
+    if scalar.eigenvalues.size < min(max(m, 4), mesh.n_vertices):
+        raise VerifyError(f"the Hodge split of {m} pairs needs max(m, 4) scalar pairs, "
+                          f"got {scalar.eigenvalues.size}")
+    # column 0 of every solve is its deflated kernel, the constants
+    exact = scalar.eigenvalues[1:]
+    start = scalar.eigenvectors[:, 1:]
+    scalar_window = _window(scalar)
 
     # each side stops on the one-form residual of its pairs, which the
-    # side's exterior map sends its own residual to; every side solves at
-    # least one nonkernel pair, so each bounds the merge with a window
-    m_side = max(m // 2 + 1, 2)
-    vert = _SplitSide("vertex side", mesh, exterior.laplacian0(mesh), lambda u: D0 @ u,
-                      exterior.exact_map, True, m_side, start, mesh.vertex_prolongations())
-    face = _SplitSide("face side", mesh, exterior.laplacian2(mesh),
-                      lambda g: (D1.T @ g) / s1, exterior.coexact_map, False, m_side,
-                      _face_average(mesh, start))
+    # side's exterior map sends its own residual to
+    face_pencil = exterior.laplacian2(mesh)
+    face_start = _face_average(mesh, start)
+    m_face, why = max(m // 2 + 1, 2), "first"
     for _ in range(SPLIT_PASSES):
-        if vert.why is not None:
-            vert.solve(tol, seed, solves)
-        if face.why is not None:
-            face.solve(tol, seed, solves)
-        candidates = sorted(vert.candidates() + face.candidates(), key=lambda c: c[0])
-        window = min(vert.window(), face.window())
+        face = _side_solve("face side", why, face_pencil, m_face, tol, seed, face_start,
+                           exterior.coexact_map(mesh), solves)
+        values = np.concatenate([exact, face.eigenvalues[1:]])
+        order = np.argsort(values, kind="stable")
         # ties at the window edge (cut degenerate pairs) are legitimate: any
         # m lowest-with-ties selection is a valid answer
-        if len(candidates) >= m and candidates[m - 1][0] <= window * (1 + 1e-9):
+        if (values.size >= m and values[order[m - 1]]
+                <= min(scalar_window, _window(face)) * (1 + 1e-9)):
             break
-        # only the side whose window limits the merge can hide eigenvalues;
-        # extend that side and keep the other side's solve
-        side = vert if vert.window() <= face.window() else face
-        side.m += max(2, m // 8)
-        side.why = "extension"
+        if scalar_window <= _window(face):
+            raise VerifyError(
+                f"the {exact.size} exact eigenvalues below the scalar window "
+                f"{scalar_window:.6g} do not cover the {m} lowest one-form eigenvalues")
+        m_face += max(2, m // 8)
+        why = "extension"
     else:
         raise VerifyError("Hodge-split window did not cover the requested count")
+    del face_start
 
-    candidates = candidates[:m]
-    vals = np.array([c[0] for c in candidates])
-    vecs = np.stack([c[1] for c in candidates], axis=1)
-    flags = [c[2] for c in candidates]
+    n_exact = int((order[:m] < exact.size).sum())
+    vert = _side_solve("vertex side", "first", exterior.laplacian0(mesh), n_exact + 1, tol,
+                       seed, start, exterior.exact_map(mesh), solves,
+                       mesh.vertex_prolongations())
+
+    # the m lowest of the vertex side's exact and the face side's coexact pairs
+    values = np.concatenate([vert.eigenvalues[1:], face.eigenvalues[1:]])
+    order = np.argsort(values, kind="stable")
+    taken = order[:m]
+    vals = values[taken]
+    flags = taken < n_exact
+    s1 = exterior.star1_values(mesh)
+    D0, D1 = exterior.d0(mesh), exterior.d1(mesh)
+    vecs = np.empty((mesh.n_edges, m))
+    vecs[:, flags] = D0 @ vert.eigenvectors[:, 1 + taken[flags]]
+    vecs[:, ~flags] = (D1.T @ face.eigenvectors[:, 1 + taken[~flags] - n_exact]) / s1[:, None]
+    vecs /= np.sqrt(vals)
+    next_estimate = min(values[order[m]] if values.size > m else np.inf,
+                        _window(vert), _window(face))
+
+    A1, _ = exterior.laplacian1(mesh)
     Bx = vecs * s1[:, None]
     residuals = (np.linalg.norm(A1.matrix @ vecs - Bx * vals, axis=0)
                  / np.linalg.norm(Bx, axis=0))
@@ -316,9 +308,9 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
         eigenvectors=vecs,
         residuals=residuals,
         groups=group_multiplicities(vals),
-        next_estimate=float(window) if np.isfinite(window) else None,
+        next_estimate=float(next_estimate) if np.isfinite(next_estimate) else None,
     )
-    return result, flags
+    return result, flags.tolist()
 
 
 def eigenform_alignment(spectrum: SpectrumResult, A, B, w: np.ndarray):

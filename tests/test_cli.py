@@ -112,10 +112,7 @@ def test_spectrum_oneform_matches_verify(tmp_path, monkeypatch):
 
 
 def test_spectrum_oneform_small_count_matches_dense(tmp_path, monkeypatch, capsys):
-    # --count 2 solves three scalar pairs, one more than the split's first
-    # vertex-side solve wants; seeded with only two, that solve takes its
-    # window estimate from an unseeded column, and the merge drops a copy of
-    # the lowest (triple) eigenvalue
+    # --count 2 solves max(count, 4) = 4 scalar pairs before the split
     from hodgelab import cli, exterior, mesh, spectral
 
     monkeypatch.delenv("HODGELAB_SEED", raising=False)
@@ -132,8 +129,8 @@ def test_spectrum_oneform_small_count_matches_dense(tmp_path, monkeypatch, capsy
 
 @pytest.mark.parametrize("level", [2, 3])
 def test_spectrum_oneform_count_one_matches_dense(level, tmp_path, monkeypatch):
-    # with one requested pair each side of the split still solves one
-    # nonkernel pair, so neither side's window is missing from the merge
+    # with one requested pair the face side still solves one nonkernel pair,
+    # so its window is not missing from the merge
     from hodgelab import cli, exterior, mesh, spectral
 
     monkeypatch.delenv("HODGELAB_SEED", raising=False)
@@ -144,6 +141,25 @@ def test_spectrum_oneform_count_one_matches_dense(level, tmp_path, monkeypatch):
     values = [float(line.split(",")[1]) for line in csv.read_text().strip().splitlines()[1:]]
     pencil = exterior.laplacian1(mesh.build_spheroid(level, 1.0, 2.0))
     np.testing.assert_allclose(values, spectral.dense_reference(*pencil, 1), rtol=1e-9)
+
+
+@pytest.mark.parametrize("surface", [("sphere", 0), ("sphere", 1), ("sphere", 2),
+                                     ("spheroid", 1, 1.0, 2.0), ("spheroid", 2, 1.0, 2.0),
+                                     ("spheroid", 2, 2.0, 1.0)])
+def test_spectrum_oneform_every_count_matches_dense(surface, sphere_mesh, spheroid_mesh):
+    # spectrum --form 1 solves max(count, 4) scalar pairs, then the split; on
+    # small meshes the lowest pairs of a count can all be exact
+    from argparse import Namespace
+
+    from hodgelab import cli, exterior, spectral
+
+    kind, *shape = surface
+    built = sphere_mesh(*shape) if kind == "sphere" else spheroid_mesh(*shape)
+    reference = spectral.dense_reference(*exterior.laplacian1(built), 24)
+    for count in range(1, 25):
+        result = cli._lowest_eigenpairs(built, Namespace(form=1, count=count, tol=1e-6), 0)
+        np.testing.assert_allclose(result.eigenvalues, reference[:count], rtol=1e-9,
+                                   err_msg=f"count {count}")
 
 
 def test_spectrum_invalid_form():

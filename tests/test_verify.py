@@ -158,11 +158,11 @@ def _iterations(solves):
 
 def test_hodge_split_window_extension_matches_eigsh(monkeypatch, spheroid_mesh,
                                                     spheroid_l4_reference):
-    # on the level-4 (1,1,2) spheroid the vertex side's window cuts the merge
-    # short once: the split solves both sides and re-solves the vertex side
-    # over a wider window, three solves in all
+    # for 7 pairs on the level-4 (1,1,2) spheroid the face side's window
+    # cuts the merge short once: the face side grows from 4 to 6 pairs, and
+    # the vertex side is solved once after it, three solves in all
     m = spheroid_mesh(4)
-    scalar = _scalar_spectrum(m)
+    scalar = verify.scalar_spectrum(m, 7, verify.SOLVER_TOL)
     calls = []
     solve = verify.solve_lowest
 
@@ -171,15 +171,15 @@ def test_hodge_split_window_extension_matches_eigsh(monkeypatch, spheroid_mesh,
         return solve(A, B, k, tol, **kwargs)
 
     monkeypatch.setattr(verify, "solve_lowest", counting)
-    split, _ = oneform_spectrum_hodge_split(m, 16, 1e-6, scalar)
-    assert calls == [(m.n_vertices, 9), (m.n_faces, 9), (m.n_vertices, 11)]
-    reference = spheroid_l4_reference
+    split, _ = oneform_spectrum_hodge_split(m, 7, 1e-6, scalar)
+    assert calls == [(m.n_faces, 4), (m.n_faces, 6), (m.n_vertices, 4)]
+    reference = spheroid_l4_reference[:7]
     assert (np.abs(split.eigenvalues - reference) / reference).max() <= 1e-9
 
 
 def test_seeded_hodge_split_matches_eigsh(spheroid_mesh, spheroid_l4_reference):
-    # the scalar eigenvectors seed the vertex side and its extension, which
-    # then need about one iteration, and their face averages the face side
+    # the scalar eigenvectors seed the vertex side, which then needs about
+    # one iteration, and their face averages the face side
     m = spheroid_mesh(4)
     solves = []
     seeded, _ = oneform_spectrum_hodge_split(m, 16, 1e-6, _scalar_spectrum(m),
@@ -189,10 +189,9 @@ def test_seeded_hodge_split_matches_eigsh(spheroid_mesh, spheroid_l4_reference):
                                       known_kernel=np.ones(m.n_faces),
                                       residual_map=exterior.coexact_map(m))
     its = _iterations(solves)
-    assert list(its) == [("vertex side", "first"), ("face side", "first"),
-                         ("vertex side", "extension")]
+    assert list(its) == [("face side", "first"), ("vertex side", "first")]
     assert all(s["seeded"] for s in solves)
-    assert its["vertex side", "first"] <= 2 and its["vertex side", "extension"] <= 2
+    assert its["vertex side", "first"] <= 2
     assert its["face side", "first"] < cold_face.iterations
     reference = spheroid_l4_reference
     assert (np.abs(seeded.eigenvalues - reference) / reference).max() <= 1e-9
@@ -220,10 +219,31 @@ def test_hodge_split_fails_closed_on_a_loose_side(monkeypatch, spheroid_mesh):
         oneform_spectrum_hodge_split(m, 16, tol, _scalar_spectrum(m), solves=solves)
     assert loosened == [tol]
     assert [(s["pencil"], s["why"]) for s in solves] == [
-        ("vertex side", "first"), ("face side", "first"), ("vertex side", "extension")]
+        ("face side", "first"), ("vertex side", "first")]
     worst = float(str(exc.value).split("worst ")[1].rstrip(")"))
     assert worst > tol
-    assert worst == pytest.approx(solves[1]["max_residual"], rel=5e-3)
+    assert worst == pytest.approx(solves[0]["max_residual"], rel=5e-3)
+
+
+def test_hodge_split_next_estimate_keeps_a_computed_pair(spheroid_mesh):
+    # on the level-3 (1,1,3) spheroid the vertex side computes the 17th
+    # one-form eigenvalue, below both windows; next_estimate is that value
+    m = spheroid_mesh(3, 1.0, 3.0)
+    split, _ = oneform_spectrum_hodge_split(m, 16, 1e-6, _scalar_spectrum(m))
+    seventeenth = spectral.dense_reference(*exterior.laplacian1(m), 17)[16]
+    assert split.next_estimate == pytest.approx(seventeenth, rel=1e-9)
+
+
+def test_hodge_split_names_a_short_scalar_spectrum(sphere_mesh):
+    m = sphere_mesh(3)
+    scalar = _scalar_spectrum(m)
+    with pytest.raises(VerifyError, match=r"needs max\(m, 4\) scalar pairs, got 16"):
+        oneform_spectrum_hodge_split(m, 17, 1e-6, scalar)
+    # a scalar window below the merge's 16th value cannot be widened here
+    scalar.next_estimate = float(scalar.eigenvalues[3])
+    with pytest.raises(VerifyError, match=r"the 15 exact eigenvalues below the scalar "
+                                          r"window 1\.9\d* do not cover the 16 lowest"):
+        oneform_spectrum_hodge_split(m, 16, 1e-6, scalar)
 
 
 def test_eigenform_alignment_mixture_oracle(sphere_mesh):
@@ -309,21 +329,22 @@ def test_run_suite_level3_passes(sphere_mesh):
     assert modes["gradient_x"] == "conformal"
     notes = [f["bounds"].get("note") for f in rep["fields"]]
     assert "inconsistent as printed" in notes
-    # one record per solve; the scalar eigenvectors seed both split sides
+    # one record per solve; the scalar eigenvectors seed both split sides,
+    # and the face side is solved before the vertex side
     solves = rep["run"]["solves"]
     assert [(s["pencil"], s["why"], s["seeded"]) for s in solves] == [
-        ("scalar", "first", False), ("vertex side", "first", True),
-        ("face side", "first", True)]
-    assert [s["n"] for s in solves] == [rep["mesh"]["vertices"], rep["mesh"]["vertices"],
-                                        rep["mesh"]["faces"]]
+        ("scalar", "first", False), ("face side", "first", True),
+        ("vertex side", "first", True)]
+    assert [s["n"] for s in solves] == [rep["mesh"]["vertices"], rep["mesh"]["faces"],
+                                        rep["mesh"]["vertices"]]
     assert all(0 < s["max_residual"] <= s["tol"] for s in solves)
-    assert solves[1]["iterations"] <= 2 < solves[0]["iterations"]
+    assert solves[2]["iterations"] <= 2 < solves[0]["iterations"]
     # the vertex pencil runs the V-cycle, the face pencil the LU; the block
     # is the requested pairs plus the padding
     assert [(s["preconditioner"], s["block"]) for s in solves] == [
         ("multigrid", verify.EIGENPAIRS + spectral.BLOCK_PADDING),
-        ("multigrid", solves[1]["m"] + spectral.BLOCK_PADDING),
-        ("lu", solves[2]["m"] + spectral.BLOCK_PADDING)]
+        ("lu", solves[1]["m"] + spectral.BLOCK_PADDING),
+        ("multigrid", solves[2]["m"] + spectral.BLOCK_PADDING)]
     assert rep["spectra"]["oneform"]["max_residual"] <= verify.SOLVER_TOL
 
 
@@ -382,8 +403,8 @@ def test_run_suite_failing_solver_stage(monkeypatch, tmp_path):
 
 
 def test_run_suite_failing_split_keeps_its_solves(monkeypatch, sphere_mesh):
-    # the split raises at its face side; the solves made before that still
-    # reach run.solves
+    # the split raises at its face side, its first solve; the scalar solve
+    # made before it still reaches run.solves
     n_faces = sphere_mesh(3).n_faces
     solve = verify.solve_lowest
 
@@ -396,8 +417,7 @@ def test_run_suite_failing_split_keeps_its_solves(monkeypatch, sphere_mesh):
     rep = run_suite(_level3_config())
     assert rep["failures"] == ["one-form spectrum: face side unavailable"]
     assert rep["checks"]["oneform_spectrum"] is False
-    assert [(s["pencil"], s["why"]) for s in rep["run"]["solves"]] == [
-        ("scalar", "first"), ("vertex side", "first")]
+    assert [(s["pencil"], s["why"]) for s in rep["run"]["solves"]] == [("scalar", "first")]
 
 
 def test_run_suite_failing_field(monkeypatch):
