@@ -75,6 +75,27 @@ def _finite_positive(text: str) -> float:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _levels(text: str) -> list:
+    """``--levels``: comma-separated integers, at least two, none repeated."""
+    try:
+        levels = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated integer list, got {text!r}") from None
+    if len(levels) < 2:
+        raise argparse.ArgumentTypeError("a convergence study needs at least 2 levels")
+    if len(set(levels)) < len(levels):
+        raise argparse.ArgumentTypeError(f"repeated level in {text!r}")
+    return levels
+
+
 def _add_surface_flags(parser):
     parser.add_argument("--kind", choices=["icosphere", "spheroid"], default=None)
     parser.add_argument("--radius", type=float, default=None)
@@ -273,17 +294,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    try:
-        levels = [int(tok) for tok in args.levels.split(",") if tok.strip()]
-    except ValueError:
-        print("error: --levels expects a comma-separated integer list",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if len(levels) < 2:
-        print("error: convergence study needs at least 2 levels", file=sys.stderr)
-        return EXIT_USAGE
-    ordered = sorted(levels)
-    reordered = ordered != levels
+    ordered = sorted(args.levels)
+    reordered = ordered != args.levels
     seed = _seed(args.seed)
     surfaces = [_surface_from_args(args, level) for level in ordered]
     rows = []
@@ -345,12 +357,12 @@ def build_parser() -> _Parser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_conv = sub.add_parser("converge", help="eigenvalue convergence study")
-    p_conv.add_argument("--levels", required=True,
+    p_conv.add_argument("--levels", type=_levels, required=True,
                         help="comma-separated subdivision levels")
     _add_surface_flags(p_conv)
     p_conv.add_argument("--form", type=int, default=0, choices=[0, 1])
     p_conv.add_argument("--count", type=int, default=16)
-    p_conv.add_argument("--target", type=float, default=2.0)
+    p_conv.add_argument("--target", type=_finite, default=2.0)
     p_conv.add_argument("--tol", type=_finite_positive, default=1e-6)
     p_conv.add_argument("--seed", type=int, default=None)
     p_conv.add_argument("--out", default=None, help="CSV output path")

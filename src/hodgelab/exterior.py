@@ -208,7 +208,9 @@ def codifferential_norm(mesh: TriangleMesh, omega: Cochain):
     """Mass-weighted norms (|d* w|, |d w|), both normalized by |w|_star1.
 
     d* w is the 0-cochain star0^-1 d0^T star1 w measured in the star0 norm;
-    d w is the 2-cochain d1 w measured in the star2 norm.
+    d w is the 2-cochain d1 w measured in the star2 norm. Their squares sum
+    to the Rayleigh quotient w.A1 w / w.B1 w of ``laplacian1``, because A1
+    is the sum of the two pairings.
     """
     omega.check_mesh(mesh)
     w = omega.values

@@ -175,14 +175,6 @@ def group_multiplicities(eigenvalues):
     return groups
 
 
-def rayleigh_quotient(A, B, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if not np.any(x):
-        raise SpectralError("Rayleigh quotient of the zero vector")
-    Am, Bm = _as_matrix(A), _as_matrix(B)
-    return float((x @ (Am @ x)) / (x @ (Bm @ x)))
-
-
 def _orthonormalize(V, drop_tol=1e-12):
     """SVQB orthonormalization with rank dropping; returns Q.
 

@@ -37,13 +37,14 @@ whether it was seeded and why it ran.
 
 The per-field ``eigenform_residual`` reported here is a spectral alignment
 residual: the B-weighted spread of the form's eigenvalue content around its
-Rayleigh quotient, measured in the computed eigenbasis (plus a conservative
-tail term). The raw strong-norm residual ||A w - rq(w) B w|| of a sampled
-smooth eigenform is dominated by local consistency noise of the discrete
-operators and does not vanish under refinement, so it cannot say that a
-field is an eigenform; the alignment residual tends to zero for sampled
-eigenforms and stays O(1) when the eigenform hypothesis genuinely fails,
-which is what the hypothesis detector needs.
+Rayleigh quotient |dw|^2 + |d*w|^2 (relative to |w|^2, read from
+``exterior.codifferential_norm``), measured in the computed eigenbasis (plus
+a conservative tail term). The raw strong-norm residual ||A w - rq(w) B w||
+of a sampled smooth eigenform is dominated by local consistency noise of the
+discrete operators and does not vanish under refinement, so it cannot say
+that a field is an eigenform; the alignment residual tends to zero for
+sampled eigenforms and stays O(1) when the eigenform hypothesis genuinely
+fails, which is what the hypothesis detector needs.
 """
 
 from __future__ import annotations
@@ -55,12 +56,7 @@ import numpy as np
 from . import curvature as curvature_mod
 from . import exterior, fields as fields_mod, mesh as mesh_mod, sphere_oracle
 from .config import RunConfig
-from .spectral import (
-    SpectrumResult,
-    group_multiplicities,
-    rayleigh_quotient,
-    solve_lowest,
-)
+from .spectral import SpectrumResult, group_multiplicities, solve_lowest
 
 # Frozen quantitative gates (calibrated at level 5 on the unit icosphere).
 BOUND_REL = 0.02  # bound attainment and round-sphere curvature, relative
@@ -140,15 +136,18 @@ def discrete_identity_residual(mesh: mesh_mod.TriangleMesh, omega: exterior.Coch
     ``which`` is ``"yano_2_2"`` (Delta w = 2 Ric* w + 2/(n+1) d d* w) or
     ``"lichnerowicz_3_2"`` (Delta w = 2 Ric* w - (1 - 2/n) d d* w); with
     n = 2 the latter coefficient vanishes, so that check degenerates to
-    |Delta w - 2 Ric* w|. The identity is assembled in weak form with the
-    exterior operators and the discrete Ricci endomorphism and then paired
-    with w itself, mirroring the integral-formula arguments the identities
-    feed: returned is |<w, lhs - rhs>| / <w, Delta w>. (The pointwise
-    mass-weighted norm of lhs - rhs is dominated by local consistency noise
-    of the diagonal-star operators and does not vanish under refinement even
-    for fields that satisfy the identity exactly; the quadratic pairing
-    converges and still separates the satisfying from the violating field
-    classes by an O(1) margin.)
+    |Delta w - 2 Ric* w|. The identity is paired with w itself, mirroring
+    the integral-formula arguments the identities feed, and each pairing is
+    a norm relative to |w|^2 in the star1 inner product:
+    lambda = <w, Delta w> = |dw|^2 + |d*w|^2 (``exterior.codifferential_norm``),
+    <w, d d* w> = |d*w|^2 and rho = <w, Ric w> with the discrete Ricci
+    endomorphism. Returned is |lambda - 2 rho - c |d*w|^2| / lambda, with c
+    the identity's d d* coefficient.
+    (The pointwise mass-weighted norm of lhs - rhs is dominated by local
+    consistency noise of the diagonal-star operators and does not vanish
+    under refinement even for fields that satisfy the identity exactly; the
+    quadratic pairing converges and still separates the satisfying from the
+    violating field classes by an O(1) margin.)
     """
     if which == "yano_2_2":
         coeff = 2.0 / (N_DIM + 1)
@@ -156,17 +155,12 @@ def discrete_identity_residual(mesh: mesh_mod.TriangleMesh, omega: exterior.Coch
         coeff = -(1.0 - 2.0 / N_DIM)
     else:
         raise VerifyError(f"unknown identity {which!r}")
-    omega.check_mesh(mesh)
-    A1, _ = exterior.laplacian1(mesh)
-    w = omega.values
-    s1 = exterior.star1_values(mesh)
-    D0 = exterior.d0(mesh)
-    dd_weak = s1 * (D0 @ ((D0.T @ (s1 * w)) / mesh.vertex_areas()))
+    nd, nw = exterior.codifferential_norm(mesh, omega)
+    lam_hat = nd * nd + nw * nw
+    s1w = exterior.star1_values(mesh) * omega.values
     K = curvature_mod.angle_defect_curvature(mesh).per_vertex_K
-    ric_w = curvature_mod.ricci_apply(mesh, K, omega).values
-    delta_w = A1.matrix @ w
-    residual = delta_w - 2.0 * (s1 * ric_w) - coeff * dd_weak
-    return float(abs(w @ residual) / (w @ delta_w))
+    rho = (s1w @ curvature_mod.ricci_apply(mesh, K, omega).values) / (s1w @ omega.values)
+    return float(abs(lam_hat - 2.0 * rho - coeff * nd * nd) / lam_hat)
 
 
 def _face_average(mesh: mesh_mod.TriangleMesh, basis: np.ndarray) -> np.ndarray:
@@ -313,23 +307,25 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     return result, flags.tolist()
 
 
-def eigenform_alignment(spectrum: SpectrumResult, A, B, w: np.ndarray):
-    """(lambda_hat, alignment residual) of a one-form against an eigenbasis.
+def eigenform_alignment(spectrum: SpectrumResult, b: np.ndarray, w: np.ndarray,
+                        lam_hat: float) -> float:
+    """Alignment residual of a one-form w against an eigenbasis.
 
-    The residual is the B-weighted RMS distance of the form's eigenvalue
-    content from its Rayleigh quotient, relative to the quotient itself;
+    ``b`` is the diagonal edge mass (``exterior.star1_values``) and
+    ``lam_hat`` the form's Rayleigh quotient, |dw|^2 + |d*w|^2 relative to
+    |w|^2. The residual is the b-weighted RMS distance of the form's
+    eigenvalue content from ``lam_hat``, relative to ``lam_hat`` itself;
     mass outside the computed window is assigned the next-eigenvalue
     estimate (a conservative placement).
     """
-    lam_hat = rayleigh_quotient(A, B, w)
-    Bw = B.matrix @ w
-    wn2 = float(w @ Bw)
-    c = spectrum.eigenvectors.T @ Bw
+    bw = b * w
+    wn2 = float(w @ bw)
+    c = spectrum.eigenvectors.T @ bw
     tail2 = max(wn2 - float(c @ c), 0.0)
     num2 = float(((spectrum.eigenvalues - lam_hat) ** 2) @ (c * c))
     if spectrum.next_estimate is not None:
         num2 += tail2 * max(spectrum.next_estimate - lam_hat, 0.0) ** 2
-    return lam_hat, float(np.sqrt(num2 / wn2) / abs(lam_hat))
+    return float(np.sqrt(num2 / wn2) / abs(lam_hat))
 
 
 def multiplicity_check(spectrum: SpectrumResult, n: int, exact_flags) -> list:
@@ -416,44 +412,38 @@ def _oracle_records(seed: int = 7) -> list:
     differentiated Obata identity, not the full symmetrized system); that
     record is expected "nonzero".
     """
+    so = sphere_oracle
     records = []
-
-    def add(check, n, r, degree, value, expect):
-        ok = value < ORACLE_EXACT_TOL if expect == "zero" else value > ORACLE_LARGE
-        records.append({
-            "check": check, "n": n, "r": r, "degree": degree,
-            "residual": value, "expect": expect, "pass": bool(ok),
-        })
-
     for n in ORACLE_DIMENSIONS:
         for r in ORACLE_RADII:
             sph, f1, f2, rot = oracle_fields(n, r, seed)
+            forms = {"f1": (f1, 1), "f2": (f2, 2), "rot": (rot, None)}  # (field, degree)
             pts = sph.sample_points(seed=seed)
-            obata = max(sphere_oracle.obata_residual(f1, x) for x in pts)
-            add("obata", n, r, 1, obata, "zero")
-            t2 = max(sphere_oracle.tanno_residual(f2, x) for x in pts)
-            add("tanno_k_alpha", n, r, 2, t2, "zero")
-            t1 = max(sphere_oracle.tanno_residual(f1, x) for x in pts)
-            add("tanno_k_alpha", n, r, 1, t1, "nonzero")
-            t2k = max(sphere_oracle.tanno_residual(f2, x, k=2 * sph.alpha) for x in pts)
-            add("tanno_k_mismatch", n, r, 2, t2k, "nonzero")
-            gp = max(sphere_oracle.generalized_tanno_residual(f2, x) for x in pts)
-            add("generalized_tanno_printed_sign", n, r, 2, gp, "zero")
-            gm = max(sphere_oracle.generalized_tanno_residual(f2, x, phi_sign=-1.0)
-                     for x in pts)
-            add("generalized_tanno_flipped_sign", n, r, 2, gm, "nonzero")
-            y_rot = max(sphere_oracle.yano_identity_residual(rot, x) for x in pts)
-            add("yano", n, r, None, y_rot, "zero")
-            y2 = max(sphere_oracle.yano_identity_residual(f2, x) for x in pts)
-            add("yano", n, r, 2, y2, "zero")
-            y1 = max(sphere_oracle.yano_identity_residual(f1, x) for x in pts)
-            add("yano", n, r, 1, y1, "nonzero")
-            l_rot = max(sphere_oracle.lichnerowicz_identity_residual(rot, x) for x in pts)
-            add("lichnerowicz", n, r, None, l_rot, "zero")
-            l1 = max(sphere_oracle.lichnerowicz_identity_residual(f1, x) for x in pts)
-            add("lichnerowicz", n, r, 1, l1, "zero")
-            l2 = max(sphere_oracle.lichnerowicz_identity_residual(f2, x) for x in pts)
-            add("lichnerowicz", n, r, 2, l2, "nonzero")
+            # (check, form, residual, keyword arguments, expected behaviour)
+            battery = (
+                ("obata", "f1", so.obata_residual, {}, "zero"),
+                ("tanno_k_alpha", "f2", so.tanno_residual, {}, "zero"),
+                ("tanno_k_alpha", "f1", so.tanno_residual, {}, "nonzero"),
+                ("tanno_k_mismatch", "f2", so.tanno_residual, {"k": 2 * sph.alpha}, "nonzero"),
+                ("generalized_tanno_printed_sign", "f2", so.generalized_tanno_residual, {},
+                 "zero"),
+                ("generalized_tanno_flipped_sign", "f2", so.generalized_tanno_residual,
+                 {"phi_sign": -1.0}, "nonzero"),
+                ("yano", "rot", so.yano_identity_residual, {}, "zero"),
+                ("yano", "f2", so.yano_identity_residual, {}, "zero"),
+                ("yano", "f1", so.yano_identity_residual, {}, "nonzero"),
+                ("lichnerowicz", "rot", so.lichnerowicz_identity_residual, {}, "zero"),
+                ("lichnerowicz", "f1", so.lichnerowicz_identity_residual, {}, "zero"),
+                ("lichnerowicz", "f2", so.lichnerowicz_identity_residual, {}, "nonzero"),
+            )
+            for check, form, residual, kwargs, expect in battery:
+                field, degree = forms[form]
+                value = max(residual(field, x, **kwargs) for x in pts)
+                ok = value < ORACLE_EXACT_TOL if expect == "zero" else value > ORACLE_LARGE
+                records.append({
+                    "check": check, "n": n, "r": r, "degree": degree,
+                    "residual": value, "expect": expect, "pass": bool(ok),
+                })
     return records
 
 
@@ -602,20 +592,19 @@ def _scalar_stage(report, mesh, config, alpha, solves):
 
 
 def _oneform_stage(report, mesh, config, alpha, scalar, solves):
-    """(spectrum, exact flags, (A1, B1)) of the one-form Laplacian."""
+    """(spectrum, exact flags) of the one-form Laplacian, from the Hodge split."""
     if scalar is None:
         raise VerifyError("no scalar spectrum to start the Hodge split from")
-    pencil = exterior.laplacian1(mesh)
     result, flags = oneform_spectrum_hodge_split(mesh, EIGENPAIRS, SOLVER_TOL, scalar,
                                                  seed=config.seed, solves=solves)
     report["spectra"]["oneform"] = _spectrum_json(result)
     if alpha is None:
-        return (result, flags, pencil), {}
+        return (result, flags), {}
     ok = _clusters_match(
         result.groups, alpha, (2 * (N_DIM + 1), 2 * (2 * N_DIM + 1)), ONEFORM_CLUSTER_RTOL,
     )
     no_harmonic = result.eigenvalues[0] > 0.5 * N_DIM * alpha
-    return (result, flags, pencil), {"oneform_spectrum": bool(ok and no_harmonic)}
+    return (result, flags), {"oneform_spectrum": bool(ok and no_harmonic)}
 
 
 def _bounds_entry(kind: str, lam_hat: float, align: float, curv, round_sphere: bool):
@@ -658,8 +647,10 @@ def _field_stage(report, spec, mesh, config, alpha, oneform, curv):
     entry["dstar_norm"], entry["d_norm"] = nd, nw
     entry["class"] = classify_field(nd, nw, CLASS_TOL)
     checks = {"classification": entry["class"] == _expected_class(spec, config.surface)}
-    spectrum, _flags, (A1, B1) = oneform
-    lam_hat, align = eigenform_alignment(spectrum, A1, B1, omega.values)
+    spectrum, _flags = oneform
+    # <w, Delta w> / |w|^2, the Rayleigh quotient of the one-form pencil
+    lam_hat = nd * nd + nw * nw
+    align = eigenform_alignment(spectrum, exterior.star1_values(mesh), omega.values, lam_hat)
     entry["lambda"], entry["eigenform_residual"] = lam_hat, align
     entry["bounds"], checks["field_bounds"] = _bounds_entry(
         spec.kind, lam_hat, align, curv, alpha is not None)
@@ -680,7 +671,7 @@ def _oracle_stage(report):
 
 
 def _multiplicity_stage(report, oneform):
-    spectrum, flags, _pencil = oneform
+    spectrum, flags = oneform
     report["multiplicity"] = records = multiplicity_check(spectrum, N_DIM, flags)
     return None, {"multiplicity": all(rec["satisfied"] and rec["equality"] for rec in records)}
 

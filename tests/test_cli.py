@@ -305,7 +305,7 @@ def test_converge_single_level_usage_error():
     assert proc.returncode == 1
 
 
-def test_converge_bad_levels_usage_error():
+def test_converge_bad_levels_usage_error(monkeypatch, capsys):
     proc = run_cli("converge", "--levels", "a,b")
     assert proc.returncode == 1
     proc = run_cli("converge", "--levels", "1,2", "--radius", "inf")
@@ -315,6 +315,25 @@ def test_converge_bad_levels_usage_error():
                    "--c", "2", "--radius", "-5")
     assert proc.returncode == 1
     assert proc.stderr == "error: spheroid takes semi-axes a, c, not a radius\n"
+    # rejected while parsing, before any mesh is built
+    from hodgelab import cli, mesh
+
+    def never(*args, **kwargs):
+        raise AssertionError("converge built a mesh from invalid input")
+
+    monkeypatch.delenv("HODGELAB_SEED", raising=False)
+    monkeypatch.setattr(mesh, "build_surface", never)
+    for argv, message in [
+        (["--levels", "2,2"], "argument --levels: repeated level in '2,2'"),
+        (["--levels", "1,2", "--target", "nan"],
+         "argument --target: expected a finite number, got 'nan'"),
+        (["--levels", "1,2", "--target", "inf"],
+         "argument --target: expected a finite number, got 'inf'"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["converge", *argv])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
 
 
 @pytest.mark.parametrize("env, argv, message", [

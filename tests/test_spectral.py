@@ -11,7 +11,6 @@ from hodgelab.spectral import (
     SpectralError,
     dense_reference,
     group_multiplicities,
-    rayleigh_quotient,
     solve_lowest,
 )
 
@@ -178,17 +177,6 @@ def test_seed_invariance(seeds):
               for seed in seeds)
     assert np.allclose(r1.eigenvalues, r2.eigenvalues, rtol=tol, atol=tol)
     assert [g.multiplicity for g in r1.groups] == [g.multiplicity for g in r2.groups]
-
-
-def test_rayleigh_quotient_basics(scalar_pair_factory, sphere_mesh):
-    A, B = scalar_pair_factory(1)
-    n = sphere_mesh(1).n_vertices
-    assert abs(rayleigh_quotient(A, B, np.ones(n))) < 1e-12
-    result = solve_lowest(A, B, 5, tol=1e-10, seed=0, known_kernel=np.ones(n))
-    x = result.eigenvectors[:, 3]
-    assert rayleigh_quotient(A, B, x) == pytest.approx(result.eigenvalues[3], abs=1e-10)
-    with pytest.raises(SpectralError):
-        rayleigh_quotient(A, B, np.zeros(n))
 
 
 def test_group_multiplicities_spec_cases():

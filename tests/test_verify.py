@@ -251,19 +251,55 @@ def test_eigenform_alignment_mixture_oracle(sphere_mesh):
     # quotient at the midpoint and the alignment residual at
     # (half the cluster distance) / midpoint
     m = sphere_mesh(3)
-    A1, B1 = exterior.laplacian1(m)
+    s1 = exterior.star1_values(m)
     split, _ = oneform_spectrum_hodge_split(m, 16, 1e-8, verify.scalar_spectrum(m, 16, 1e-8))
     v2 = split.eigenvectors[:, 0]
     v6 = split.eigenvectors[:, 6]
     lam2, lam6 = split.eigenvalues[0], split.eigenvalues[6]
     mixed = v2 + v6
-    lam_hat, res = eigenform_alignment(split, A1, B1, mixed)
+
+    def lam_hat_of(w):
+        nd, nw = exterior.codifferential_norm(m, exterior.Cochain(w))
+        return nd**2 + nw**2
+
+    lam_hat = lam_hat_of(mixed)
     mid = 0.5 * (lam2 + lam6)
     assert lam_hat == pytest.approx(mid, rel=1e-10)
+    res = eigenform_alignment(split, s1, mixed, lam_hat)
     assert res == pytest.approx((lam6 - lam2) / 2.0 / mid, rel=1e-6)
     # a pure eigenvector aligns to machine precision
-    _, res_pure = eigenform_alignment(split, A1, B1, v6)
-    assert res_pure < 1e-6
+    assert eigenform_alignment(split, s1, v6, lam_hat_of(v6)) < 1e-6
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mesh.build_icosphere(3, 1.0),
+    lambda: mesh.build_spheroid(3, 1.0, 2.0),
+], ids=["sphere", "spheroid"])
+def test_hodge_norms_are_the_weak_form_pairings(build):
+    """|dw|^2 + |d*w|^2 is w.A1 w / w.B1 w, and the identity residual is the
+    weak-form pairing |w.(A1 w - 2 star1 Ric w - c dd_weak)| / w.A1 w."""
+    from hodgelab import curvature
+    from hodgelab.config import builtin_fields
+
+    m = build()
+    A1, B1 = (op.matrix for op in exterior.laplacian1(m))
+    s1 = exterior.star1_values(m)
+    D0 = exterior.d0(m)
+    K = curvature.angle_defect_curvature(m).per_vertex_K
+    n = verify.N_DIM
+    coeffs = {"yano_2_2": 2.0 / (n + 1), "lichnerowicz_3_2": -(1.0 - 2.0 / n)}
+    forms = [exterior.Cochain(np.random.default_rng(0).standard_normal(m.n_edges))]
+    forms += [fields.sample_oneform(spec.build(m.source), m) for spec in builtin_fields()]
+    for omega in forms:
+        w = omega.values
+        nd, nw = exterior.codifferential_norm(m, omega)
+        delta_w = A1 @ w
+        assert nd**2 + nw**2 == pytest.approx((w @ delta_w) / (w @ (B1 @ w)), rel=1e-12)
+        dd_weak = s1 * (D0 @ ((D0.T @ (s1 * w)) / m.vertex_areas()))
+        ric_w = curvature.ricci_apply(m, K, omega).values
+        for which, c in coeffs.items():
+            weak = abs(w @ (delta_w - 2.0 * s1 * ric_w - c * dd_weak)) / (w @ delta_w)
+            assert discrete_identity_residual(m, omega, which) == pytest.approx(weak, abs=1e-12)
 
 
 def _synthetic_spectrum(values):
