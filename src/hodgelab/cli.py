@@ -10,7 +10,9 @@ config; a seed that is not a non-negative integer is a usage error.
 which owns the RunConfig type); the surface and seed flags override config
 values. Its eigenpair count and tolerances are the frozen constants of
 :mod:`hodgelab.verify`, and the defaults reproduce the acceptance setup
-exactly.
+exactly. ``verify`` and ``spectrum`` take ``--verbose``, which sends the
+package's INFO log lines (each stage's wall time, each coarse level of a
+nested start) to stderr and leaves stdout and the output file unchanged.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import logging
 import os
 import sys
 
@@ -68,18 +71,23 @@ def _surface_from_args(args, level: int, base: SurfaceSpec | None = None) -> Sur
     return SurfaceSpec(kind=kind, level=level, radius=radius, a=a, c=c)
 
 
-def _finite_positive(text: str) -> float:
-    value = float(text)
-    if not 0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+def _float(text: str, accept, expected: str) -> float:
+    """``text`` as a float that ``accept`` takes; else the usage error names ``expected``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not accept(value):
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return value
+
+
+def _finite_positive(text: str) -> float:
+    return _float(text, lambda value: 0 < value < np.inf, "a finite number > 0")
 
 
 def _finite(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+    return _float(text, np.isfinite, "a finite number")
 
 
 def _levels(text: str) -> list:
@@ -327,6 +335,25 @@ def cmd_converge(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _progress_log(verbose: bool):
+    """With ``verbose``, the package's INFO log lines go to stderr while the command runs."""
+    if not verbose:
+        yield
+        return
+    logger = logging.getLogger("hodgelab")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="hodgelab",
                      description="Spectral-geometry verification lab")
@@ -346,6 +373,8 @@ def build_parser() -> _Parser:
     p_spec.add_argument("--tol", type=_finite_positive, default=1e-6)
     p_spec.add_argument("--seed", type=int, default=None)
     p_spec.add_argument("--out", default=None, help="CSV output path")
+    p_spec.add_argument("--verbose", action="store_true",
+                        help="log solver progress to stderr")
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_ver = sub.add_parser("verify", help="run the verification suite")
@@ -354,6 +383,8 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--level", type=int, default=None)
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--out", default=None, help="JSON report path")
+    p_ver.add_argument("--verbose", action="store_true",
+                       help="log stage times and solver progress to stderr")
     p_ver.set_defaults(func=cmd_verify)
 
     p_conv = sub.add_parser("converge", help="eigenvalue convergence study")
@@ -374,7 +405,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _progress_log(getattr(args, "verbose", False)):
+            return args.func(args)
     except (MeshError, ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

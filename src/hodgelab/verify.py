@@ -33,7 +33,11 @@ subdivision hierarchy, so they run the multigrid preconditioner; the face
 pencil runs the LU.
 ``report["run"]["solves"]`` records every solve: its pencil, size,
 tolerance, preconditioner, block width, iterations, largest residual,
-whether it was seeded and why it ran.
+whether it was seeded, why it ran, and the (size, iterations) of the coarse
+solves of its nested start (the scalar solve's; seeded solves have none).
+``report["run"]`` also gives the seed and the python, numpy and scipy
+versions. With INFO logging on (the CLI's ``--verbose``), each stage logs
+its wall time as it ends.
 
 The per-field ``eigenform_residual`` reported here is a spectral alignment
 residual: the B-weighted spread of the form's eigenvalue content around its
@@ -49,9 +53,12 @@ fails, which is what the hypothesis detector needs.
 
 from __future__ import annotations
 
+import logging
+import platform
 import time
 
 import numpy as np
+import scipy
 
 from . import curvature as curvature_mod
 from . import exterior, fields as fields_mod, mesh as mesh_mod, sphere_oracle
@@ -75,6 +82,9 @@ N_DIM = 2  # intrinsic dimension of every built-in surface
 ORACLE_DIMENSIONS = (2, 3, 5)
 ORACLE_RADII = (1.0, 2.0)
 SPLIT_PASSES = 6  # face-side solves of the Hodge split: the first and its extensions
+
+
+log = logging.getLogger(__name__)
 
 
 class VerifyError(Exception):
@@ -186,6 +196,7 @@ def _solve_record(pencil: str, why: str, result: SpectrumResult, tol: float) -> 
         "preconditioner": result.preconditioner, "block": result.block,
         "max_residual": float(result.residuals.max()),
         "seeded": pencil != "scalar", "why": why,  # split sides start from the scalar
+        "coarse_levels": [list(level) for level in result.coarse_levels],
     }
 
 
@@ -511,7 +522,7 @@ class _StageGuard:
     report (one per field) passes only if each of them passes. A stage that
     raises is recorded in ``failures`` as "<label>: <error>", the checks
     named in ``on_failure`` are set False, and its value is None. Each
-    label's wall time accumulates in ``seconds``.
+    label's wall time accumulates in ``seconds``, and each run logs its own.
     """
 
     def __init__(self):
@@ -528,7 +539,9 @@ class _StageGuard:
             value, outcomes = None, dict.fromkeys(on_failure, False)
         for name, ok in outcomes.items():
             self.checks[name] = self.checks.get(name, True) and ok
-        self.seconds[label] = self.seconds.get(label, 0.0) + time.perf_counter() - start
+        seconds = time.perf_counter() - start
+        self.seconds[label] = self.seconds.get(label, 0.0) + seconds
+        log.info("stage %s: %.3f s", label, seconds)
         return value
 
 
@@ -686,7 +699,7 @@ def run_suite(config: RunConfig) -> dict:
     (multiplicity); the one-form stage fails if the scalar one did, its start.
     ``report["pass"]`` is True iff every mandatory check passed and no stage
     failed; ``report["run"]`` gives the elapsed time and each stage's, in
-    seconds.
+    seconds, every solve's record, the seed and the library versions.
     """
     start = time.perf_counter()
     surface = config.surface
@@ -742,5 +755,7 @@ def run_suite(config: RunConfig) -> dict:
     report["checks"] = guard.checks
     report["pass"] = bool(guard.checks) and all(guard.checks.values()) and not guard.failures
     report["run"] = {"elapsed_s": time.perf_counter() - start, "stages": guard.seconds,
-                     "solves": solves}
+                     "solves": solves, "seed": config.seed,
+                     "versions": {"python": platform.python_version(),
+                                  "numpy": np.__version__, "scipy": scipy.__version__}}
     return report

@@ -192,6 +192,37 @@ def test_verify_level3_pass(tmp_path):
     assert set(report["spectra"]) == {"scalar", "oneform"}
 
 
+def test_verbose_logs_progress_to_stderr_only(tmp_path, monkeypatch, capsys):
+    # --verbose adds log lines on stderr: one per stage and one per coarse
+    # level of the scalar solve's nested start; stdout and --out files are
+    # those of a quiet run
+    from hodgelab import cli
+
+    monkeypatch.delenv("HODGELAB_SEED", raising=False)
+    outputs = {}
+    out = tmp_path / "s.csv"
+    for flags in ([], ["--verbose"]):
+        assert cli.main(["spectrum", "--level", "3", "--count", "6", "--out", str(out),
+                         *flags]) == 0
+        spectrum = capsys.readouterr()
+        assert cli.main(["verify", "--level", "3", *flags]) == 0
+        verify = capsys.readouterr()
+        outputs[bool(flags)] = (spectrum, verify, out.read_bytes())
+    (q_spectrum, q_verify, q_csv), (v_spectrum, v_verify, v_csv) = outputs[False], outputs[True]
+    assert q_spectrum.err == q_verify.err == ""
+    assert (v_spectrum.out, v_verify.out, v_csv) == (q_spectrum.out, q_verify.out, q_csv)
+    # the 11-column block of 6 pairs fits on levels 0 to 2 of the level-3 mesh
+    lines = v_spectrum.err.splitlines()
+    assert len(lines) == 3
+    for line, n in zip(lines, (12, 42, 162)):
+        assert line.startswith(f"hodgelab.spectral: nested start: {n} vertices, ")
+    stages = [line for line in v_verify.err.splitlines() if "stage " in line]
+    assert stages[0].startswith("hodgelab.verify: stage mesh: ")
+    assert stages[-1].startswith("hodgelab.verify: stage multiplicity: ")
+    assert any("stage scalar spectrum: " in line for line in stages)
+    assert sum("nested start: " in line for line in v_verify.err.splitlines()) == 2
+
+
 def test_verify_config_file_and_override(tmp_path):
     cfg = {
         "surface": {"kind": "icosphere", "level": 2, "radius": 1.0},
@@ -323,15 +354,21 @@ def test_converge_bad_levels_usage_error(monkeypatch, capsys):
 
     monkeypatch.delenv("HODGELAB_SEED", raising=False)
     monkeypatch.setattr(mesh, "build_surface", never)
+    converge = ["converge", "--levels", "1,2"]
     for argv, message in [
-        (["--levels", "2,2"], "argument --levels: repeated level in '2,2'"),
-        (["--levels", "1,2", "--target", "nan"],
+        (["converge", "--levels", "2,2"], "argument --levels: repeated level in '2,2'"),
+        ([*converge, "--target", "nan"],
          "argument --target: expected a finite number, got 'nan'"),
-        (["--levels", "1,2", "--target", "inf"],
+        ([*converge, "--target", "inf"],
          "argument --target: expected a finite number, got 'inf'"),
+        # not a number at all: the message, not the parsing helper's name
+        ([*converge, "--target", "x"],
+         "argument --target: expected a finite number, got 'x'"),
+        (["spectrum", "--level", "1", "--tol", "x"],
+         "argument --tol: expected a finite number > 0, got 'x'"),
     ]:
         with pytest.raises(SystemExit) as exc:
-            cli.main(["converge", *argv])
+            cli.main(argv)
         assert exc.value.code == 1
         assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
 

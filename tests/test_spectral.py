@@ -64,6 +64,19 @@ def test_nonconvergence_reports_residuals():
     assert all(res > 1e-14 and 1 <= active <= block for res, active in history)
 
 
+def test_nonconvergence_on_a_coarse_level_names_it(sphere_mesh):
+    # maxiter caps every level of a nested start; a coarse level that hits
+    # it reports its own residuals, so the error names the level
+    m = sphere_mesh(4)
+    A, B = exterior.laplacian0(m)
+    with pytest.raises(ConvergenceError,
+                       match="^nested start, coarse level of 162 vertices: no convergence"
+                       ) as err:
+        solve_lowest(A, B, 16, 1e-6, known_kernel=np.ones(m.n_vertices),
+                     hierarchy=m.vertex_prolongations(), maxiter=1)
+    assert err.value.iterations == 1 and len(err.value.history) == 2
+
+
 def test_stalled_solve_keeps_its_accuracy(scalar_pair_factory, sphere_mesh):
     # a tolerance below the rounding floor is never met; the iteration must
     # keep its blocks orthonormal while it stalls, not drift off the spectrum
@@ -159,12 +172,18 @@ def test_shift_invariance(scalar_pair_factory, sphere_mesh):
 
 
 def test_determinism(scalar_pair_factory, sphere_mesh):
+    # with a hierarchy the seeded block is drawn on the coarsest level of the
+    # nested start (level 0 holds the 11-column block)
     A, B = scalar_pair_factory(1)
     kernel = np.ones(sphere_mesh(1).n_vertices)
-    r1 = solve_lowest(A, B, 6, tol=1e-8, seed=11, known_kernel=kernel)
-    r2 = solve_lowest(A, B, 6, tol=1e-8, seed=11, known_kernel=kernel)
-    assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
-    assert np.array_equal(r1.eigenvectors, r2.eigenvectors)
+    for hierarchy in (None, sphere_mesh(1).vertex_prolongations()):
+        r1, r2 = (solve_lowest(A, B, 6, tol=1e-8, seed=11, known_kernel=kernel,
+                               hierarchy=hierarchy) for _ in range(2))
+        assert r1.coarse_levels == r2.coarse_levels
+        assert len(r1.coarse_levels) == (0 if hierarchy is None else 1)
+        assert r1.iterations == r2.iterations
+        assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
+        assert np.array_equal(r1.eigenvectors, r2.eigenvectors)
 
 
 @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True))
@@ -277,10 +296,11 @@ def test_full_size_solver_matches_shift_invert_eigsh(full_size_solve):
 
 
 def test_full_size_solver_headroom(full_size_solve):
-    # the LU and the V-cycle converge in about 12 iterations; a fallback to a
-    # weak preconditioner takes hundreds and turns this red, and so does a
-    # V-cycle on a wrong prolongation, which still converges to the right
-    # eigenvalues (74 iterations with the midpoint rows in reverse order)
+    # the LU converges in about 12 iterations from a random start, the
+    # V-cycle in about 7 from its nested start; a fallback to a weak
+    # preconditioner takes hundreds and turns this red, and so does a V-cycle
+    # on a wrong prolongation, which still converges to the right eigenvalues
+    # (74 iterations with the midpoint rows in reverse order)
     result, _, _ = full_size_solve
     assert result.iterations <= HEADROOM_ITERATIONS < FULL_SIZE_MAXITER
 
@@ -451,13 +471,21 @@ def test_vcycle_is_the_coarse_cholesky_at_level_2(sphere_mesh):
     lambda: mesh.build_spheroid(4, 1.0, 2.0),
 ])
 def test_multigrid_solve_matches_shift_invert_eigsh(surface):
+    # a cold solve starts from the coarse levels that hold its 21-column
+    # block, every level but level 0 (12 vertices); the fine solve keeps its
+    # tol, so only the iteration count moves
     m = surface()
     A, B = exterior.laplacian0(m)
+    hierarchy = m.vertex_prolongations()
     result = solve_lowest(A, B, 16, 1e-6, seed=0, known_kernel=np.ones(m.n_vertices),
-                          hierarchy=m.vertex_prolongations())
+                          hierarchy=hierarchy)
     assert (result.preconditioner, result.block) == ("multigrid", 16 + spectral.BLOCK_PADDING)
+    assert [n for n, _its in result.coarse_levels] == [P.shape[1] for P in hierarchy[1:]]
     assert (result.residuals <= 1e-6).all()
-    assert _relative_error(result.eigenvalues, _eigsh_reference(A, B, 16)) < 1e-9
+    reference = _eigsh_reference(A, B, 16)
+    assert _relative_error(result.eigenvalues, reference) < 1e-9
+    assert ([g.multiplicity for g in result.groups]
+            == [g.multiplicity for g in group_multiplicities(reference)])
 
 
 def test_pencils_without_a_hierarchy_keep_the_lu(sphere_mesh):
@@ -526,3 +554,32 @@ def test_no_residual_map_keeps_the_weighted_norm(monkeypatch, spheroid_mesh):
                       (result.eigenvectors, reference.eigenvectors),
                       (result.residuals, reference.residuals)]:
         assert np.array_equal(got, want)
+
+
+def _cold_vertex_solve(m, seed=0, **kwargs):
+    A, B = exterior.laplacian0(m)
+    return solve_lowest(A, B, 16, 1e-6, seed=seed, known_kernel=np.ones(m.n_vertices),
+                        hierarchy=m.vertex_prolongations(), **kwargs)
+
+
+def test_nested_start_fine_iterations(sphere_mesh):
+    # the level-5 sphere's cold solve took 13 iterations from a random block;
+    # from the prolonged level-4 Ritz block it takes 7 with one BLAS thread
+    # and 8 with two (the threads' rounding moves a residual across tol)
+    result = _cold_vertex_solve(sphere_mesh(5))
+    assert [n for n, _its in result.coarse_levels] == [42, 162, 642, 2562]
+    assert result.iterations <= 8
+
+
+def test_seeded_or_flat_solves_have_no_coarse_levels(sphere_mesh):
+    # a start replaces the cascade, and a pencil without a hierarchy has no
+    # coarse levels to start from
+    m = sphere_mesh(4)
+    cold = _cold_vertex_solve(m)
+    warm = _cold_vertex_solve(m, start=cold.eigenvectors[:, 1:])
+    A, B = exterior.laplacian0(m)
+    flat = solve_lowest(A, B, 16, 1e-6, known_kernel=np.ones(m.n_vertices))
+    assert cold.coarse_levels
+    assert warm.coarse_levels == () and flat.coarse_levels == ()
+    assert warm.preconditioner == "multigrid" and flat.preconditioner == "lu"
+

@@ -381,7 +381,12 @@ def test_run_suite_level3_passes(sphere_mesh):
         ("multigrid", verify.EIGENPAIRS + spectral.BLOCK_PADDING),
         ("lu", solves[1]["m"] + spectral.BLOCK_PADDING),
         ("multigrid", solves[2]["m"] + spectral.BLOCK_PADDING)]
+    # only the cold scalar solve starts from the coarse levels (42 and 162
+    # vertices hold its 21-column block)
+    assert [[n for n, _its in s["coarse_levels"]] for s in solves] == [[42, 162], [], []]
     assert rep["spectra"]["oneform"]["max_residual"] <= verify.SOLVER_TOL
+    assert rep["run"]["seed"] == cfg.seed
+    assert set(rep["run"]["versions"]) == {"python", "numpy", "scipy"}
 
 
 def test_run_suite_insufficient_resolution():
