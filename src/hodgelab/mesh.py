@@ -341,27 +341,35 @@ def build_icosphere(level: int, radius: float = 1.0) -> TriangleMesh:
                         coarse_edges=coarse_edges)
 
 
-def _conformal_latitude_table(a: float, c: float, npts: int = 200001):
-    """Latitude table of the conformal map unit sphere -> spheroid (a, a, c).
+def _spheroid_latitude(z: np.ndarray, a: float, c: float) -> np.ndarray:
+    """|t| of the conformal map of unit-sphere height z to spheroid latitude t.
 
-    Matching isothermal (Mercator-type) coordinates of the two surfaces of
-    revolution gives phi_sphere as a function of the spheroid latitude t via
-    phi(t) = gd(q_s(t) + delta(t)) with delta the bounded integral of
-    [sqrt(a^2 sin^2 + c^2 cos^2) - a] / (a cos). Returns (phi_grid, t_grid)
-    for interpolation of t(phi).
+    The map matches isometric latitudes: atanh(|z|) on the unit sphere, and
+    on the spheroid (a cos t, c sin t), with u = sin t and B = c^2 - a^2,
+    q(u) = atanh(a u / sqrt(c^2 - B u^2)) + (sqrt(B) / a) asin(sqrt(B) u / c)
+    (the last term is -(sqrt(-B) / a) asinh(sqrt(-B) u / c) for B < 0), with
+    q' = sqrt(c^2 - B u^2) / (a (1 - u^2)). Newton steps solve q(u) = atanh(|z|)
+    inside a bracket on [0, 1], bisecting when one leaves it, so 64 steps
+    converge even by bisection; they stop after a step of at most 1e-12,
+    whose quadratic error is below rounding (7 to 11 steps). Poles map to pi/2.
     """
-    t = np.linspace(0.0, np.pi / 2, npts)
-    num = np.sqrt(a * a * np.sin(t) ** 2 + c * c * np.cos(t) ** 2) - a
-    with np.errstate(invalid="ignore", divide="ignore"):
-        integrand = num / (a * np.cos(t))
-    integrand[-1] = 0.0  # limit value at the pole
-    delta = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(t))]
-    )
-    q_s = np.arcsinh(np.tan(np.minimum(t, np.pi / 2 - 1e-12)))
-    phi = np.arctan(np.sinh(q_s + delta))
-    phi[-1] = np.pi / 2
-    return phi, t
+    pole = np.abs(z) == 1.0
+    u = np.where(pole, 0.0, np.abs(z))
+    target = np.arctanh(u)
+    lo, hi = np.zeros_like(u), np.ones_like(u)
+    B = c * c - a * a
+    s = np.sqrt(abs(B))
+    for _ in range(64):
+        root = np.sqrt(c * c - B * u * u)
+        second = np.arcsin(s * u / c) if B > 0 else -np.arcsinh(s * u / c)
+        f = np.arctanh(a * u / root) + (s / a) * second - target
+        above = f > 0.0
+        lo, hi = np.where(above, lo, u), np.where(above, u, hi)
+        newton = u - f * (a * (1.0 - u * u)) / root
+        u, last = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi)), u
+        if np.abs(u - last).max() <= 1e-12:
+            break
+    return np.where(pole, 0.5 * np.pi, np.arcsin(u))
 
 
 def build_spheroid(level: int, a: float, c: float) -> TriangleMesh:
@@ -383,10 +391,7 @@ def build_spheroid(level: int, a: float, c: float) -> TriangleMesh:
         return TriangleMesh(vertices=verts * a, faces=faces, source=spec,
                             coarse_edges=coarse_edges)
 
-    phi_grid, t_grid = _conformal_latitude_table(a, c)
-    z = np.clip(verts[:, 2], -1.0, 1.0)
-    phi = np.abs(np.arcsin(z))
-    t = np.interp(phi, phi_grid, t_grid)
+    t = _spheroid_latitude(np.clip(verts[:, 2], -1.0, 1.0), a, c)
     rho = np.linalg.norm(verts[:, :2], axis=1)
     safe = np.where(rho == 0.0, 1.0, rho)
     dir2 = np.where(rho[:, None] > 0.0, verts[:, :2] / safe[:, None], 0.0)

@@ -14,11 +14,13 @@ convention II = -(g / r) n for the outward unit normal n):
 
 where df~ and H are the ambient gradient and Hessian, P = I - n n^T, and the
 first slot of D3 is the differentiation direction (so D3 is symmetric in its
-last two slots). All residual operations below evaluate the defining
-equations and Weitzenboeck-type identities of conformal/projective Killing
-forms pointwise in an orthonormal tangent frame; they vanish to machine
-precision exactly on the field classes that satisfy them and are O(1) on the
-classes that do not.
+last two slots). Three residuals evaluate the defining equations and the
+Weitzenboeck-type identities of conformal/projective Killing forms pointwise
+in an orthonormal tangent frame: ``obata_residual``, ``tanno_residual`` (the
+rigidity system below, for any k) and ``weitzenboeck_residual`` (each
+identity of the ``WEITZENBOECK`` table, which gives its d d* coefficient and
+the field families that satisfy it). They vanish to machine precision
+exactly on the field classes that satisfy them and are O(1) on the others.
 
 The residuals never form the ambient tensors: in the frame, D3 f has the same
 closed form in frame^T df, frame^T u and g = frame^T frame, a few small
@@ -39,6 +41,7 @@ only; they are not solutions of the full symmetrized system.)
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +52,26 @@ DEFAULT_SAMPLES = 100
 
 class OracleError(Exception):
     pass
+
+
+@dataclass(frozen=True)
+class Weitzenboeck:
+    """Delta w = 2 Ric* w + coefficient(n) d d* w, exact for the ``families``."""
+
+    coefficient: Callable[[int], float]
+    families: frozenset
+
+
+# the one place each identity is written; the oracle and discrete residuals,
+# the oracle battery and the field stage all read it
+WEITZENBOECK = {
+    # projective Killing forms (Yano)
+    "yano_2_2": Weitzenboeck(lambda n: 2.0 / (n + 1),
+                             frozenset({"killing_rotation", "projective_gradient"})),
+    # conformal Killing forms (Lichnerowicz)
+    "lichnerowicz_3_2": Weitzenboeck(lambda n: -(1.0 - 2.0 / n),
+                                     frozenset({"killing_rotation", "conformal_gradient"})),
+}
 
 
 @dataclass(frozen=True)
@@ -247,29 +270,13 @@ def tanno_residual(f: HarmonicPoly, x, k: float | None = None) -> float:
     The system is (D3 f)(Z;X,Y) + k (2 df(Z) g(X,Y) + df(X) g(Z,Y)
     + df(Y) g(X,Z)) = 0 with the differentiation slot on the coefficient-2
     term. ``k`` defaults to alpha = 1/r^2, the constant for which non-constant
-    solutions characterize the sphere of radius 1/sqrt(k).
+    solutions characterize the sphere of radius 1/sqrt(k). For eigenfunctions
+    the generalized system, phi = (2(n+1))^-1 d(Delta f) in place of k df, is
+    this one with k = mu / (2(n+1)), or -k under phi's opposite sign.
     """
     sphere = f.sphere
     x = _check_point(sphere, x)
-    return _rigidity_residual(f, x, sphere.alpha if k is None else k)
-
-
-def generalized_tanno_residual(f: HarmonicPoly, x, phi_sign: float = 1.0) -> float:
-    """Residual of the transformed system with phi = (2(n+1))^-1 d(Delta f).
-
-    For eigenfunctions d(Delta f) = mu df exactly, so phi = k df and the
-    system is the rigidity system with k = mu / (2(n+1)). ``phi_sign`` allows
-    evaluating the system under the opposite sign normalization of phi as
-    well, since the two printed forms of the defining covector differ in sign
-    and scaling; the sign that annihilates second eigenfunctions is +1 (it
-    reduces the system to the rigidity system with k = alpha).
-    """
-    sphere = f.sphere
-    x = _check_point(sphere, x)
-    return _rigidity_residual(f, x, phi_sign * f.eigenvalue / (2.0 * (sphere.n + 1)))
-
-
-def _rigidity_residual(f: HarmonicPoly, x: np.ndarray, k: float) -> float:
+    k = sphere.alpha if k is None else k
     dfr, t = _third_in_frame(f, x)
     # differentiation slot of t is first; bind it to the Z slot of the
     # combination, whose coefficient-2 term carries df(Z)
@@ -300,63 +307,35 @@ class RotationForm:
         return self.generator @ x
 
 
-def _identity_terms(form, x):
-    """(omega, Delta omega, Ric* omega, d d* omega) at x from closed forms.
+def weitzenboeck_residual(form, x, which: str) -> float:
+    """Pointwise residual of the identity ``WEITZENBOECK[which]``, over alpha |w|.
 
-    For omega = df with Delta f = mu f: Delta omega = mu omega,
-    Ric* omega = (n-1) alpha omega, d d* omega = mu omega (d* omega = Delta f).
-    For a rotation Killing form: Delta omega = 2 (n-1) alpha omega and
-    d* omega = 0.
+    The identity is Delta w = 2 Ric* w + c d d* w with the table's c; it
+    holds exactly for the field families (``FieldSpec.kind``) the table lists
+    and fails by O(1) for the others. Its
+    terms have closed forms, with Ric* w = (n-1) alpha w: for w = df with
+    Delta f = mu f, Delta w = d d* w = mu w (d* w = Delta f); for a rotation
+    Killing form, Delta w = 2 (n-1) alpha w and d* w = 0.
     """
-    if isinstance(form, HarmonicPoly):
-        sphere = form.sphere
-        x = _check_point(sphere, x)
-        df = _tangential(x / sphere.r, form.ambient_gradient(x))
-        mu = form.eigenvalue
-        ric = sphere.ricci_eigenvalue()
-        return df, mu * df, ric * df, mu * df
-    if isinstance(form, RotationForm):
-        sphere = form.sphere
-        x = _check_point(sphere, x)
-        w = form.value(x)
-        ric = sphere.ricci_eigenvalue()
-        return w, 2.0 * ric * w, ric * w, np.zeros_like(w)
-    raise OracleError(f"unsupported one-form kind {type(form).__name__}")
-
-
-def _identity_residual(form, x, rhs_of):
-    omega, delta_omega, ric_omega, ddstar_omega = _identity_terms(form, x)
+    identity = WEITZENBOECK.get(which)
+    if identity is None:
+        raise OracleError(f"unknown identity {which!r}")
+    if not isinstance(form, (HarmonicPoly, RotationForm)):
+        raise OracleError(f"unsupported one-form kind {type(form).__name__}")
     sphere = form.sphere
-    norm = np.linalg.norm(omega)
+    x = _check_point(sphere, x)
+    ric = sphere.ricci_eigenvalue()
+    if isinstance(form, HarmonicPoly):
+        w = _tangential(x / sphere.r, form.ambient_gradient(x))
+        delta_w = ddstar_w = form.eigenvalue * w
+    else:
+        w = form.value(x)
+        delta_w, ddstar_w = 2.0 * ric * w, np.zeros_like(w)
+    norm = np.linalg.norm(w)
     if norm == 0.0:
         raise OracleError("one-form vanishes at the sample point")
-    res = delta_omega - rhs_of(sphere, ric_omega, ddstar_omega)
+    res = delta_w - (2.0 * (ric * w) + identity.coefficient(sphere.n) * ddstar_w)
     return float(np.linalg.norm(res) / (sphere.alpha * norm))
-
-
-def yano_identity_residual(form, x) -> float:
-    """Pointwise residual of Delta w = 2 Ric* w + 2/(n+1) d d* w.
-
-    Exact (0 to machine precision) on rotation Killing forms and on
-    second-eigenfunction gradients; nonzero on first-eigenfunction gradients,
-    which are conformal but not projective. Normalized by alpha |w|.
-    """
-    return _identity_residual(
-        form, x,
-        lambda sph, ric_w, ddstar_w: 2.0 * ric_w + 2.0 / (sph.n + 1) * ddstar_w,
-    )
-
-
-def lichnerowicz_identity_residual(form, x) -> float:
-    """Pointwise residual of Delta w = 2 Ric* w - (1 - 2/n) d d* w.
-
-    Exact on rotation Killing forms and first-eigenfunction gradients;
-    nonzero on second-eigenfunction gradients. Normalized by alpha |w|.
-    """
-    return _identity_residual(
-        form, x,
-        lambda sph, ric_w, ddstar_w: 2.0 * ric_w - (1.0 - 2.0 / sph.n) * ddstar_w,
-    )
 
 
 @dataclass(frozen=True)

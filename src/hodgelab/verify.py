@@ -6,11 +6,13 @@ extrema, the scalar and one-form spectra, one stage per field
 (classification, bound checks under both the printed and rederived
 projective upper constants, discrete Weitzenboeck-identity residuals), the
 exact sphere-oracle battery, and multiplicity checks against the
-conformal/projective algebra dimension bounds. Each stage writes its report
-section and returns the checks it decides. One guard, ``_StageGuard``, runs
-and times every stage; a stage that raises is recorded with its label, its
-checks fail, and the report is still emitted. The report is a stable-keyed
-JSON document.
+conformal/projective algebra dimension bounds. The field stage and the
+oracle battery read each Weitzenboeck identity, its d d* coefficient and
+the field families that satisfy it, from ``sphere_oracle.WEITZENBOECK``.
+Each stage writes its report section and returns the checks it decides. One
+guard, ``_StageGuard``, runs and times every stage; a stage that raises is
+recorded with its label, its checks fail, and the report is still emitted.
+The report is a stable-keyed JSON document.
 
 One-form spectra on genus-0 surfaces are computed through the exact discrete
 Hodge split: eigenpairs of the vertex pencil (``exterior.laplacian0``) map
@@ -81,6 +83,7 @@ MIN_SPECTRAL_LEVEL = 3
 N_DIM = 2  # intrinsic dimension of every built-in surface
 ORACLE_DIMENSIONS = (2, 3, 5)
 ORACLE_RADII = (1.0, 2.0)
+ORACLE_SEED = 7  # the battery's fields and sample points
 SPLIT_PASSES = 6  # face-side solves of the Hodge split: the first and its extensions
 
 
@@ -143,10 +146,11 @@ def discrete_identity_residual(mesh: mesh_mod.TriangleMesh, omega: exterior.Coch
                                which: str) -> float:
     """Integrated residual of a Weitzenboeck identity on a sampled one-form.
 
-    ``which`` is ``"yano_2_2"`` (Delta w = 2 Ric* w + 2/(n+1) d d* w) or
-    ``"lichnerowicz_3_2"`` (Delta w = 2 Ric* w - (1 - 2/n) d d* w); with
-    n = 2 the latter coefficient vanishes, so that check degenerates to
-    |Delta w - 2 Ric* w|. The identity is paired with w itself, mirroring
+    ``which`` is a key of ``sphere_oracle.WEITZENBOECK`` (``"yano_2_2"`` or
+    ``"lichnerowicz_3_2"``), the identity Delta w = 2 Ric* w + c d d* w with
+    the table's coefficient c at n = 2; the Lichnerowicz coefficient
+    vanishes there, so that check degenerates to |Delta w - 2 Ric* w|.
+    The identity is paired with w itself, mirroring
     the integral-formula arguments the identities feed, and each pairing is
     a norm relative to |w|^2 in the star1 inner product:
     lambda = <w, Delta w> = |dw|^2 + |d*w|^2 (``exterior.codifferential_norm``),
@@ -159,12 +163,10 @@ def discrete_identity_residual(mesh: mesh_mod.TriangleMesh, omega: exterior.Coch
     quadratic pairing converges and still separates the satisfying from the
     violating field classes by an O(1) margin.)
     """
-    if which == "yano_2_2":
-        coeff = 2.0 / (N_DIM + 1)
-    elif which == "lichnerowicz_3_2":
-        coeff = -(1.0 - 2.0 / N_DIM)
-    else:
+    identity = sphere_oracle.WEITZENBOECK.get(which)
+    if identity is None:
         raise VerifyError(f"unknown identity {which!r}")
+    coeff = identity.coefficient(N_DIM)
     nd, nw = exterior.codifferential_norm(mesh, omega)
     lam_hat = nd * nd + nw * nw
     s1w = exterior.star1_values(mesh) * omega.values
@@ -241,6 +243,9 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     until the exact and coexact values below both windows hold the m lowest;
     if the scalar window is the one that falls short, VerifyError says so.
     The vertex side is then solved once, for the exact pairs the merge takes.
+    ``next_estimate`` is the lowest of the first pair not taken and the
+    sides' windows, the lowest exact value standing in for the vertex side's
+    when the merge takes no exact pair.
 
     ``solves``: optional list; each side solve appends its ``run.solves``
     record to it as it ends, so the records survive a split that raises.
@@ -297,8 +302,11 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     vecs[:, flags] = D0 @ vert.eigenvectors[:, 1 + taken[flags]]
     vecs[:, ~flags] = (D1.T @ face.eigenvectors[:, 1 + taken[~flags] - n_exact]) / s1[:, None]
     vecs /= np.sqrt(vals)
+    # a vertex side that iterated nothing (no exact pair taken) has no window;
+    # the lowest exact value, which the merge did not take, bounds it instead
+    vert_window = _window(vert) if n_exact else (exact[0] if exact.size else scalar_window)
     next_estimate = min(values[order[m]] if values.size > m else np.inf,
-                        _window(vert), _window(face))
+                        vert_window, _window(face))
 
     A1, _ = exterior.laplacian1(mesh)
     Bx = vecs * s1[:, None]
@@ -413,7 +421,7 @@ def oracle_fields(n: int, r: float, seed: int):
     return sph, f1, f2, rot
 
 
-def _oracle_records(seed: int = 7) -> list:
+def _oracle_records() -> list:
     """Exact sphere-oracle battery over n in {2, 3, 5} and r in {1, 2}.
 
     Each record carries the measured residual, the mathematically expected
@@ -421,34 +429,41 @@ def _oracle_records(seed: int = 7) -> list:
     expectation. The third-order rigidity system is also evaluated on first
     eigenfunctions, where it does not vanish (they satisfy the once-
     differentiated Obata identity, not the full symmetrized system); that
-    record is expected "nonzero".
+    record is expected "nonzero". Each Weitzenboeck identity is evaluated on
+    all three fields, those of the families it lists first (expected "zero").
     """
     so = sphere_oracle
     records = []
     for n in ORACLE_DIMENSIONS:
         for r in ORACLE_RADII:
-            sph, f1, f2, rot = oracle_fields(n, r, seed)
-            forms = {"f1": (f1, 1), "f2": (f2, 2), "rot": (rot, None)}  # (field, degree)
-            pts = sph.sample_points(seed=seed)
+            sph, f1, f2, rot = oracle_fields(n, r, ORACLE_SEED)
+            # (field, degree, family)
+            forms = {"rot": (rot, None, "killing_rotation"), "f1": (f1, 1, "conformal_gradient"),
+                     "f2": (f2, 2, "projective_gradient")}
+            pts = sph.sample_points(seed=ORACLE_SEED)
+            # the generalized system's k = mu / (2 (n + 1)) under the printed
+            # sign normalization of phi; the flipped one gives -k
+            k_phi = f2.eigenvalue / (2.0 * (n + 1))
             # (check, form, residual, keyword arguments, expected behaviour)
-            battery = (
+            battery = [
                 ("obata", "f1", so.obata_residual, {}, "zero"),
                 ("tanno_k_alpha", "f2", so.tanno_residual, {}, "zero"),
                 ("tanno_k_alpha", "f1", so.tanno_residual, {}, "nonzero"),
                 ("tanno_k_mismatch", "f2", so.tanno_residual, {"k": 2 * sph.alpha}, "nonzero"),
-                ("generalized_tanno_printed_sign", "f2", so.generalized_tanno_residual, {},
+                ("generalized_tanno_printed_sign", "f2", so.tanno_residual, {"k": k_phi},
                  "zero"),
-                ("generalized_tanno_flipped_sign", "f2", so.generalized_tanno_residual,
-                 {"phi_sign": -1.0}, "nonzero"),
-                ("yano", "rot", so.yano_identity_residual, {}, "zero"),
-                ("yano", "f2", so.yano_identity_residual, {}, "zero"),
-                ("yano", "f1", so.yano_identity_residual, {}, "nonzero"),
-                ("lichnerowicz", "rot", so.lichnerowicz_identity_residual, {}, "zero"),
-                ("lichnerowicz", "f1", so.lichnerowicz_identity_residual, {}, "zero"),
-                ("lichnerowicz", "f2", so.lichnerowicz_identity_residual, {}, "nonzero"),
-            )
+                ("generalized_tanno_flipped_sign", "f2", so.tanno_residual, {"k": -k_phi},
+                 "nonzero"),
+            ]
+            # each identity on all three fields, those it holds for first; its
+            # report check is the key's first word ("yano", "lichnerowicz")
+            for which, identity in so.WEITZENBOECK.items():
+                rows = [(which.split("_")[0], form, so.weitzenboeck_residual, {"which": which},
+                         "zero" if family in identity.families else "nonzero")
+                        for form, (_field, _degree, family) in forms.items()]
+                battery += sorted(rows, key=lambda row: row[4] != "zero")
             for check, form, residual, kwargs, expect in battery:
-                field, degree = forms[form]
+                field, degree, _family = forms[form]
                 value = max(residual(field, x, **kwargs) for x in pts)
                 ok = value < ORACLE_EXACT_TOL if expect == "zero" else value > ORACLE_LARGE
                 records.append({
@@ -503,15 +518,6 @@ def _expected_class(spec, surface) -> str:
     axis = np.asarray(spec.parameters["axis"], dtype=float)
     axis = axis / np.linalg.norm(axis)
     return "killing" if abs(abs(axis[2]) - 1.0) < 1e-12 else "mixed"
-
-
-def _expected_identities(kind: str) -> dict:
-    """Which Weitzenboeck identities each field family satisfies smoothly."""
-    if kind == "killing_rotation":
-        return {"yano_2_2": "small", "lichnerowicz_3_2": "small"}
-    if kind == "conformal_gradient":
-        return {"yano_2_2": "large", "lichnerowicz_3_2": "small"}
-    return {"yano_2_2": "small", "lichnerowicz_3_2": "large"}
 
 
 class _StageGuard:
@@ -668,11 +674,12 @@ def _field_stage(report, spec, mesh, config, alpha, oneform, curv):
     entry["bounds"], checks["field_bounds"] = _bounds_entry(
         spec.kind, lam_hat, align, curv, alpha is not None)
     identities_ok = True
-    for which, expect in _expected_identities(spec.kind).items():
+    for which, identity in sphere_oracle.WEITZENBOECK.items():
         value = discrete_identity_residual(mesh, omega, which)
         entry["identities"][which] = value
         if alpha is not None:
-            ok = value < IDENTITY_SMALL if expect == "small" else value > IDENTITY_LARGE
+            ok = (value < IDENTITY_SMALL if spec.kind in identity.families
+                  else value > IDENTITY_LARGE)
             identities_ok = identities_ok and ok
     checks["discrete_identities"] = identities_ok
     return None, checks

@@ -189,10 +189,10 @@ def test_criterion_5_yano_identity():
         sph, f1, f2, rot = verify.oracle_fields(n, r, seed=0)
         pts = sph.sample_points()
         worst_zero = max(worst_zero,
-                         max(oracle.yano_identity_residual(rot, x) for x in pts),
-                         max(oracle.yano_identity_residual(f2, x) for x in pts))
+                         max(oracle.weitzenboeck_residual(rot, x, "yano_2_2") for x in pts),
+                         max(oracle.weitzenboeck_residual(f2, x, "yano_2_2") for x in pts))
         worst_sep = min(worst_sep,
-                        max(oracle.yano_identity_residual(f1, x) for x in pts))
+                        max(oracle.weitzenboeck_residual(f1, x, "yano_2_2") for x in pts))
     ok = worst_zero < 1e-12 and worst_sep > 0.1
     assert _announce(
         "5 (exact oracle: Yano identity)", ok,
@@ -208,11 +208,11 @@ def test_criterion_5_lichnerowicz_identity():
         pts = sph.sample_points()
         worst_zero = max(
             worst_zero,
-            max(oracle.lichnerowicz_identity_residual(rot, x) for x in pts),
-            max(oracle.lichnerowicz_identity_residual(f1, x) for x in pts),
+            max(oracle.weitzenboeck_residual(rot, x, "lichnerowicz_3_2") for x in pts),
+            max(oracle.weitzenboeck_residual(f1, x, "lichnerowicz_3_2") for x in pts),
         )
         worst_sep = min(worst_sep,
-                        max(oracle.lichnerowicz_identity_residual(f2, x)
+                        max(oracle.weitzenboeck_residual(f2, x, "lichnerowicz_3_2")
                             for x in pts))
     ok = worst_zero < 1e-12 and worst_sep > 0.1
     assert _announce(

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from hodgelab import mesh
 from hodgelab.mesh import (
@@ -138,6 +139,26 @@ def test_spheroid_pole_maps_exactly():
     m = build_spheroid(0, 1.0, 2.0)
     assert any(np.array_equal(v, [0.0, 0.0, 2.0]) for v in m.vertices)
     assert any(np.array_equal(v, [0.0, 0.0, -2.0]) for v in m.vertices)
+
+
+@pytest.mark.parametrize("a,c", [(1.0, 2.0), (2.0, 1.0), (1.0, 3.0), (3.0, 1.0), (1.0, 1.5)])
+def test_spheroid_latitude_is_the_conformal_one(a, c):
+    # the spheroid latitude t of each vertex must have the isometric latitude
+    # of its unit-sphere preimage: the integral of
+    # sqrt(a^2 sin^2 + c^2 cos^2) / (a cos) from 0 to t equals atanh(|z|),
+    # here by adaptive quadrature of the integral itself
+    z = build_icosphere(3).vertices[:, 2]
+    t = np.arcsin(np.abs(build_spheroid(3, a, c).vertices[:, 2]) / c)
+    picked = np.unique(np.round(np.abs(z), 12), return_index=True)[1]
+    picked = picked[np.abs(z[picked]) < 0.99]
+    assert picked.size > 20
+
+    def integrand(s):
+        return np.sqrt(a * a * np.sin(s) ** 2 + c * c * np.cos(s) ** 2) / (a * np.cos(s))
+
+    for i in picked:
+        q, _err = quad(integrand, 0.0, t[i], epsabs=1e-14, epsrel=1e-13)
+        assert q == pytest.approx(np.arctanh(abs(z[i])), rel=1e-12, abs=1e-13)
 
 
 def test_spheroid_combinatorics_match_icosphere():

@@ -9,14 +9,12 @@ from hodgelab.sphere_oracle import (
     RotationForm,
     SphereContext,
     covariant_derivatives,
-    generalized_tanno_residual,
     laplace_eigenvalue,
-    lichnerowicz_identity_residual,
     obata_residual,
     tangent_frame,
     tanno_residual,
     theorem_bounds,
-    yano_identity_residual,
+    weitzenboeck_residual,
 )
 from hodgelab.verify import oracle_fields
 
@@ -207,11 +205,14 @@ def test_tanno_residual_first_eigenfunctions_nonzero():
 
 
 def test_generalized_tanno_sign_discrimination():
+    # phi = (2(n+1))^-1 d(Delta f) = k df with k = mu / (2(n+1)); the
+    # flipped sign normalization of phi is -k
     sph = SphereContext(2)
     f = _quadratic(sph)
     pts = sph.sample_points(25)
-    printed = max(generalized_tanno_residual(f, x) for x in pts)
-    flipped = max(generalized_tanno_residual(f, x, phi_sign=-1.0) for x in pts)
+    k = f.eigenvalue / (2.0 * (sph.n + 1))
+    printed = max(tanno_residual(f, x, k=k) for x in pts)
+    flipped = max(tanno_residual(f, x, k=-k) for x in pts)
     assert printed < EXACT
     assert flipped > 0.5
 
@@ -220,9 +221,9 @@ def test_generalized_tanno_sign_discrimination():
 def test_yano_identity_residuals(n):
     sph = SphereContext(n, 1.0)
     pts = sph.sample_points(25)
-    assert max(yano_identity_residual(_rotation(sph, n), x) for x in pts) < EXACT
-    assert max(yano_identity_residual(_quadratic(sph, n), x) for x in pts) < EXACT
-    value = max(yano_identity_residual(_linear(sph, n), x) for x in pts)
+    assert max(weitzenboeck_residual(_rotation(sph, n), x, "yano_2_2") for x in pts) < EXACT
+    assert max(weitzenboeck_residual(_quadratic(sph, n), x, "yano_2_2") for x in pts) < EXACT
+    value = max(weitzenboeck_residual(_linear(sph, n), x, "yano_2_2") for x in pts)
     expected = abs(n - 2 * (n - 1) - 2 * n / (n + 1))
     assert value == pytest.approx(expected, rel=1e-12)
     assert value > 0.1
@@ -232,9 +233,10 @@ def test_yano_identity_residuals(n):
 def test_lichnerowicz_identity_residuals(n):
     sph = SphereContext(n, 1.0)
     pts = sph.sample_points(25)
-    assert max(lichnerowicz_identity_residual(_rotation(sph, n), x) for x in pts) < EXACT
-    assert max(lichnerowicz_identity_residual(_linear(sph, n), x) for x in pts) < EXACT
-    value = max(lichnerowicz_identity_residual(_quadratic(sph, n), x) for x in pts)
+    which = "lichnerowicz_3_2"
+    assert max(weitzenboeck_residual(_rotation(sph, n), x, which) for x in pts) < EXACT
+    assert max(weitzenboeck_residual(_linear(sph, n), x, which) for x in pts) < EXACT
+    value = max(weitzenboeck_residual(_quadratic(sph, n), x, which) for x in pts)
     expected = abs(2 * (n + 1) - (2 * (n - 1) - (1 - 2 / n) * 2 * (n + 1)))
     assert value == pytest.approx(expected, rel=1e-12)
     assert value > 0.1
@@ -255,8 +257,8 @@ def test_rotational_invariance(seed):
     x_rot = O @ x
     assert tanno_residual(f_rot, x_rot) == pytest.approx(
         tanno_residual(f, x), abs=1e-12)
-    assert yano_identity_residual(f_rot, x_rot) == pytest.approx(
-        yano_identity_residual(f, x), abs=1e-12)
+    assert weitzenboeck_residual(f_rot, x_rot, "yano_2_2") == pytest.approx(
+        weitzenboeck_residual(f, x, "yano_2_2"), abs=1e-12)
 
 
 def test_theorem_bounds_conformal():
@@ -298,5 +300,8 @@ def test_rotation_form_validation():
 
 def test_identity_residual_rejects_unsupported():
     sph = SphereContext(2)
+    x = sph.sample_points(1)[0]
     with pytest.raises(OracleError, match="unsupported"):
-        yano_identity_residual(object(), sph.sample_points(1)[0])
+        weitzenboeck_residual(object(), x, "yano_2_2")
+    with pytest.raises(OracleError, match="unknown identity 'bochner'"):
+        weitzenboeck_residual(_rotation(sph), x, "bochner")

@@ -234,6 +234,19 @@ def test_hodge_split_next_estimate_keeps_a_computed_pair(spheroid_mesh):
     assert split.next_estimate == pytest.approx(seventeenth, rel=1e-9)
 
 
+@pytest.mark.parametrize("level,c", [(2, 2.0), (3, 2.0), (3, 3.0)])
+def test_hodge_split_next_estimate_bounds_the_next_pair(level, c, spheroid_mesh):
+    # with one pair the merge takes no exact value and the vertex side
+    # iterates nothing; next_estimate must still be an upper estimate of the
+    # (m+1)-th one-form eigenvalue, for every count
+    m = spheroid_mesh(level, 1.0, c)
+    scalar = _scalar_spectrum(m)
+    dense = spectral.dense_reference(*exterior.laplacian1(m), 4)
+    for count in (1, 2, 3):
+        split, _ = oneform_spectrum_hodge_split(m, count, 1e-6, scalar)
+        assert split.next_estimate <= dense[count] * (1 + 1e-6)
+
+
 def test_hodge_split_names_a_short_scalar_spectrum(sphere_mesh):
     m = sphere_mesh(3)
     scalar = _scalar_spectrum(m)
@@ -300,6 +313,33 @@ def test_hodge_norms_are_the_weak_form_pairings(build):
         for which, c in coeffs.items():
             weak = abs(w @ (delta_w - 2.0 * s1 * ric_w - c * dd_weak)) / (w @ delta_w)
             assert discrete_identity_residual(m, omega, which) == pytest.approx(weak, abs=1e-12)
+
+
+# (check, degree, expect) of the oracle battery's rows, for each (n, r)
+ORACLE_ROWS = (
+    ("obata", 1, "zero"),
+    ("tanno_k_alpha", 2, "zero"),
+    ("tanno_k_alpha", 1, "nonzero"),
+    ("tanno_k_mismatch", 2, "nonzero"),
+    ("generalized_tanno_printed_sign", 2, "zero"),
+    ("generalized_tanno_flipped_sign", 2, "nonzero"),
+    ("yano", None, "zero"),
+    ("yano", 2, "zero"),
+    ("yano", 1, "nonzero"),
+    ("lichnerowicz", None, "zero"),
+    ("lichnerowicz", 1, "zero"),
+    ("lichnerowicz", 2, "nonzero"),
+)
+
+
+def test_oracle_records_keep_their_rows_and_order():
+    # the battery's 72 records, in report order; rot has degree None
+    records = verify._oracle_records()
+    assert [(rec["check"], rec["n"], rec["r"], rec["degree"], rec["expect"])
+            for rec in records] == [(check, n, r, degree, expect)
+                                    for n in (2, 3, 5) for r in (1.0, 2.0)
+                                    for check, degree, expect in ORACLE_ROWS]
+    assert all(rec["pass"] for rec in records)
 
 
 def _synthetic_spectrum(values):
