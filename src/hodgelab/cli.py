@@ -90,6 +90,16 @@ def _finite(text: str) -> float:
     return _float(text, np.isfinite, "a finite number")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer > 0, got {text!r}")
+    return value
+
+
 def _levels(text: str) -> list:
     """``--levels``: comma-separated integers, at least two, none repeated."""
     try:
@@ -369,7 +379,7 @@ def build_parser() -> _Parser:
     _add_surface_flags(p_spec)
     p_spec.add_argument("--level", type=int, required=True)
     p_spec.add_argument("--form", type=int, default=0, choices=[0, 1])
-    p_spec.add_argument("--count", type=int, default=16)
+    p_spec.add_argument("--count", type=_positive_int, default=16)
     p_spec.add_argument("--tol", type=_finite_positive, default=1e-6)
     p_spec.add_argument("--seed", type=int, default=None)
     p_spec.add_argument("--out", default=None, help="CSV output path")
@@ -392,7 +402,7 @@ def build_parser() -> _Parser:
                         help="comma-separated subdivision levels")
     _add_surface_flags(p_conv)
     p_conv.add_argument("--form", type=int, default=0, choices=[0, 1])
-    p_conv.add_argument("--count", type=int, default=16)
+    p_conv.add_argument("--count", type=_positive_int, default=16)
     p_conv.add_argument("--target", type=_finite, default=2.0)
     p_conv.add_argument("--tol", type=_finite_positive, default=1e-6)
     p_conv.add_argument("--seed", type=int, default=None)

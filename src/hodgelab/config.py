@@ -4,12 +4,15 @@ A RunConfig carries the surface, the analytic field roster, the seed and an
 optional report path; ``default_config()`` reproduces the acceptance setup
 (unit icosphere, level 5, the 11 built-in fields). The eigenpair count and
 every tolerance are frozen constants of :mod:`hodgelab.verify`, not config
-values. ``RunConfig.from_json_dict`` reads a JSON config file (unknown keys
-are rejected); CLI flags override its fields.
+values. ``RunConfig.from_json_dict`` reads a JSON config file: unknown and
+missing keys are rejected, and so are a level or seed that is not a JSON
+integer, a radius or semi-axis that is not a number and a field name or
+report path that is not a string. CLI flags override its fields.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,19 @@ def _reject_unknown_keys(data: dict, known: tuple, where: str) -> None:
     for key in data:
         if key not in known:
             raise ConfigError(f"unknown {where} key {key!r}")
+
+
+def _required(data: dict, key: str, where: str):
+    if key not in data:
+        raise ConfigError(f"missing {where} key {key!r}")
+    return data[key]
+
+
+def _json_typed(value, types: tuple, expected: str, what: str):
+    """``value`` if it is one of ``types``; JSON true and false never count."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{what} must be {expected}, got {json.dumps(value)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -86,28 +102,34 @@ class RunConfig:
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":
         try:
-            surf = dict(data["surface"])
+            surf = dict(_required(data, "surface", "config"))
             _reject_unknown_keys(data, CONFIG_KEYS, "config")
             _reject_unknown_keys(surf, SURFACE_KEYS, "surface")
+            # an unset radius or semi-axis stays None for SurfaceSpec to judge
+            sizes = {key: _json_typed(surf[key], (int, float), "a number", f"surface {key}")
+                     for key in ("radius", "a", "c") if surf.get(key) is not None}
             surface = SurfaceSpec(
-                kind=surf["kind"],
-                level=int(surf["level"]),
-                radius=surf.get("radius"),
-                a=surf.get("a"),
-                c=surf.get("c"),
+                kind=_required(surf, "kind", "surface"),
+                level=_json_typed(_required(surf, "level", "surface"), (int,),
+                                  "an integer", "surface level"),
+                **sizes,
             )
             # an empty list is an empty roster; missing or null means the default
             fspecs = builtin_fields() if data.get("fields") is None else []
             for item in data.get("fields") or ():
                 item = dict(item)
-                kind = item.pop("kind")
-                name = item.pop("name", kind)
+                kind = _required(item, "kind", "field")
+                del item["kind"]
+                name = _json_typed(item.pop("name", kind), (str,), "a string", "field name")
                 fspecs.append(FieldSpec(name=name, kind=kind, parameters=item))
+            report_path = data.get("report_path")
+            if report_path is not None:  # open() takes an integer as a file descriptor
+                _json_typed(report_path, (str,), "a string", "report_path")
             return cls(
                 surface=surface,
                 fields=tuple(fspecs),
-                seed=int(data.get("seed", 0)),
-                report_path=data.get("report_path"),
+                seed=_json_typed(data.get("seed", 0), (int,), "an integer", "seed"),
+                report_path=report_path,
             )
         except ConfigError:
             raise

@@ -135,7 +135,11 @@ class SpectrumResult:
     clusters near-degenerate eigenvalues at ``GROUP_REL_GAP``.
     ``next_estimate`` is the first unreturned Ritz value (an upper estimate of
     eigenvalue m+1 from the padding block); it witnesses that the last
-    returned group is complete when it sits well above the group.
+    returned group is complete when it sits well above the group. It is None
+    in two cases that a caller must tell apart itself: the solve returned
+    the pencil's whole spectrum (m = n), so no eigenvalue lies above, or it
+    iterated no pair (m equal to the known kernel's size), so there is no
+    estimate.
     ``iterations`` is the number of LOBPCG expansion steps the solve took (0
     when only the known kernel was requested; None for a spectrum merged from
     several solves). ``preconditioner`` (``"multigrid"`` or ``"lu"``) and

@@ -22,11 +22,17 @@ identity of the ``WEITZENBOECK`` table, which gives its d d* coefficient and
 the field families that satisfy it). They vanish to machine precision
 exactly on the field classes that satisfy them and are O(1) on the others.
 
-The residuals never form the ambient tensors: in the frame, D3 f has the same
-closed form in frame^T df, frame^T u and g = frame^T frame, a few small
-products per point, where contracting the ambient 3-tensor with three frames
-costs O(n^6). ``covariant_derivatives`` keeps the ambient tensors as the
-reference that the tests check against finite differences and the frame form.
+Each residual is evaluated in closed form, with O(n) vector operations per
+point and neither the frame matrix nor a tensor. The frame is the Householder
+reflection H that maps the last basis vector to the normal, so frame^T y is
+H y without its last entry, and there g = I. The Obata matrix is a scalar
+times g, and each term of a Weitzenboeck identity a scalar times w. The
+rigidity residual below is p(Z) g(X,Y) + g(Z,X) q(Y) + g(Z,Y) q(X) with
+p = (2k - l/r^2) df and q = k df - u/r. Its entries are p_i + 2 q_i (Z = X =
+Y = i), p_Z (X = Y != Z), q_Y or q_X (Z equal to one of X, Y) and 0; as
+2q = (p + 2q) - p, its max-norm is that of (p + 2q, p), 3 alpha max_i |df_i|
+for l = 1, k = alpha (u = 0). ``covariant_derivatives`` keeps the ambient
+tensors, the tests' reference for finite differences and these closed forms.
 
 Third-order conventions: the classical rigidity system
 
@@ -41,8 +47,10 @@ only; they are not solutions of the full symmetrized system.)
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -145,7 +153,7 @@ class HarmonicPoly:
             return
         raise OracleError("degree must be 1 or 2")
 
-    @property
+    @cached_property
     def eigenvalue(self) -> float:
         return laplace_eigenvalue(self.degree, self.sphere.n, self.sphere.r)
 
@@ -157,7 +165,7 @@ class HarmonicPoly:
     def ambient_gradient(self, x: np.ndarray) -> np.ndarray:
         if self.degree == 1:
             return self.coefficients.copy()
-        return 2.0 * self.coefficients @ x
+        return 2.0 * (self.coefficients @ x)
 
     def ambient_hessian(self, x: np.ndarray) -> np.ndarray:
         dim = self.sphere.ambient_dim
@@ -170,7 +178,8 @@ def _check_point(sphere: SphereContext, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (sphere.ambient_dim,):
         raise OracleError(f"point must live in R^{sphere.ambient_dim}")
-    if abs(np.linalg.norm(x) - sphere.r) > POINT_TOL * max(sphere.r, 1.0):
+    # sqrt(x . x) is np.linalg.norm(x) without its dispatch; `not <=` rejects NaN
+    if not abs(math.sqrt(x @ x) - sphere.r) <= POINT_TOL * max(sphere.r, 1.0):
         raise OracleError("point not on the sphere")
     return x
 
@@ -178,26 +187,28 @@ def _check_point(sphere: SphereContext, x: np.ndarray) -> np.ndarray:
 def tangent_frame(sphere: SphereContext, x: np.ndarray) -> np.ndarray:
     """Orthonormal tangent frame at x (columns), via a Householder reflection."""
     x = _check_point(sphere, x)
-    return _householder_frame(x / sphere.r)
+    return _frame_coordinates(x / sphere.r, np.eye(sphere.ambient_dim))
 
 
-def _householder_frame(nhat: np.ndarray) -> np.ndarray:
-    e = np.zeros_like(nhat)
-    e[-1] = 1.0
-    v = nhat - e
-    H = np.eye(nhat.shape[0])
+def _frame_coordinates(nhat: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """frame^T y for a vector y, or for each row of a matrix y.
+
+    H = I - 2 v v^T / (v . v), v = nhat - e with e the last basis vector,
+    maps e to nhat; its remaining columns are the frame. H is symmetric, so
+    frame^T y is H y without its last entry. Applied to the rows of I, this
+    gives the frame itself.
+    """
+    v = nhat.copy()
+    v[-1] -= 1.0
     nv = v @ v
     if nv > 1e-30:
-        H -= 2.0 * np.outer(v, v) / nv
-    # H maps e -> nhat; its remaining columns span the tangent space. The
-    # copy keeps the frame contiguous, which fixes the rounding of the
-    # products that consume it.
-    return H[:, :-1].copy()
+        y = y - ((2.0 / nv) * (y @ v))[..., None] * v
+    return y[..., :-1]
 
 
 def _tangential(nhat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """P v with P = I - n n^T, without forming P."""
-    return v - (nhat @ v) * nhat
+    """P v with P = I - n n^T, without forming P; v a vector or rows."""
+    return v - (v @ nhat)[..., None] * nhat
 
 
 def _combination(a: np.ndarray, b: np.ndarray, g: np.ndarray, c: float) -> np.ndarray:
@@ -236,32 +247,18 @@ def obata_residual(f: HarmonicPoly, x) -> float:
     """Max-norm residual of hess f + (mu/n) f g = 0 over a tangent frame.
 
     Defined for first eigenfunctions (mu = n alpha); normalized by
-    max(|f|, |df|).
+    max(|f|, |df|). A linear f has hess f = -(n . grad f / r) g.
     """
     if f.degree != 1:
         raise OracleError("Obata residual defined for first-eigenvalue functions")
     sphere = f.sphere
     x = _check_point(sphere, x)
     nhat = x / sphere.r
-    frame = _householder_frame(nhat)
-    g = frame.T @ frame
     grad = f.ambient_gradient(x)
-    hess = frame.T @ f.ambient_hessian(x) @ frame - (nhat @ grad / sphere.r) * g
     value = f.value(x)
-    res = hess + (f.eigenvalue / sphere.n) * value * g
-    scale = max(abs(value), float(np.linalg.norm(_tangential(nhat, grad))))
-    return float(np.abs(res).max() / scale)
-
-
-def _third_in_frame(f: HarmonicPoly, x: np.ndarray):
-    """(frame^T df, D3 f in the frame) at a checked point, from the closed form."""
-    r = f.sphere.r
-    nhat = x / r
-    frame = _householder_frame(nhat)
-    dfr = frame.T @ _tangential(nhat, f.ambient_gradient(x))
-    ur = frame.T @ _tangential(nhat, f.ambient_hessian(x) @ nhat)
-    t = _combination(dfr, -ur / r, frame.T @ frame, -f.degree / r**2)
-    return dfr, t
+    res = (f.eigenvalue / sphere.n) * value - (nhat @ grad) / sphere.r
+    df = _tangential(nhat, grad)
+    return float(abs(res) / max(abs(value), math.sqrt(df @ df)))
 
 
 def tanno_residual(f: HarmonicPoly, x, k: float | None = None) -> float:
@@ -276,15 +273,18 @@ def tanno_residual(f: HarmonicPoly, x, k: float | None = None) -> float:
     """
     sphere = f.sphere
     x = _check_point(sphere, x)
+    r = sphere.r
     k = sphere.alpha if k is None else k
-    dfr, t = _third_in_frame(f, x)
-    # differentiation slot of t is first; bind it to the Z slot of the
-    # combination, whose coefficient-2 term carries df(Z)
-    res = t + k * _combination(dfr, dfr, np.eye(dfr.shape[0]), 2.0)
-    norm_df = float(np.linalg.norm(dfr))
+    nhat = x / r
+    ambient = np.array((f.ambient_gradient(x), f.ambient_hessian(x) @ nhat))
+    dfr, ur = _frame_coordinates(nhat, _tangential(nhat, ambient))
+    p = (2.0 * k - f.degree / r**2) * dfr  # p and q of the module docstring
+    q = k * dfr - ur / r
+    res = float(np.abs(np.concatenate((p + 2.0 * q, p))).max())
+    norm_df = math.sqrt(dfr @ dfr)
     if norm_df == 0.0:
-        return 0.0 if np.abs(res).max() == 0.0 else float("inf")
-    return float(np.abs(res).max() / norm_df)
+        return 0.0 if res == 0.0 else float("inf")
+    return res / norm_df
 
 
 @dataclass(frozen=True)
@@ -312,10 +312,10 @@ def weitzenboeck_residual(form, x, which: str) -> float:
 
     The identity is Delta w = 2 Ric* w + c d d* w with the table's c; it
     holds exactly for the field families (``FieldSpec.kind``) the table lists
-    and fails by O(1) for the others. Its
-    terms have closed forms, with Ric* w = (n-1) alpha w: for w = df with
-    Delta f = mu f, Delta w = d d* w = mu w (d* w = Delta f); for a rotation
-    Killing form, Delta w = 2 (n-1) alpha w and d* w = 0.
+    and fails by O(1) for the others. Its terms have closed forms, with
+    Ric* w = (n-1) alpha w: for w = df with Delta f = mu f, Delta w =
+    d d* w = mu w (d* w = Delta f); for a rotation Killing form,
+    Delta w = 2 (n-1) alpha w and d* w = 0. Each is a multiple of w.
     """
     identity = WEITZENBOECK.get(which)
     if identity is None:
@@ -327,15 +327,15 @@ def weitzenboeck_residual(form, x, which: str) -> float:
     ric = sphere.ricci_eigenvalue()
     if isinstance(form, HarmonicPoly):
         w = _tangential(x / sphere.r, form.ambient_gradient(x))
-        delta_w = ddstar_w = form.eigenvalue * w
+        delta = ddstar = form.eigenvalue
     else:
         w = form.value(x)
-        delta_w, ddstar_w = 2.0 * ric * w, np.zeros_like(w)
-    norm = np.linalg.norm(w)
-    if norm == 0.0:
+        delta, ddstar = 2.0 * ric, 0.0
+    if w @ w == 0.0:
         raise OracleError("one-form vanishes at the sample point")
-    res = delta_w - (2.0 * (ric * w) + identity.coefficient(sphere.n) * ddstar_w)
-    return float(np.linalg.norm(res) / (sphere.alpha * norm))
+    # the residual vector is coefficient * w: its norm over alpha |w| is below
+    coefficient = delta - (2.0 * ric + identity.coefficient(sphere.n) * ddstar)
+    return abs(coefficient) / sphere.alpha
 
 
 @dataclass(frozen=True)

@@ -211,7 +211,15 @@ def scalar_spectrum(mesh: mesh_mod.TriangleMesh, m: int, tol: float,
 
 
 def _window(result: SpectrumResult) -> float:
-    """A solve's ``next_estimate``, or inf when it returned its whole spectrum."""
+    """A solve's ``next_estimate``, or inf when it has none.
+
+    ``solve_lowest`` has none when it returned the pencil's whole spectrum,
+    where inf is exact, and when it iterated no pair (m equal to the known
+    kernel's size), where inf would be wrong. The split never passes a solve
+    of the second kind: the scalar spectrum and the face side solve at least
+    two pairs, and a vertex side that iterated nothing is bounded by the
+    lowest exact value instead.
+    """
     return np.inf if result.next_estimate is None else result.next_estimate
 
 

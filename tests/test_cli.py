@@ -122,9 +122,34 @@ def test_spectrum_oneform_small_count_matches_dense(tmp_path, monkeypatch, capsy
     values = [float(line.split(",")[1]) for line in csv.read_text().strip().splitlines()[1:]]
     reference = spectral.dense_reference(*exterior.laplacian1(mesh.build_icosphere(1, 1.0)), 2)
     np.testing.assert_allclose(values, reference, rtol=1e-9)
-    # no count at all is a solver failure, not a crash
-    assert cli.main(["spectrum", "--level", "1", "--form", "1", "--count", "0"]) == 2
-    assert capsys.readouterr().err == "error: m=0: the Hodge split needs at least one pair\n"
+    # no count at all is a usage error, raised before any solve
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--level", "1", "--form", "1", "--count", "0"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        "error: argument --count: expected an integer > 0, got '0'\n")
+
+
+@pytest.mark.parametrize("command", [["spectrum", "--level", "1"],
+                                     ["spectrum", "--level", "1", "--form", "1"],
+                                     ["converge", "--levels", "1,2"]])
+@pytest.mark.parametrize("count", ["0", "-1", "-2", "2.5", "x"])
+def test_count_must_be_a_positive_integer(command, count, tmp_path, monkeypatch, capsys):
+    # rejected at parsing: one error line, no mesh built, --out left intact
+    from hodgelab import cli
+
+    def no_build(surface):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(cli.mesh_mod, "build_surface", no_build)
+    out = tmp_path / "kept.csv"
+    out.write_text("kept\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--count", count, "--out", str(out)])
+    assert exc.value.code == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert errors == [f"error: argument --count: expected an integer > 0, got {count!r}"]
+    assert out.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("level", [2, 3])
@@ -292,6 +317,27 @@ def test_verify_invalid_config_values(tmp_path):
         # grouping uses one fixed relative gap; the old knob is not accepted
         ({"surface": sphere, "tolerances": {"group_rel_gap": 0.5}},
          "unknown config key 'tolerances'"),
+        # a level or seed is a JSON integer and a size a number: none is
+        # truncated or coerced, and a missing key is named
+        ({"surface": {**sphere, "level": 2.7}}, "surface level must be an integer, got 2.7"),
+        ({"surface": sphere, "seed": 2.9}, "seed must be an integer, got 2.9"),
+        ({"surface": {**sphere, "level": "2"}}, 'surface level must be an integer, got "2"'),
+        ({"surface": sphere, "seed": "3"}, 'seed must be an integer, got "3"'),
+        ({"surface": {**sphere, "level": True}}, "surface level must be an integer, got true"),
+        ({"surface": sphere, "seed": False}, "seed must be an integer, got false"),
+        ({"surface": {**sphere, "radius": "1"}}, 'surface radius must be a number, got "1"'),
+        ({"surface": {"kind": "spheroid", "level": 1, "a": True, "c": 2.0}},
+         "surface a must be a number, got true"),
+        ({"seed": 0}, "missing config key 'surface'"),
+        ({"surface": {"kind": "icosphere", "radius": 1.0}}, "missing surface key 'level'"),
+        ({"surface": {"level": 1, "radius": 1.0}}, "missing surface key 'kind'"),
+        ({"surface": sphere, "fields": [{"name": "anon", "axis": [1, 0, 0]}]},
+         "missing field key 'kind'"),
+        ({"surface": sphere, "fields": [{"name": 5, "kind": "killing_rotation",
+                                         "axis": [0, 0, 1]}]},
+         "field name must be a string, got 5"),
+        # an integer path would be opened as a file descriptor (1 is stdout)
+        ({"surface": sphere, "report_path": 1}, "report_path must be a string, got 1"),
     ):
         path.write_text(json.dumps(cfg))
         proc = run_cli("verify", "--config", str(path))

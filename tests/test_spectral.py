@@ -97,6 +97,24 @@ def test_iterations_recorded(scalar_pair_factory, sphere_mesh):
     assert solve_lowest(A, B, 1, known_kernel=kernel).iterations == 0
 
 
+def test_next_estimate_is_none_for_a_whole_spectrum_or_no_iterated_pair(
+        scalar_pair_factory, sphere_mesh):
+    # None means "nothing above" when m = n and "no estimate" when only the
+    # known kernel was asked for; in between it is the first unreturned value
+    A, B = scalar_pair_factory(0)
+    n = sphere_mesh(0).n_vertices
+    kernel = np.ones(n)
+    dense = dense_reference(A, B)
+    whole = solve_lowest(A, B, n, tol=1e-9, seed=0, known_kernel=kernel)
+    assert whole.next_estimate is None and whole.block == n - 1
+    np.testing.assert_allclose(whole.eigenvalues, dense, rtol=1e-8, atol=1e-10)
+    kernel_only = solve_lowest(A, B, 1, tol=1e-9, seed=0, known_kernel=kernel)
+    assert kernel_only.next_estimate is None and kernel_only.block == 0
+    assert kernel_only.eigenvalues.tolist() == [0.0]
+    below_top = solve_lowest(A, B, n - 1, tol=1e-9, seed=0, known_kernel=kernel)
+    assert below_top.next_estimate == pytest.approx(dense[-1], rel=1e-8)
+
+
 @pytest.mark.parametrize("level,m", [(0, 9), (1, 9)])
 def test_solver_matches_dense_scalar(level, m, sphere_mesh, scalar_pair_factory):
     A, B = scalar_pair_factory(level)

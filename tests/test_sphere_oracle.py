@@ -16,6 +16,7 @@ from hodgelab.sphere_oracle import (
     theorem_bounds,
     weitzenboeck_residual,
 )
+from hodgelab import verify
 from hodgelab.verify import oracle_fields
 
 EXACT = 1e-12
@@ -138,21 +139,96 @@ def test_covariant_derivatives_match_finite_differences():
     assert fd3 == pytest.approx(exact, abs=1e-5)
 
 
+def _rotation_second_derivative(form, x):
+    """(w, nabla^2 w) of a rotation form as ambient tensors at x.
+
+    nabla w is the restriction of the constant form (X, Y) -> Y^T A X, so by
+    the Gauss formula (D_Z X = nabla_Z X - (g(Z,X)/r) n) its covariant
+    derivative is -(1/r) [g(Z,X) (A n)(Y) + g(Z,Y) (A^T n)(X)].
+    """
+    r = form.sphere.r
+    nhat = x / r
+    P = np.eye(nhat.shape[0]) - np.outer(nhat, nhat)
+    A = form.generator
+    second = -(P[:, :, None] * (P @ A @ nhat) + P[:, None, :] * (P @ A.T @ nhat)[:, None]) / r
+    return form.value(x), second
+
+
+def _reference_residuals(n, r, x, forms, k_values):
+    """{row: residual} at x, each from an explicitly contracted tensor.
+
+    The tensors come from ``covariant_derivatives`` (the rotation's from the
+    Gauss formula above) contracted with ``tangent_frame``; none of the
+    residuals' closed forms is used.
+    """
+    sph = forms["rot"].sphere
+    frame = tangent_frame(sph, x)
+    g = frame.T @ frame
+    rows = {}
+    derivatives = {}
+    for name in ("f1", "f2"):
+        f = forms[name]
+        df, hess, third = covariant_derivatives(f, x)
+        dfr = frame.T @ df
+        t = np.einsum("abc,ai,bj,ck->ijk", third, frame, frame, frame)
+        norm_df = np.linalg.norm(dfr)
+        for label, k in k_values.items():
+            system = t + k * (2.0 * np.einsum("z,xy->zxy", dfr, g)
+                              + np.einsum("zx,y->zxy", g, dfr)
+                              + np.einsum("zy,x->zxy", g, dfr))
+            rows[("tanno", label, name)] = np.abs(system).max() / norm_df
+        derivatives[name] = dfr, t
+    f1 = forms["f1"]
+    df, hess, _ = covariant_derivatives(f1, x)
+    obata = frame.T @ hess @ frame + (f1.eigenvalue / n) * f1.value(x) * g
+    rows[("obata", "f1")] = (np.abs(obata).max()
+                             / max(abs(f1.value(x)), np.linalg.norm(frame.T @ df)))
+    w, second = _rotation_second_derivative(forms["rot"], x)
+    derivatives["rot"] = (frame.T @ w,
+                          np.einsum("abc,ai,bj,ck->ijk", second, frame, frame, frame))
+    ric = sph.ricci_eigenvalue()
+    for name, (wr, t) in derivatives.items():
+        # Bochner: Delta w = -tr_12 nabla^2 w + Ric* w; d d* w = -tr_23 nabla^2 w
+        delta = -np.einsum("iiz->z", t) + ric * wr
+        ddstar = -np.einsum("zii->z", t)
+        for which, identity in oracle.WEITZENBOECK.items():
+            res = delta - (2.0 * ric * wr + identity.coefficient(n) * ddstar)
+            rows[(which, name)] = np.linalg.norm(res) / (sph.alpha * np.linalg.norm(wr))
+    return rows
+
+
 @pytest.mark.parametrize("n", DIMENSIONS)
 @pytest.mark.parametrize("r", RADII)
-def test_third_in_frame_matches_ambient_contraction(n, r):
-    # the residuals' frame closed form against the ambient reference tensor
-    # contracted with three frames, on the oracle battery's fields and points
-    sph, f1, f2, _ = oracle_fields(n, r, seed=7)
-    for f in (f1, f2):
-        for x in sph.sample_points():
-            df, _, third = covariant_derivatives(f, x)
-            frame = tangent_frame(sph, x)
-            want = np.einsum("abc,ai,bj,ck->ijk", third, frame, frame, frame)
-            dfr, t = oracle._third_in_frame(f, x)
-            tol = 1e-13 * max(1.0, float(np.linalg.norm(df)))
-            assert np.abs(dfr - frame.T @ df).max() <= tol
-            assert np.abs(t - want).max() <= tol
+def test_residuals_match_explicit_contraction(n, r):
+    # every row kind of the oracle battery, on its fields and all its sample
+    # points, against the max-norm of the tensor, matrix or vector built by
+    # explicit contraction; rows that vanish mathematically are held to an
+    # absolute, the others to a relative tolerance
+    sph, f1, f2, rot = oracle_fields(n, r, seed=verify.ORACLE_SEED)
+    forms = {"f1": f1, "f2": f2, "rot": rot}
+    k_phi = f2.eigenvalue / (2.0 * (n + 1))
+    # the battery's k, and alpha / 4: on f1 only that one puts the max-norm
+    # on the entries p_Z of the module docstring
+    k_values = {"alpha": sph.alpha, "2alpha": 2.0 * sph.alpha, "+phi": k_phi, "-phi": -k_phi,
+                "alpha/4": sph.alpha / 4.0}
+    families = {"f1": "conformal_gradient", "f2": "projective_gradient",
+                "rot": "killing_rotation"}
+    zero = {("obata", "f1"), ("tanno", "alpha", "f2"), ("tanno", "+phi", "f2")}
+    zero |= {(which, name) for which, identity in oracle.WEITZENBOECK.items()
+             for name, family in families.items() if family in identity.families}
+    for x in sph.sample_points(seed=verify.ORACLE_SEED):
+        for row, want in _reference_residuals(n, r, x, forms, k_values).items():
+            if row[0] == "obata":
+                got = obata_residual(f1, x)
+            elif row[0] == "tanno":
+                got = tanno_residual(forms[row[2]], x, k=k_values[row[1]])
+            else:
+                got = weitzenboeck_residual(forms[row[1]], x, row[0])
+            if row in zero:
+                assert abs(got - want) <= 1e-13, (row, got, want)
+            else:
+                assert want > 0.01, (row, want)
+                assert abs(got - want) <= 1e-13 * want, (row, got, want)
 
 
 @pytest.mark.parametrize("n", DIMENSIONS)
@@ -173,6 +249,13 @@ def test_off_sphere_point_rejected():
     sph = SphereContext(2)
     with pytest.raises(OracleError, match="not on the sphere"):
         covariant_derivatives(_linear(sph), np.array([1.1, 0.0, 0.0]))
+    # a NaN coordinate is off the sphere too, for every residual
+    x = np.array([np.nan, 0.0, 1.0])
+    for residual in (lambda: obata_residual(_linear(sph), x),
+                     lambda: tanno_residual(_quadratic(sph), x),
+                     lambda: weitzenboeck_residual(_rotation(sph), x, "yano_2_2")):
+        with pytest.raises(OracleError, match="not on the sphere"):
+            residual()
 
 
 @pytest.mark.parametrize("n", DIMENSIONS)
