@@ -131,8 +131,9 @@ class SpectrumResult:
 
     ``residuals`` holds ||A x - lambda B x|| / ||B x|| per pair, or
     ||M (A x - lambda B x)|| / ||M B x|| for the iterated pairs of a solve
-    given a ``residual_map`` M (see ``solve_lowest``); ``groups``
-    clusters near-degenerate eigenvalues at ``GROUP_REL_GAP``.
+    given a ``residual_map`` M; an iterated pair's is the one the stopping
+    test read (see ``solve_lowest``). ``groups`` clusters near-degenerate
+    eigenvalues at ``GROUP_REL_GAP``.
     ``next_estimate`` is the first unreturned Ritz value (an upper estimate of
     eigenvalue m+1 from the padding block); it witnesses that the last
     returned group is complete when it sits well above the group. It is None
@@ -372,9 +373,10 @@ def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, gram,
     """Standard-problem LOBPCG with soft locking and one Rayleigh-Ritz step
     per iteration.
 
-    Returns (theta, X, iterations), where ``iterations`` counts the expansion
-    steps taken; raises ConvergenceError at the iteration cap. A column's
-    residual is measured as ``_residual_norms(R, X, gram)``.
+    Returns (theta, X, residuals, iterations), where ``residuals`` are the
+    ``_residual_norms(R, X, gram)`` of every column of X, read by the
+    stopping test that ended the loop, and ``iterations`` counts the
+    expansion steps taken; raises ConvergenceError at the iteration cap.
 
     Only the start block gets a Rayleigh-Ritz step of its own. The blocks
     [X | W | P] are kept mutually orthonormal so the Rayleigh-Ritz problem
@@ -418,7 +420,7 @@ def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, gram,
         active = res > tol
         history.append((float(res[:n_wanted].max()), int(active.sum())))
         if not active[:n_wanted].any():
-            return theta, X, iteration
+            return theta, X, res, iteration
         if iteration == maxiter:
             break
         R = R[:, active]  # the full R is released before the preconditioner runs
@@ -484,16 +486,16 @@ def _standard_form(Amat, d, known_kernel):
 def _iterate(Atil, s, kernel, X0, n_wanted, tol, maxiter, hierarchy, gram):
     """LOBPCG on the standard form from the transformed start block X0.
 
-    Returns (theta, X, iterations, preconditioner): the V-cycle when a
-    hierarchy is given, else the sparse LU.
+    Returns ``_lobpcg``'s (theta, X, residuals, iterations) and the
+    preconditioner: the V-cycle when a hierarchy is given, else the sparse LU.
     """
     if hierarchy is None:
         preconditioner, precond = "lu", _shifted_lu_preconditioner(Atil)
     else:
         preconditioner, precond = "multigrid", _multigrid_preconditioner(Atil, s, hierarchy)
-    theta, X, iterations = _lobpcg(Atil, X0, n_wanted, tol, maxiter, precond, gram,
-                                   constraints=kernel)
-    return theta, X, iterations, preconditioner
+    theta, X, res, iterations = _lobpcg(Atil, X0, n_wanted, tol, maxiter, precond, gram,
+                                        constraints=kernel)
+    return theta, X, res, iterations, preconditioner
 
 
 def _nested_start(Amat, d, known_kernel, block, n_wanted, tol, seed, maxiter, hierarchy):
@@ -521,9 +523,9 @@ def _nested_start(Amat, d, known_kernel, block, n_wanted, tol, seed, maxiter, hi
     X0, levels = _nested_start(Ac, dc, kc, block, n_wanted, tol, seed, maxiter, coarser)
     Atil, s, kernel = _standard_form(Ac, dc, kc)
     try:
-        _theta, X, iterations, _ = _iterate(Atil, s, kernel, X0, n_wanted,
-                                            max(tol, NESTED_TOL), maxiter, coarser,
-                                            sp.diags(dc))
+        _theta, X, _res, iterations, _ = _iterate(Atil, s, kernel, X0, n_wanted,
+                                                  max(tol, NESTED_TOL), maxiter, coarser,
+                                                  sp.diags(dc))
     except ConvergenceError as exc:
         # the fine solve never ran: say which pencil the residuals belong to
         raise ConvergenceError(f"nested start, coarse level of {n_coarse} vertices: {exc}",
@@ -556,9 +558,9 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
     and a ConvergenceError on a coarse level names its size.
 
     ``residual_map``: optional sparse matrix M with n columns. Each iterated
-    pair is then measured, in the stopping test and in the returned
-    residuals, as ||M (A x - lambda B x)|| / ||M B x|| instead of
-    ||A x - lambda B x|| / ||B x||. The Hodge split passes the fixed map that
+    pair is then measured as ||M (A x - lambda B x)|| / ||M B x|| instead of
+    ||A x - lambda B x|| / ||B x||; either way, its returned residual is the
+    one the stopping test read. The Hodge split passes the fixed map that
     sends a side's residual to the residual of its one-form, so its sides
     stop on the one-form residual itself. The known-kernel pair keeps the
     pencil's own residual (M sends the split's kernel, the constants, to 0).
@@ -579,7 +581,6 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
                             f"the pencil has {n}")
 
     Atil, s, kernel = _standard_form(Amat, d, known_kernel)
-    inv_s = 1.0 / s
     # residual Gram operator (M S)^T (M S) of the transformed variables,
     # where the original residual is S r and B x is S y, with S = diag(s)
     if residual_map is None:
@@ -592,6 +593,7 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
     n_iter = m - n_kernel
     vals = np.zeros(0)
     vecs_t = np.zeros((n, 0))
+    residuals = np.zeros(0)
     next_estimate = None
     iterations = 0
     preconditioner = None
@@ -606,32 +608,26 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
             X0 = np.random.default_rng(seed).standard_normal((n, block))
             k = min(start.shape[1], block)
             X0[:, :k] = start[:, :k] * s[:, None]
-        theta, X, iterations, preconditioner = _iterate(
+        theta, X, res, iterations, preconditioner = _iterate(
             Atil, s, kernel, X0, n_iter, tol, maxiter, hierarchy, G)
         vals = theta[:n_iter]
         vecs_t = X[:, :n_iter]
+        residuals = res[:n_iter]
         if theta.shape[0] > n_iter:
             next_estimate = float(theta[n_iter])
 
     if n_kernel:
+        # the pencil's own residual: a residual map sends the constants to 0
         vals = np.concatenate([np.zeros(n_kernel), vals])
         vecs_t = np.concatenate([kernel, vecs_t], axis=1)
+        residuals = np.concatenate(
+            [_residual_norms(Atil @ kernel, kernel, sp.diags(d)), residuals])
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
-    vecs = vecs_t[:, order] * inv_s[:, None]
-
-    Bx = vecs * d[:, None]
-    R = Amat @ vecs - Bx * vals
-    residuals = np.linalg.norm(R, axis=0) / np.linalg.norm(Bx, axis=0)
-    if residual_map is not None:
-        # S^-1 R and S^-1 B x are the transformed residuals and vectors
-        it = order >= n_kernel
-        residuals[it] = _residual_norms(R[:, it] * inv_s[:, None],
-                                        Bx[:, it] * inv_s[:, None], G)
     return SpectrumResult(
         eigenvalues=vals,
-        eigenvectors=vecs,
-        residuals=residuals,
+        eigenvectors=vecs_t[:, order] * (1.0 / s)[:, None],
+        residuals=residuals[order],
         groups=group_multiplicities(vals),
         next_estimate=next_estimate,
         iterations=iterations,

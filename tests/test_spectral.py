@@ -569,9 +569,52 @@ def test_no_residual_map_keeps_the_weighted_norm(monkeypatch, spheroid_mesh):
     reference = solve_lowest(A2, B2, 9, 1e-6, seed=0, known_kernel=kernel)
     assert result.iterations == reference.iterations
     for got, want in [(result.eigenvalues, reference.eigenvalues),
-                      (result.eigenvectors, reference.eigenvectors),
-                      (result.residuals, reference.residuals)]:
+                      (result.eigenvectors, reference.eigenvectors)]:
         assert np.array_equal(got, want)
+    # the returned residuals are the norms themselves, so they agree only to
+    # the rounding of the two formulas
+    np.testing.assert_allclose(result.residuals, reference.residuals, rtol=1e-12, atol=0)
+
+
+def _reference_residuals(A, B, result, residual_map=None):
+    """Residuals of a solve, recomputed in the original variables.
+
+    ||A x - lambda B x|| / ||B x|| per pair, or ||M (A x - lambda B x)|| /
+    ||M B x|| for the iterated pairs (every pair but the leading kernel one)
+    of a solve given a ``residual_map`` M; an independent reference for the
+    residuals the stopping test read.
+    """
+    X = result.eigenvectors
+    BX = B.matrix @ X
+    R = A.matrix @ X - BX * result.eigenvalues
+    residuals = np.linalg.norm(R, axis=0) / np.linalg.norm(BX, axis=0)
+    if residual_map is not None:
+        residuals[1:] = (np.linalg.norm(residual_map @ R[:, 1:], axis=0)
+                         / np.linalg.norm(residual_map @ BX[:, 1:], axis=0))
+    return residuals
+
+
+@pytest.mark.parametrize("case", ["cold-nested-scalar", "lu-scalar", "mapped-face-side",
+                                  "seeded-vertex-side"])
+def test_returned_residuals_are_the_converged_ones(case, sphere_mesh, spheroid_mesh):
+    tol = 1e-6
+    m = spheroid_mesh(4) if case.endswith("side") else sphere_mesh(4)
+    hierarchy = None if case in ("lu-scalar", "mapped-face-side") else m.vertex_prolongations()
+    pencil = exterior.laplacian2(m) if case == "mapped-face-side" else exterior.laplacian0(m)
+    start = residual_map = None
+    if case == "mapped-face-side":
+        residual_map = exterior.coexact_map(m)
+    elif case == "seeded-vertex-side":
+        start = verify.scalar_spectrum(m, 12, tol).eigenvectors[:, 1:]
+        residual_map = exterior.exact_map(m)
+    A, B = pencil
+    result = solve_lowest(A, B, 9, tol, seed=0, known_kernel=np.ones(A.shape[0]),
+                          start=start, hierarchy=hierarchy, residual_map=residual_map)
+    assert bool(result.coarse_levels) == (case == "cold-nested-scalar")
+    assert result.preconditioner == ("lu" if hierarchy is None else "multigrid")
+    np.testing.assert_allclose(result.residuals, _reference_residuals(A, B, result, residual_map),
+                               rtol=1e-5, atol=1e-6 * tol)
+    assert (result.residuals[1:] <= tol).all()
 
 
 def _cold_vertex_solve(m, seed=0, **kwargs):
