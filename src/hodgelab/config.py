@@ -48,6 +48,14 @@ def _json_typed(value, types: tuple, expected: str, what: str):
     return value
 
 
+# each field kind's one parameter and its field family
+FIELD_KINDS = {
+    "killing_rotation": ("axis", field_mod.KillingRotation),
+    "conformal_gradient": ("direction", field_mod.ConformalGradient),
+    "projective_gradient": ("Q", field_mod.ProjectiveGradient),
+}
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     name: str
@@ -55,13 +63,13 @@ class FieldSpec:
     parameters: dict
 
     def build(self, surface: SurfaceSpec):
-        if self.kind == "killing_rotation":
-            return field_mod.KillingRotation(np.asarray(self.parameters["axis"], float), surface)
-        if self.kind == "conformal_gradient":
-            return field_mod.ConformalGradient(np.asarray(self.parameters["direction"], float), surface)
-        if self.kind == "projective_gradient":
-            return field_mod.ProjectiveGradient(np.asarray(self.parameters["Q"], float), surface)
-        raise ConfigError(f"unknown field kind {self.kind!r}")
+        if self.kind not in FIELD_KINDS:
+            raise ConfigError(f"unknown field kind {self.kind!r}")
+        key, family = FIELD_KINDS[self.kind]
+        for name in self.parameters:
+            if name != key:
+                raise ConfigError(f"unknown {self.kind} parameter {name!r} (it takes {key!r})")
+        return family(np.asarray(self.parameters[key], float), surface)
 
 
 def builtin_fields() -> list:
@@ -102,7 +110,9 @@ class RunConfig:
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":
         try:
-            surf = dict(_required(data, "surface", "config"))
+            _json_typed(data, (dict,), "an object", "config")
+            surf = dict(_json_typed(_required(data, "surface", "config"), (dict,),
+                                    "an object", "surface"))
             _reject_unknown_keys(data, CONFIG_KEYS, "config")
             _reject_unknown_keys(surf, SURFACE_KEYS, "surface")
             # an unset radius or semi-axis stays None for SurfaceSpec to judge
@@ -115,13 +125,9 @@ class RunConfig:
                 **sizes,
             )
             # an empty list is an empty roster; missing or null means the default
-            fspecs = builtin_fields() if data.get("fields") is None else []
-            for item in data.get("fields") or ():
-                item = dict(item)
-                kind = _required(item, "kind", "field")
-                del item["kind"]
-                name = _json_typed(item.pop("name", kind), (str,), "a string", "field name")
-                fspecs.append(FieldSpec(name=name, kind=kind, parameters=item))
+            roster = data.get("fields")
+            fspecs = builtin_fields() if roster is None else [
+                _field_spec(item) for item in _json_typed(roster, (list,), "a list", "fields")]
             report_path = data.get("report_path")
             if report_path is not None:  # open() takes an integer as a file descriptor
                 _json_typed(report_path, (str,), "a string", "report_path")
@@ -135,6 +141,15 @@ class RunConfig:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
+
+
+def _field_spec(item) -> FieldSpec:
+    """The FieldSpec of one roster entry of a config file."""
+    item = dict(_json_typed(item, (dict,), "an object", "each field"))
+    kind = _required(item, "kind", "field")
+    del item["kind"]
+    name = _json_typed(item.pop("name", kind), (str,), "a string", "field name")
+    return FieldSpec(name=name, kind=kind, parameters=item)
 
 
 def default_config() -> RunConfig:

@@ -20,6 +20,16 @@ MAX_SUBDIVISION_LEVEL = 8
 # Face area is declared degenerate below this fraction of the mean area.
 DEGENERATE_AREA_FRACTION = 1e-12
 
+# The sizes (radius, semi-axes) for which every power of a size that the
+# pipeline forms is a finite, normal number. The binding powers are the
+# squares held in float32: the solver's preconditioners store the B-scaled
+# pencil, whose entries scale as size^-2, and its approximate inverse, which
+# scales as size^2 (from 1.08e-19 to 9.22e18). The largest power in float64,
+# the sixth (a*a*b*b*c*c in curvature.ellipsoid_curvature_exact), stays normal
+# from 5.3e-52 to 2.4e51.
+SIZE_RANGE = (float(np.finfo(np.float32).tiny) ** 0.5,
+              float(np.finfo(np.float32).tiny) ** -0.5)
+
 
 class MeshError(Exception):
     """Invalid mesh topology, geometry, or generator arguments."""
@@ -64,6 +74,13 @@ class SurfaceSpec:
         elif (self.a is None or self.c is None
               or not (0 < self.a < np.inf and 0 < self.c < np.inf)):
             raise MeshError("spheroid needs finite semi-axes a, c > 0")
+        lo, hi = SIZE_RANGE
+        for name in ("radius", "a", "c"):
+            size = getattr(self, name)
+            if size is not None and not lo <= size <= hi:
+                raise MeshError(f"{self.kind} {name} {size:g} is outside "
+                                f"[{lo:.3g}, {hi:.3g}], where its square and inverse "
+                                "square are normal float32 values")
 
     @property
     def axes(self) -> tuple:

@@ -359,6 +359,52 @@ def test_verify_invalid_config_values(tmp_path):
         assert proc.stderr == f"error: {message}\n"
 
 
+SPHERE = {"kind": "icosphere", "level": 1, "radius": 1.0}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ([SPHERE], 'config must be an object, got [{"kind": "icosphere", "level": 1, '
+               '"radius": 1.0}]'),
+    ({"surface": "icosphere"}, 'surface must be an object, got "icosphere"'),
+    ({"surface": SPHERE, "fields": 5}, "fields must be a list, got 5"),
+    # an empty object is not an empty roster
+    ({"surface": SPHERE, "fields": {}}, "fields must be a list, got {}"),
+    ({"surface": SPHERE, "fields": [5]}, "each field must be an object, got 5"),
+    ({"surface": SPHERE, "fields": [{"name": "r", "kind": "killing_rotation",
+                                     "axis": [0, 0, 1], "direction": [1, 0, 0]}]},
+     "field r: unknown killing_rotation parameter 'direction' (it takes 'axis')"),
+])
+def test_config_entry_of_the_wrong_type_is_named(cfg, message, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli("verify", "--config", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("source, message", [
+    ("--radius 1e-200", "icosphere radius 1e-200"),
+    ("--radius 1e200", "icosphere radius 1e+200"),
+    ('{"kind": "icosphere", "level": 3, "radius": 1e-20}', "icosphere radius 1e-20"),
+    ('{"kind": "spheroid", "level": 3, "a": 1.0, "c": 1e19}', "spheroid c 1e+19"),
+])
+def test_surface_size_whose_square_leaves_float32_is_rejected(source, message, tmp_path):
+    # rejected when the surface is described, before any mesh is built or
+    # the report file is opened
+    out = tmp_path / "report.json"
+    if source.startswith("--"):
+        argv = ["--level", "3", *source.split()]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"surface": {source}}}')
+        argv = ["--config", str(path)]
+    proc = run_cli("verify", *argv, "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: {message} is outside [1.08e-19, 9.22e+18], where its "
+                           "square and inverse square are normal float32 values\n")
+    assert not out.exists()
+
+
 def test_converge_monotone(tmp_path):
     out = tmp_path / "conv.csv"
     proc = run_cli("converge", "--levels", "2,3,4", "--form", "0",

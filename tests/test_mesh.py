@@ -248,6 +248,19 @@ def test_off_spheroid_pole_line():
     assert b"\n0 0 2\n" in export_off(m)
 
 
+def test_surface_sizes_end_where_their_squares_leave_float32():
+    lo, hi = mesh.SIZE_RANGE
+    assert np.float32(lo * lo) == np.finfo(np.float32).tiny == np.float32(1 / (hi * hi))
+    for size in (lo, 1.0, hi):
+        SurfaceSpec(kind="icosphere", level=1, radius=size)
+        SurfaceSpec(kind="spheroid", level=1, a=size, c=size)
+    for size in (np.nextafter(lo, 0), np.nextafter(hi, np.inf)):
+        with pytest.raises(MeshError, match="where its square and inverse square"):
+            SurfaceSpec(kind="icosphere", level=1, radius=size)
+        with pytest.raises(MeshError, match="spheroid c"):
+            SurfaceSpec(kind="spheroid", level=1, a=1.0, c=size)
+
+
 def test_surface_spec_validation():
     with pytest.raises(MeshError):
         SurfaceSpec(kind="torus", level=1)
