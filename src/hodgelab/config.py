@@ -6,8 +6,10 @@ optional report path; ``default_config()`` reproduces the acceptance setup
 every tolerance are frozen constants of :mod:`hodgelab.verify`, not config
 values. ``RunConfig.from_json_dict`` reads a JSON config file: unknown and
 missing keys are rejected, and so are a level or seed that is not a JSON
-integer, a radius or semi-axis that is not a number and a field name or
-report path that is not a string. CLI flags override its fields.
+integer, a radius or semi-axis that is not a number, a field name or report
+path that is not a string, a config, surface or field entry that is not an
+object, a roster that is not a list and a field parameter that the field's
+kind does not take. CLI flags override its fields.
 """
 
 from __future__ import annotations
