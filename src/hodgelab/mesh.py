@@ -21,12 +21,12 @@ MAX_SUBDIVISION_LEVEL = 8
 DEGENERATE_AREA_FRACTION = 1e-12
 
 # The sizes (radius, semi-axes) for which every power of a size that the
-# pipeline forms is a finite, normal number. The binding powers are the
-# squares held in float32: the solver's preconditioners store the B-scaled
-# pencil, whose entries scale as size^-2, and its approximate inverse, which
-# scales as size^2 (from 1.08e-19 to 9.22e18). The largest power in float64,
-# the sixth (a*a*b*b*c*c in curvature.ellipsoid_curvature_exact), stays normal
-# from 5.3e-52 to 2.4e51.
+# pipeline forms is a finite, normal number: 2^-63 to 2^63. The bound comes
+# from the squares held in float32: the solver's preconditioners store the
+# B-scaled pencil, whose entries scale as size^-2, and its approximate
+# inverse, which scales as size^2. The largest power in float64, the sixth
+# (a*a*b*b*c*c in curvature.ellipsoid_curvature_exact), stays normal over a
+# wider range, 5.3e-52 to 2.4e51.
 SIZE_RANGE = (float(np.finfo(np.float32).tiny) ** 0.5,
               float(np.finfo(np.float32).tiny) ** -0.5)
 
