@@ -600,14 +600,13 @@ def test_returned_residuals_are_the_converged_ones(case, sphere_mesh, spheroid_m
     tol = 1e-6
     m = spheroid_mesh(4) if case.endswith("side") else sphere_mesh(4)
     hierarchy = None if case in ("lu-scalar", "mapped-face-side") else m.vertex_prolongations()
-    pencil = exterior.laplacian2(m) if case == "mapped-face-side" else exterior.laplacian0(m)
+    A, B = exterior.laplacian2(m) if case == "mapped-face-side" else exterior.laplacian0(m)
     start = residual_map = None
     if case == "mapped-face-side":
         residual_map = exterior.coexact_map(m)
     elif case == "seeded-vertex-side":
         start = verify.scalar_spectrum(m, 12, tol).eigenvectors[:, 1:]
         residual_map = exterior.exact_map(m)
-    A, B = pencil
     result = solve_lowest(A, B, 9, tol, seed=0, known_kernel=np.ones(A.shape[0]),
                           start=start, hierarchy=hierarchy, residual_map=residual_map)
     assert bool(result.coarse_levels) == (case == "cold-nested-scalar")
