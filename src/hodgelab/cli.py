@@ -196,6 +196,17 @@ def _history_line(history) -> str:
     return f"iteration: largest residual/active columns: {entries}"
 
 
+def _print_solve_error(exc, where: str = "") -> None:
+    """The ``error`` line of a failed solve and, for a ConvergenceError, its
+    best residuals and residual history, each on one line of stderr."""
+    print(f"error{where}: {exc}", file=sys.stderr)
+    if isinstance(exc, spectral.ConvergenceError):
+        residuals = ", ".join(f"{res:.3g}" for res in exc.residuals)
+        print(f"best residuals after {exc.iterations} iterations: {residuals}",
+              file=sys.stderr)
+        print(_history_line(exc.history), file=sys.stderr)
+
+
 def cmd_spectrum(args) -> int:
     surface = _surface_from_args(args, args.level)
     seed = _seed(args.seed)
@@ -204,11 +215,7 @@ def cmd_spectrum(args) -> int:
         try:
             result = _lowest_eigenpairs(built, args, seed)
         except SOLVE_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            if isinstance(exc, spectral.ConvergenceError):
-                print(f"best residuals after {exc.iterations} iterations: "
-                      f"{exc.residuals}", file=sys.stderr)
-                print(_history_line(exc.history), file=sys.stderr)
+            _print_solve_error(exc)
             return EXIT_FAILURE
         rows = _spectrum_rows(result)
         lines = ["index,eigenvalue,residual,group"]
@@ -323,7 +330,7 @@ def cmd_converge(args) -> int:
             try:
                 result = _lowest_eigenpairs(built, args, seed)
             except SOLVE_ERRORS as exc:
-                print(f"error at level {surface.level}: {exc}", file=sys.stderr)
+                _print_solve_error(exc, f" at level {surface.level}")
                 return EXIT_FAILURE
             nearest = min(result.groups,
                           key=lambda g: abs(g.representative - args.target))

@@ -9,7 +9,9 @@ missing keys are rejected, and so are a level or seed that is not a JSON
 integer, a radius or semi-axis that is not a number, a field name or report
 path that is not a string, a config, surface or field entry that is not an
 object, a roster that is not a list and a field parameter that the field's
-kind does not take. CLI flags override its fields.
+kind does not take. CLI flags override its fields. ``FieldSpec.build()``
+makes the field from its parameter alone: a field carries no surface, and
+sampling it uses the surface of the mesh it is sampled on.
 """
 
 from __future__ import annotations
@@ -64,14 +66,15 @@ class FieldSpec:
     kind: str
     parameters: dict
 
-    def build(self, surface: SurfaceSpec):
+    def build(self):
+        """The analytic field; it holds no surface, sampling uses the mesh's."""
         if self.kind not in FIELD_KINDS:
             raise ConfigError(f"unknown field kind {self.kind!r}")
         key, family = FIELD_KINDS[self.kind]
         for name in self.parameters:
             if name != key:
                 raise ConfigError(f"unknown {self.kind} parameter {name!r} (it takes {key!r})")
-        return family(np.asarray(self.parameters[key], float), surface)
+        return family(np.asarray(self.parameters[key], float))
 
 
 def builtin_fields() -> list:
@@ -103,7 +106,7 @@ class RunConfig:
         # a field that cannot be built is rejected here, not mid-run
         for spec in self.fields:
             try:
-                spec.build(self.surface)
+                spec.build()
             except KeyError as exc:
                 raise ConfigError(f"field {spec.name}: missing parameter {exc}") from exc
             except (ConfigError, field_mod.FieldError, TypeError, ValueError) as exc:

@@ -16,8 +16,12 @@ their own: on a spheroid, a rotation about any axis but the symmetry axis is
 neither closed nor coclosed.
 
 Sampling a field into an edge cochain integrates the dual one-form along the
-surface-projected chord of each canonical edge with 4-point Gauss-Legendre
-quadrature.
+chord of each canonical edge projected to the mesh's own surface
+(``mesh.source``), with 4-point Gauss-Legendre quadrature; a field carries
+only its parameter. The integrand <V, gamma'> needs no tangential projection
+of V: the chord's velocity gamma' is tangent (n . gamma' = 0 by construction,
+see _projected_chord), so the normal part of V pairs to zero. A point value
+does need the projection, so ``evaluate`` takes the surface.
 """
 
 from __future__ import annotations
@@ -73,40 +77,32 @@ def _check_on_surface(surface: SurfaceSpec, points: np.ndarray) -> None:
         raise FieldError(f"point off the surface (level-set residual {worst:.2e})")
 
 
-def _unit_normals(surface: SurfaceSpec, points: np.ndarray) -> np.ndarray:
-    grad = points / np.square(surface.axes)
-    return grad / np.linalg.norm(grad, axis=-1, keepdims=True)
-
-
 @dataclass(frozen=True)
 class KillingRotation:
     axis: np.ndarray
-    surface: SurfaceSpec
 
     def __post_init__(self):
         object.__setattr__(self, "axis", _unit_vector(self.axis, "rotation axis"))
 
     def ambient(self, points):
-        return np.cross(np.broadcast_to(self.axis, points.shape), points)
+        return np.cross(self.axis, points)
 
 
 @dataclass(frozen=True)
 class ConformalGradient:
     direction: np.ndarray
-    surface: SurfaceSpec
 
     def __post_init__(self):
         object.__setattr__(self, "direction",
                            _unit_vector(self.direction, "gradient direction"))
 
     def ambient(self, points):
-        return np.broadcast_to(self.direction, points.shape).copy()
+        return np.broadcast_to(self.direction, points.shape)
 
 
 @dataclass(frozen=True)
 class ProjectiveGradient:
     coefficients: np.ndarray
-    surface: SurfaceSpec
 
     def __post_init__(self):
         Q = _finite(self.coefficients, "quadratic coefficients")
@@ -123,18 +119,16 @@ class ProjectiveGradient:
 AnalyticField = KillingRotation | ConformalGradient | ProjectiveGradient
 
 
-def _tangential(vals: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """``vals`` minus their components along the unit ``normals``."""
-    return vals - normals * np.einsum("ij,ij->i", normals, vals)[:, None]
-
-
-def evaluate(field: AnalyticField, points) -> np.ndarray:
-    """Tangential projection of the field's ambient formula at surface points."""
+def evaluate(field: AnalyticField, surface: SurfaceSpec, points) -> np.ndarray:
+    """Tangential projection of the field's ambient formula at points of ``surface``."""
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    _check_on_surface(field.surface, pts)
-    vals = _tangential(field.ambient(pts), _unit_normals(field.surface, pts))
+    _check_on_surface(surface, pts)
+    grad = pts / np.square(surface.axes)
+    normals = grad / np.linalg.norm(grad, axis=-1, keepdims=True)
+    vals = field.ambient(pts)
+    vals = vals - normals * np.einsum("ij,ij->i", normals, vals)[:, None]
     return vals[0] if single else vals
 
 
@@ -143,25 +137,28 @@ def _projected_chord(surface: SurfaceSpec, p0, p1, t):
 
     The chord is mapped through the unit-sphere domain: u = y / axes scaled
     back after radial normalization, which keeps the curve exactly on the
-    surface and yields a closed-form velocity.
+    surface and yields a closed-form velocity. The velocity axes * dproj,
+    with dproj orthogonal to uhat, is tangent: the normal at axes * uhat is
+    parallel to uhat / axes.
     """
     axes = surface.axes
-    y = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
+    dp = (p1 - p0)[:, None, :]
+    y = p0[:, None, :] + t[None, :, None] * dp
     u = y / axes
     norm = np.linalg.norm(u, axis=-1, keepdims=True)
     uhat = u / norm
     gamma = axes * uhat
-    du = (p1 - p0)[:, None, :] / axes
+    du = dp / axes
     dproj = (du - uhat * np.einsum("eti,eti->et", uhat, du)[:, :, None]) / norm
     dgamma = axes * dproj
     return gamma, dgamma
 
 
 def _edge_quadrature(mesh: TriangleMesh):
-    """(points, unit normals, velocities) at the edge quadrature nodes.
+    """(points, velocities) at the edge quadrature nodes of the mesh's surface.
 
-    Points and normals are flattened to (n_edges * nodes, 3); velocities keep
-    the (n_edges, nodes, 3) shape. They depend on the mesh alone, so they are
+    Points are flattened to (n_edges * nodes, 3); velocities keep the
+    (n_edges, nodes, 3) shape. They depend on the mesh alone, so they are
     computed, and the points checked on the surface, once per mesh.
     """
     def build():
@@ -170,7 +167,7 @@ def _edge_quadrature(mesh: TriangleMesh):
         gamma, dgamma = _projected_chord(mesh.source, p0, p1, _GL_NODES)
         points = gamma.reshape(-1, 3)
         _check_on_surface(mesh.source, points)
-        return points, _unit_normals(mesh.source, points), dgamma
+        return points, dgamma
 
     return mesh.memoized("edge_quadrature", build)
 
@@ -178,19 +175,12 @@ def _edge_quadrature(mesh: TriangleMesh):
 def sample_oneform(field: AnalyticField, mesh: TriangleMesh) -> Cochain:
     """Integrate the field's dual one-form over every canonical edge.
 
-    Uses 4-point Gauss-Legendre quadrature along the surface-projected chord,
-    oriented low index -> high index.
+    Uses 4-point Gauss-Legendre quadrature along the chord projected to
+    ``mesh.source``, oriented low index -> high index. The chord's velocity
+    is tangent, so the ambient formula is paired with it unprojected.
     """
     if mesh.source is None:
         raise FieldError("mesh does not carry a surface description")
-    # levels may differ; an a == c spheroid is the sphere of that radius
-    if mesh.source.axes != field.surface.axes:
-        raise FieldError(
-            f"field surface {field.surface} does not match mesh surface "
-            f"{mesh.source}"
-        )
-    points, normals, dgamma = _edge_quadrature(mesh)
-    vals = _tangential(field.ambient(points), normals).reshape(dgamma.shape)
-    integrand = np.einsum("eti,eti->et", vals, dgamma)
-    return Cochain(integrand @ _GL_WEIGHTS)
-
+    points, dgamma = _edge_quadrature(mesh)
+    vals = field.ambient(points).reshape(dgamma.shape)
+    return Cochain(np.einsum("eti,eti->et", vals, dgamma) @ _GL_WEIGHTS)

@@ -448,9 +448,9 @@ def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, gram,
         P_next += P @ Z[nb + nw:]
         X, P = _project_out(X_next, constraints), P_next
         AX = Amat @ X
+    best = ", ".join(f"{r:.3g}" for r in res[:n_wanted])  # one line, unlike numpy's repr
     raise ConvergenceError(
-        f"no convergence after {maxiter} iterations "
-        f"(best residuals {res[:n_wanted]})",
+        f"no convergence after {maxiter} iterations (best residuals {best})",
         residuals=res[:n_wanted], iterations=maxiter, history=history)
 
 

@@ -142,37 +142,36 @@ def check_bounds(lambda_hat: float, rho: float, P: float, n: int, mode: str,
     return entry
 
 
-def discrete_identity_residual(mesh: mesh_mod.TriangleMesh, omega: exterior.Cochain,
-                               which: str) -> float:
-    """Integrated residual of a Weitzenboeck identity on a sampled one-form.
+def discrete_identity_residual(mesh: mesh_mod.TriangleMesh,
+                               omega: exterior.Cochain) -> dict:
+    """Integrated residual of each Weitzenboeck identity on a sampled one-form.
 
-    ``which`` is a key of ``sphere_oracle.WEITZENBOECK`` (``"yano_2_2"`` or
-    ``"lichnerowicz_3_2"``), the identity Delta w = 2 Ric* w + c d d* w with
-    the table's coefficient c at n = 2; the Lichnerowicz coefficient
-    vanishes there, so that check degenerates to |Delta w - 2 Ric* w|.
+    Returned is ``{which: residual}`` in the order of
+    ``sphere_oracle.WEITZENBOECK`` (``"yano_2_2"``, ``"lichnerowicz_3_2"``),
+    each identity Delta w = 2 Ric* w + c d d* w with the table's coefficient c
+    at n = 2; the Lichnerowicz coefficient vanishes there, so that check
+    degenerates to |Delta w - 2 Ric* w|.
     The identity is paired with w itself, mirroring
     the integral-formula arguments the identities feed, and each pairing is
     a norm relative to |w|^2 in the star1 inner product:
     lambda = <w, Delta w> = |dw|^2 + |d*w|^2 (``exterior.codifferential_norm``),
     <w, d d* w> = |d*w|^2 and rho = <w, Ric w> with the discrete Ricci
-    endomorphism. Returned is |lambda - 2 rho - c |d*w|^2| / lambda, with c
-    the identity's d d* coefficient.
+    endomorphism. Each residual is |lambda - 2 rho - c |d*w|^2| / lambda;
+    both come from one Hodge pairing and one Ricci pairing.
     (The pointwise mass-weighted norm of lhs - rhs is dominated by local
     consistency noise of the diagonal-star operators and does not vanish
     under refinement even for fields that satisfy the identity exactly; the
     quadratic pairing converges and still separates the satisfying from the
     violating field classes by an O(1) margin.)
     """
-    identity = sphere_oracle.WEITZENBOECK.get(which)
-    if identity is None:
-        raise VerifyError(f"unknown identity {which!r}")
-    coeff = identity.coefficient(N_DIM)
     nd, nw = exterior.codifferential_norm(mesh, omega)
     lam_hat = nd * nd + nw * nw
     s1w = exterior.star1_values(mesh) * omega.values
     K = curvature_mod.angle_defect_curvature(mesh).per_vertex_K
     rho = (s1w @ curvature_mod.ricci_apply(mesh, K, omega).values) / (s1w @ omega.values)
-    return float(abs(lam_hat - 2.0 * rho - coeff * nd * nd) / lam_hat)
+    return {which: float(abs(lam_hat - 2.0 * rho - identity.coefficient(N_DIM) * nd * nd)
+                         / lam_hat)
+            for which, identity in sphere_oracle.WEITZENBOECK.items()}
 
 
 def _face_average(mesh: mesh_mod.TriangleMesh, basis: np.ndarray) -> np.ndarray:
@@ -669,7 +668,7 @@ def _field_stage(report, spec, mesh, config, alpha, oneform, curv):
         "bounds": None, "identities": {},
     }
     report["fields"].append(entry)
-    omega = fields_mod.sample_oneform(spec.build(config.surface), mesh)
+    omega = fields_mod.sample_oneform(spec.build(), mesh)
     nd, nw = exterior.codifferential_norm(mesh, omega)
     entry["dstar_norm"], entry["d_norm"] = nd, nw
     entry["class"] = classify_field(nd, nw, CLASS_TOL)
@@ -681,15 +680,11 @@ def _field_stage(report, spec, mesh, config, alpha, oneform, curv):
     entry["lambda"], entry["eigenform_residual"] = lam_hat, align
     entry["bounds"], checks["field_bounds"] = _bounds_entry(
         spec.kind, lam_hat, align, curv, alpha is not None)
-    identities_ok = True
-    for which, identity in sphere_oracle.WEITZENBOECK.items():
-        value = discrete_identity_residual(mesh, omega, which)
-        entry["identities"][which] = value
-        if alpha is not None:
-            ok = (value < IDENTITY_SMALL if spec.kind in identity.families
-                  else value > IDENTITY_LARGE)
-            identities_ok = identities_ok and ok
-    checks["discrete_identities"] = identities_ok
+    entry["identities"] = values = discrete_identity_residual(mesh, omega)
+    checks["discrete_identities"] = alpha is None or all(
+        values[which] < IDENTITY_SMALL if spec.kind in identity.families
+        else values[which] > IDENTITY_LARGE
+        for which, identity in sphere_oracle.WEITZENBOECK.items())
     return None, checks
 
 

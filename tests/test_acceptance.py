@@ -223,16 +223,16 @@ def test_criterion_5_lichnerowicz_identity():
 
 def test_criterion_6_discrete_identity_convergence(sphere_mesh):
     series = {}
-    for field_name, make in (
-        ("rotation", lambda s: fields.KillingRotation([0, 0, 1], s)),
-        ("quadratic", lambda s: fields.ProjectiveGradient(
-            np.array([[0, 0.5, 0], [0.5, 0, 0], [0, 0, 0.0]]), s)),
+    for field_name, field in (
+        ("rotation", fields.KillingRotation([0, 0, 1])),
+        ("quadratic", fields.ProjectiveGradient(
+            np.array([[0, 0.5, 0], [0.5, 0, 0], [0, 0, 0.0]]))),
     ):
         values = []
         for level in (3, 4, 5, 6):
             m = sphere_mesh(level)
-            w = fields.sample_oneform(make(m.source), m)
-            values.append(verify.discrete_identity_residual(m, w, "yano_2_2"))
+            w = fields.sample_oneform(field, m)
+            values.append(verify.discrete_identity_residual(m, w)["yano_2_2"])
         series[field_name] = values
     ok = all(
         vals[2] < 0.05 and all(b < a for a, b in zip(vals, vals[1:]))

@@ -581,7 +581,8 @@ def test_runconfig_json_roundtrip_property(kind, level, size, seed, n_fields,
     assert RunConfig.from_json_dict(json.loads(json.dumps(data))) == expected
 
 
-def test_convergence_failure_prints_iterations(monkeypatch, capsys):
+def _capped_solve_failure(monkeypatch, capsys, command):
+    """stderr lines of ``command`` with every solve capped at one iteration."""
     from functools import partial
 
     from hodgelab import cli, spectral, verify
@@ -591,12 +592,25 @@ def test_convergence_failure_prints_iterations(monkeypatch, capsys):
     # the CLI reaches the solver through verify.scalar_spectrum
     monkeypatch.setattr(spectral, "solve_lowest", capped)
     monkeypatch.setattr(verify, "solve_lowest", capped)
-    code = cli.main(["spectrum", "--kind", "icosphere", "--level", "2",
-                     "--form", "0", "--count", "6", "--tol", "1e-14"])
+    code = cli.main(command + ["--form", "0", "--count", "6", "--tol", "1e-14"])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "best residuals after 1 iterations:" in err
+    lines = capsys.readouterr().err.splitlines()
+    # error, best residuals and history, each on one line
+    assert len(lines) == 3, lines
+    assert lines[1].startswith("best residuals after 1 iterations: ")
     # the history has one entry per residual evaluation: iterations 0 and 1
-    history = err.splitlines()[-1]
-    assert history.startswith("iteration: largest residual/active columns: 0: ")
-    assert ", 1: " in history and ", 2: " not in history
+    assert lines[2].startswith("iteration: largest residual/active columns: 0: ")
+    assert ", 1: " in lines[2] and ", 2: " not in lines[2]
+    return lines
+
+
+def test_convergence_failure_prints_iterations(monkeypatch, capsys):
+    lines = _capped_solve_failure(monkeypatch, capsys,
+                                  ["spectrum", "--kind", "icosphere", "--level", "2"])
+    assert lines[0].startswith("error: ")
+
+
+def test_converge_failure_prints_iterations(monkeypatch, capsys):
+    lines = _capped_solve_failure(monkeypatch, capsys,
+                                  ["converge", "--kind", "icosphere", "--levels", "2,3"])
+    assert lines[0].startswith("error at level 2: ")

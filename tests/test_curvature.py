@@ -88,7 +88,7 @@ def test_ricci_apply_killing_form_near_identity(sphere_mesh):
     from hodgelab import fields
 
     m = sphere_mesh(5)
-    rot = fields.KillingRotation([0, 0, 1], m.source)
+    rot = fields.KillingRotation([0, 0, 1])
     w = fields.sample_oneform(rot, m)
     K = angle_defect_curvature(m).per_vertex_K
     out = ricci_apply(m, K, w)

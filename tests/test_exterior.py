@@ -161,7 +161,7 @@ def test_codifferential_norm_classifies(sphere_mesh):
     from hodgelab import fields
 
     m = sphere_mesh(5)
-    rot = fields.KillingRotation([0, 0, 1], m.source)
+    rot = fields.KillingRotation([0, 0, 1])
     w = fields.sample_oneform(rot, m)
     nd, nw = codifferential_norm(m, w)
     assert nd < 1e-3

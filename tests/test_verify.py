@@ -85,13 +85,13 @@ def test_check_bounds_validation():
 def test_discrete_identity_residuals_level5(which, field_kind, small, sphere_mesh):
     m = sphere_mesh(5)
     field = {
-        "rotation": fields.KillingRotation([0, 0, 1], m.source),
-        "linear": fields.ConformalGradient([0, 0, 1], m.source),
+        "rotation": fields.KillingRotation([0, 0, 1]),
+        "linear": fields.ConformalGradient([0, 0, 1]),
         "quadratic": fields.ProjectiveGradient(
-            np.array([[0, 0.5, 0], [0.5, 0, 0], [0, 0, 0.0]]), m.source),
+            np.array([[0, 0.5, 0], [0.5, 0, 0], [0, 0, 0.0]])),
     }[field_kind]
     w = fields.sample_oneform(field, m)
-    value = discrete_identity_residual(m, w, which)
+    value = discrete_identity_residual(m, w)[which]
     if small:
         assert value < 0.05
     else:
@@ -102,18 +102,16 @@ def test_discrete_identity_residual_decreases(sphere_mesh):
     values = []
     for level in (3, 4, 5):
         m = sphere_mesh(level)
-        w = fields.sample_oneform(fields.KillingRotation([0, 0, 1], m.source), m)
-        values.append(discrete_identity_residual(m, w, "yano_2_2"))
+        w = fields.sample_oneform(fields.KillingRotation([0, 0, 1]), m)
+        values.append(discrete_identity_residual(m, w)["yano_2_2"])
     assert values[0] > values[1] > values[2]
 
 
 def test_discrete_identity_residual_validation(sphere_mesh):
     m = sphere_mesh(2)
-    w = fields.sample_oneform(fields.KillingRotation([0, 0, 1], m.source), m)
-    with pytest.raises(VerifyError):
-        discrete_identity_residual(m, w, "bochner")
+    w = fields.sample_oneform(fields.KillingRotation([0, 0, 1]), m)
     with pytest.raises(exterior.ExteriorError):
-        discrete_identity_residual(sphere_mesh(1), w, "yano_2_2")
+        discrete_identity_residual(sphere_mesh(1), w)
 
 
 def test_hodge_split_matches_direct_solver(sphere_mesh):
@@ -302,7 +300,7 @@ def test_hodge_norms_are_the_weak_form_pairings(build):
     n = verify.N_DIM
     coeffs = {"yano_2_2": 2.0 / (n + 1), "lichnerowicz_3_2": -(1.0 - 2.0 / n)}
     forms = [exterior.Cochain(np.random.default_rng(0).standard_normal(m.n_edges))]
-    forms += [fields.sample_oneform(spec.build(m.source), m) for spec in builtin_fields()]
+    forms += [fields.sample_oneform(spec.build(), m) for spec in builtin_fields()]
     for omega in forms:
         w = omega.values
         nd, nw = exterior.codifferential_norm(m, omega)
@@ -310,9 +308,11 @@ def test_hodge_norms_are_the_weak_form_pairings(build):
         assert nd**2 + nw**2 == pytest.approx((w @ delta_w) / (w @ (B1 @ w)), rel=1e-12)
         dd_weak = s1 * (D0 @ ((D0.T @ (s1 * w)) / m.vertex_areas()))
         ric_w = curvature.ricci_apply(m, K, omega).values
+        residuals = discrete_identity_residual(m, omega)
+        assert list(residuals) == list(coeffs)
         for which, c in coeffs.items():
             weak = abs(w @ (delta_w - 2.0 * s1 * ric_w - c * dd_weak)) / (w @ delta_w)
-            assert discrete_identity_residual(m, omega, which) == pytest.approx(weak, abs=1e-12)
+            assert residuals[which] == pytest.approx(weak, abs=1e-12)
 
 
 # (check, degree, expect) of the oracle battery's rows, for each (n, r)
