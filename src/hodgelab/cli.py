@@ -11,8 +11,9 @@ which owns the RunConfig type); the surface and seed flags override config
 values. Its eigenpair count and tolerances are the frozen constants of
 :mod:`hodgelab.verify`, and the defaults reproduce the acceptance setup
 exactly. ``verify`` and ``spectrum`` take ``--verbose``, which sends the
-package's INFO log lines (each stage's wall time, each coarse level of a
-nested start) to stderr and leaves stdout and the output file unchanged.
+package's INFO log lines (each stage's wall time and peak RSS, each coarse
+level of a nested start) to stderr and leaves stdout and the output file
+unchanged.
 """
 
 from __future__ import annotations
@@ -198,12 +199,10 @@ def _history_line(history) -> str:
 
 def _print_solve_error(exc, where: str = "") -> None:
     """The ``error`` line of a failed solve and, for a ConvergenceError, its
-    best residuals and residual history, each on one line of stderr."""
+    residual history, each on one line of stderr. A ConvergenceError's
+    message already holds its iteration count and best residuals."""
     print(f"error{where}: {exc}", file=sys.stderr)
     if isinstance(exc, spectral.ConvergenceError):
-        residuals = ", ".join(f"{res:.3g}" for res in exc.residuals)
-        print(f"best residuals after {exc.iterations} iterations: {residuals}",
-              file=sys.stderr)
         print(_history_line(exc.history), file=sys.stderr)
 
 
@@ -401,7 +400,7 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--out", default=None, help="JSON report path")
     p_ver.add_argument("--verbose", action="store_true",
-                       help="log stage times and solver progress to stderr")
+                       help="log stage times, peak RSS and solver progress to stderr")
     p_ver.set_defaults(func=cmd_verify)
 
     p_conv = sub.add_parser("converge", help="eigenvalue convergence study")

@@ -143,14 +143,20 @@ def _projected_chord(surface: SurfaceSpec, p0, p1, t):
     """
     axes = surface.axes
     dp = (p1 - p0)[:, None, :]
-    y = p0[:, None, :] + t[None, :, None] * dp
-    u = y / axes
-    norm = np.linalg.norm(u, axis=-1, keepdims=True)
-    uhat = u / norm
+    # u = y / axes and uhat = u / norm, in the buffer of y
+    uhat = p0[:, None, :] + t[None, :, None] * dp
+    uhat /= axes
+    norm = np.linalg.norm(uhat, axis=-1, keepdims=True)
+    uhat /= norm
     gamma = axes * uhat
     du = dp / axes
-    dproj = (du - uhat * np.einsum("eti,eti->et", uhat, du)[:, :, None]) / norm
-    dgamma = axes * dproj
+    # dproj = (du - uhat (uhat . du)) / norm and dgamma = axes * dproj, in
+    # the buffer of uhat
+    dgamma = uhat
+    dgamma *= np.einsum("eti,eti->et", uhat, du)[:, :, None]
+    np.subtract(du, dgamma, out=dgamma)
+    dgamma /= norm
+    dgamma *= axes
     return gamma, dgamma
 
 

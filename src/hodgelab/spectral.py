@@ -23,6 +23,18 @@ Locking drops the directions of converged columns, which also helped the
 others a little: on the verify pencils a solve sometimes takes one more
 iteration, but each iteration is cheaper.
 
+Memory is set by how many n-row blocks are live at once, so each dies at
+its last use (_lobpcg lists what each step holds): the start block once the
+first Rayleigh-Ritz step has rotated it, A X once the residual has
+overwritten it, the float64 residual once it is converted to the
+preconditioner's float32, and A W and A P once their Gram products are
+taken. The fullest steps, the first pass of W's orthonormalization and the
+start of the update, then hold five blocks. On the level-4 sphere the
+scalar solve's traced peak, above the memory held before it (the pencil
+and hierarchy), is 7.4 blocks of n x 21 doubles, the standard form and the
+preconditioner included, against 10.1 when every block lived to the end of
+its step.
+
 The preconditioner approximates the inverse of the shifted matrix
 Atil + shift I. The shift, 1e-6 times the mean |diagonal| of Atil, makes it
 nonsingular even when Atil has a kernel (the constants of the 0-form
@@ -297,7 +309,7 @@ def _shifted_lu_preconditioner(Atil):
         raise SpectralError(f"shifted pencil cannot be factored: {exc}") from exc
 
     def precond(R):
-        return lu.solve(R.astype(np.float32)).astype(np.float64)
+        return lu.solve(R.astype(np.float32, copy=False)).astype(np.float64)
 
     return precond
 
@@ -334,7 +346,7 @@ def _multigrid_preconditioner(Atil, s, hierarchy):
     coarse = scipy.linalg.cho_factor(A.toarray())
 
     def precond(R):
-        r = R.astype(np.float32)
+        r = R.astype(np.float32, copy=False)
         descent = []
         for A, P, Pt, wdinv in levels:
             x = wdinv * r
@@ -368,10 +380,14 @@ def _direction_coefficients(C, nb, active):
     return _orthonormalize(rest @ (rest[nb:].T @ C[nb:, :nb][:, active]))
 
 
-def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, gram,
+def _lobpcg(Amat, start, n_wanted, tol, maxiter, precond, gram,
             constraints=None):
     """Standard-problem LOBPCG with soft locking and one Rayleigh-Ritz step
     per iteration.
+
+    ``start`` is a one-element list holding the n x nb starting block. The
+    block is taken out of the list and orthonormalized in place, so no
+    frame keeps it once the first Rayleigh-Ritz step has rotated it.
 
     Returns (theta, X, residuals, iterations), where ``residuals`` are the
     ``_residual_norms(R, X, gram)`` of every column of X, read by the
@@ -394,14 +410,26 @@ def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, gram,
     projection or orthonormalization of its own; only W is made orthogonal
     to the kernel constraint, X and P and orthonormalized
     (_orthonormalize_against), and its orthogonality is what keeps every
-    later X and P orthonormal. The next X and P are accumulated block by
-    block, and each consumed block is released at once, so the update never
-    holds more n-row blocks than the Rayleigh-Ritz step. The kernel
-    constraint is reapplied to X each iteration: the iteration actively
-    converges toward the smallest Rayleigh quotient, so a rounding-level
-    kernel component would otherwise be amplified back in.
+    later X and P orthonormal. The kernel constraint is reapplied to X each
+    iteration: the iteration actively converges toward the smallest
+    Rayleigh quotient, so a rounding-level kernel component would otherwise
+    be amplified back in.
+
+    Every n-row block is released at its last use. An iteration enters
+    holding X, A X and P, and its steps hold:
+
+    - residual: X^T A X is taken first, then R overwrites A X, so X, R, P;
+    - preconditioner: R is converted to float32 and cut to its active
+      columns, and the float64 R released before the preconditioner runs,
+      so X, P, the float32 residual and the preconditioner's own blocks;
+    - orthonormalization: X, P, W and SVQB's two products of W;
+    - Rayleigh-Ritz: X, W, P and one image, A W and then A P, each released
+      after its Gram products;
+    - update: the next X and P are accumulated block by block from X, W
+      and P, each released once consumed, so the update starts with X, W,
+      P and the next X and P; then A X is formed.
     """
-    X = _orthonormalize(_project_out(X0.copy(), constraints))
+    X = _orthonormalize(_project_out(start.pop(), constraints))
     if X.shape[1] < n_wanted:
         raise SpectralError("starting block lost rank under deflation")
     nb = X.shape[1]
@@ -415,7 +443,10 @@ def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, gram,
     # one extra pass evaluates the state left by the last expansion, so the
     # returned (theta, X) and the residuals behind them are always consistent
     for iteration in range(maxiter + 1):
-        R = AX - X * theta
+        XAX = X.T @ AX
+        R = AX  # A X has no further use: the residual overwrites it
+        del AX
+        R -= X * theta
         res = _residual_norms(R, X, gram)
         active = res > tol
         history.append((float(res[:n_wanted].max()), int(active.sum())))
@@ -423,22 +454,23 @@ def _lobpcg(Amat, X0, n_wanted, tol, maxiter, precond, gram,
             return theta, X, res, iteration
         if iteration == maxiter:
             break
-        R = R[:, active]  # the full R is released before the preconditioner runs
+        R = R.astype(np.float32)[:, active]
         W = precond(R)
         del R
         W = _orthonormalize_against(W, (constraints, X, P))
         nw = W.shape[1]
-        S = (X, W, P)
-        AS = (AX, Amat @ W, Amat @ P)
-        upper = {(i, j): S[i].T @ AS[j] for i in range(3) for j in range(i, 3)}
-        del S, AS, AX
-        G = np.block([[upper[i, j] if i <= j else upper[j, i].T
-                       for j in range(3)] for i in range(3)])
+        AW = Amat @ W
+        XAW, WAW = X.T @ AW, W.T @ AW
+        del AW
+        AP = Amat @ P
+        XAP, WAP, PAP = X.T @ AP, W.T @ AP, P.T @ AP
+        del AP
+        G = np.block([[XAX, XAW, XAP], [XAW.T, WAW, WAP], [XAP.T, WAP.T, PAP]])
         vals, C = np.linalg.eigh(0.5 * (G + G.T))
         theta = vals[:nb]
         Z = _direction_coefficients(C, nb, active)
         Cx = C[:, :nb]
-        # X <- S Cx and P <- S Z, consuming S one block at a time
+        # X <- S Cx and P <- S Z, consuming S = [X W P] one block at a time
         X_next, P_next = X @ Cx[:nb], X @ Z[:nb]
         del X
         X_next += W @ Cx[nb:nb + nw]
@@ -484,7 +516,8 @@ def _standard_form(Amat, d, known_kernel):
 
 
 def _iterate(Atil, s, kernel, X0, n_wanted, tol, maxiter, hierarchy, gram):
-    """LOBPCG on the standard form from the transformed start block X0.
+    """LOBPCG on the standard form from the transformed start block, which
+    the one-element list X0 hands over to ``_lobpcg``.
 
     Returns ``_lobpcg``'s (theta, X, residuals, iterations) and the
     preconditioner: the V-cycle when a hierarchy is given, else the sparse LU.
@@ -501,9 +534,9 @@ def _iterate(Atil, s, kernel, X0, n_wanted, tol, maxiter, hierarchy, gram):
 def _nested_start(Amat, d, known_kernel, block, n_wanted, tol, seed, maxiter, hierarchy):
     """(X0, coarse_levels) of a cold solve of (Amat, diag(d)).
 
-    X0 is the starting block, in the transformed variables, and
-    ``coarse_levels`` the (size, iterations) of the coarse solves behind it,
-    coarsest first. When the next coarser level of ``hierarchy`` has more
+    X0 is a one-element list holding the starting block, in the transformed
+    variables, for ``_lobpcg`` to take, and ``coarse_levels`` the (size,
+    iterations) of the coarse solves behind it, coarsest first. When the next coarser level of ``hierarchy`` has more
     vertices than the block has columns (room for the block beside one known
     kernel column), X0 is that level's whole Ritz block, prolonged: the
     Galerkin pencil (P^T A P, P^T d) is solved from its own nested start to
@@ -512,7 +545,7 @@ def _nested_start(Amat, d, known_kernel, block, n_wanted, tol, seed, maxiter, hi
     released when its call returns, before the finer solve builds its own.
     """
     if not hierarchy or hierarchy[-1].shape[1] <= block:
-        return np.random.default_rng(seed).standard_normal((Amat.shape[0], block)), ()
+        return [np.random.default_rng(seed).standard_normal((Amat.shape[0], block))], ()
     P, coarser = hierarchy[-1], hierarchy[:-1]
     n_coarse = P.shape[1]
     Pt = P.T.tocsr()
@@ -531,7 +564,7 @@ def _nested_start(Amat, d, known_kernel, block, n_wanted, tol, seed, maxiter, hi
         raise ConvergenceError(f"nested start, coarse level of {n_coarse} vertices: {exc}",
                                exc.residuals, exc.iterations, exc.history) from exc
     log.info("nested start: %d vertices, %d iterations", n_coarse, iterations)
-    return (P @ (X / s[:, None])) * np.sqrt(d)[:, None], levels + ((n_coarse, iterations),)
+    return [(P @ (X / s[:, None])) * np.sqrt(d)[:, None]], levels + ((n_coarse, iterations),)
 
 
 def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
@@ -601,13 +634,15 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
     coarse_levels = ()
     if n_iter > 0:
         block = min(m + BLOCK_PADDING, n - n_kernel)
+        # X0 holds the start block in a one-element list that _lobpcg empties,
+        # so the block is released once the solve has rotated it
         if start is None:
             X0, coarse_levels = _nested_start(Amat, d, known_kernel, block, n_iter, tol,
                                               seed, maxiter, hierarchy)
         else:
-            X0 = np.random.default_rng(seed).standard_normal((n, block))
+            X0 = [np.random.default_rng(seed).standard_normal((n, block))]
             k = min(start.shape[1], block)
-            X0[:, :k] = start[:, :k] * s[:, None]
+            X0[0][:, :k] = start[:, :k] * s[:, None]
         theta, X, res, iterations, preconditioner = _iterate(
             Atil, s, kernel, X0, n_iter, tol, maxiter, hierarchy, G)
         vals = theta[:n_iter]

@@ -37,9 +37,10 @@ pencil runs the LU.
 tolerance, preconditioner, block width, iterations, largest residual,
 whether it was seeded, why it ran, and the (size, iterations) of the coarse
 solves of its nested start (the scalar solve's; seeded solves have none).
-``report["run"]`` also gives the seed and the python, numpy and scipy
-versions. With INFO logging on (the CLI's ``--verbose``), each stage logs
-its wall time as it ends.
+``report["run"]`` also gives the seed, the python, numpy and scipy
+versions, and the process's peak resident memory in MB as each stage ended
+(``peak_rss_mb``, keyed like ``stages``). With INFO logging on (the CLI's
+``--verbose``), each stage logs its wall time and that peak as it ends.
 
 The per-field ``eigenform_residual`` reported here is a spectral alignment
 residual: the B-weighted spread of the form's eigenvalue content around its
@@ -57,6 +58,8 @@ from __future__ import annotations
 
 import logging
 import platform
+import resource
+import sys
 import time
 
 import numpy as np
@@ -315,10 +318,14 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     next_estimate = min(values[order[m]] if values.size > m else np.inf,
                         vert_window, _window(face))
 
+    # ||A1 x - lambda B1 x|| / ||B1 x||, with B1 x scaled by lambda and
+    # subtracted from A1 x in its own buffer, so the gate holds three E x m
+    # arrays (vecs, B1 x and A1 x) instead of five
     A1, _ = exterior.laplacian1(mesh)
     Bx = vecs * s1[:, None]
-    residuals = (np.linalg.norm(A1.matrix @ vecs - Bx * vals, axis=0)
-                 / np.linalg.norm(Bx, axis=0))
+    bx_norms = np.linalg.norm(Bx, axis=0)
+    Bx *= vals
+    residuals = np.linalg.norm(np.subtract(A1.matrix @ vecs, Bx, out=Bx), axis=0) / bx_norms
     if residuals.max() > tol:
         raise VerifyError(f"Hodge-split residuals above {tol:g} "
                           f"(worst {residuals.max():.3g})")
@@ -535,13 +542,16 @@ class _StageGuard:
     report (one per field) passes only if each of them passes. A stage that
     raises is recorded in ``failures`` as "<label>: <error>", the checks
     named in ``on_failure`` are set False, and its value is None. Each
-    label's wall time accumulates in ``seconds``, and each run logs its own.
+    label's wall time accumulates in ``seconds``, and ``peak_rss_mb`` holds
+    the process's peak resident memory (``ru_maxrss``) when the label last
+    ended; each run logs both.
     """
 
     def __init__(self):
         self.checks: dict = {}
         self.failures: list = []
         self.seconds: dict = {}
+        self.peak_rss_mb: dict = {}
 
     def run(self, label: str, on_failure: tuple, stage, *args):
         start = time.perf_counter()
@@ -554,8 +564,16 @@ class _StageGuard:
             self.checks[name] = self.checks.get(name, True) and ok
         seconds = time.perf_counter() - start
         self.seconds[label] = self.seconds.get(label, 0.0) + seconds
-        log.info("stage %s: %.3f s", label, seconds)
+        self.peak_rss_mb[label] = peak = _peak_rss_mb()
+        log.info("stage %s: %.3f s, peak RSS %.1f MB", label, seconds, peak)
         return value
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident memory in MB (``ru_maxrss`` is in KB on
+    Linux and in bytes on macOS)."""
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return maxrss / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
 def _mesh_stage(report, surface):
@@ -709,7 +727,8 @@ def run_suite(config: RunConfig) -> dict:
     (multiplicity); the one-form stage fails if the scalar one did, its start.
     ``report["pass"]`` is True iff every mandatory check passed and no stage
     failed; ``report["run"]`` gives the elapsed time and each stage's, in
-    seconds, every solve's record, the seed and the library versions.
+    seconds, the peak resident memory after each stage, every solve's
+    record, the seed and the library versions.
     """
     start = time.perf_counter()
     surface = config.surface
@@ -765,6 +784,7 @@ def run_suite(config: RunConfig) -> dict:
     report["checks"] = guard.checks
     report["pass"] = bool(guard.checks) and all(guard.checks.values()) and not guard.failures
     report["run"] = {"elapsed_s": time.perf_counter() - start, "stages": guard.seconds,
+                     "peak_rss_mb": guard.peak_rss_mb,
                      "solves": solves, "seed": config.seed,
                      "versions": {"python": platform.python_version(),
                                   "numpy": np.__version__, "scipy": scipy.__version__}}

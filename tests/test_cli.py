@@ -595,12 +595,13 @@ def _capped_solve_failure(monkeypatch, capsys, command):
     code = cli.main(command + ["--form", "0", "--count", "6", "--tol", "1e-14"])
     assert code == 2
     lines = capsys.readouterr().err.splitlines()
-    # error, best residuals and history, each on one line
-    assert len(lines) == 3, lines
-    assert lines[1].startswith("best residuals after 1 iterations: ")
+    # the error, which carries the iterations and best residuals, and the
+    # history, each on one line
+    assert len(lines) == 2, lines
+    assert "no convergence after 1 iterations (best residuals " in lines[0]
     # the history has one entry per residual evaluation: iterations 0 and 1
-    assert lines[2].startswith("iteration: largest residual/active columns: 0: ")
-    assert ", 1: " in lines[2] and ", 2: " not in lines[2]
+    assert lines[1].startswith("iteration: largest residual/active columns: 0: ")
+    assert ", 1: " in lines[1] and ", 2: " not in lines[1]
     return lines
 
 

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -643,3 +646,25 @@ def test_seeded_or_flat_solves_have_no_coarse_levels(sphere_mesh):
     assert warm.coarse_levels == () and flat.coarse_levels == ()
     assert warm.preconditioner == "multigrid" and flat.preconditioner == "lu"
 
+
+def test_scalar_solve_working_set(sphere_mesh):
+    # every n-row block of the solve dies at its last use: the start block
+    # once rotated, A X once the residual overwrites it, the float64 residual
+    # before the preconditioner runs, and A W and A P after their Gram
+    # products. The traced peak above the memory held at entry (operators
+    # and hierarchy already built), in n x block doubles, reads 7.40 at
+    # level 4; keeping all of them alive read 10.11.
+    m = sphere_mesh(4)
+    exterior.laplacian0(m)
+    m.vertex_prolongations()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = verify.scalar_spectrum(m, 16, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert result.block == 16 + spectral.BLOCK_PADDING
+    assert peak / (m.n_vertices * result.block * 8) < 8.0

@@ -429,6 +429,21 @@ def test_run_suite_level3_passes(sphere_mesh):
     assert set(rep["run"]["versions"]) == {"python", "numpy", "scipy"}
 
 
+def test_run_suite_records_peak_rss_per_stage(caplog):
+    # ru_maxrss after each stage, keyed like run.stages; a peak never falls,
+    # and each stage's log line carries the same value
+    with caplog.at_level("INFO", logger="hodgelab.verify"):
+        rep = run_suite(_level3_config())
+    peaks = rep["run"]["peak_rss_mb"]
+    assert list(peaks) == list(rep["run"]["stages"])
+    values = list(peaks.values())
+    assert values[0] > 0
+    assert values == sorted(values)
+    logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stage ")]
+    assert logged == [f"stage {label}: {seconds:.3f} s, peak RSS {peaks[label]:.1f} MB"
+                      for label, seconds in rep["run"]["stages"].items()]
+
+
 def test_run_suite_insufficient_resolution():
     cfg = RunConfig(surface=SurfaceSpec(kind="icosphere", level=0, radius=1.0))
     rep = run_suite(cfg)
