@@ -11,7 +11,9 @@ pencils, each a ``SparseOperator`` pair (stiffness, diagonal mass):
 faces, and the two maps the one-form stiffness is built from:
 ``exact_map`` (star1 d0 star0^-1) and ``coexact_map`` (d1^T star2), with
 A1 = coexact_map d1 + exact_map d0^T star1. The same two maps send a vertex-
-or face-pencil residual to the residual of its one-form against (A1, B1).
+or face-pencil residual to the residual of its one-form against (A1, B1),
+and apply A1 without assembling it. ``edge_mass`` is star1 checked
+positive, the one check that B1 is SPD.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def star1_values(mesh: TriangleMesh) -> np.ndarray:
     """Diagonal edge star: (cot a + cot b)/2 over the two opposite angles.
 
     Negative entries are permitted here; consumers that need an SPD edge mass
-    (the 1-form Laplacian) must check positivity themselves.
+    (the 1-form Laplacian) read it through ``edge_mass``, which checks them.
     """
     return mesh.memoized("star1_values", lambda: _build_star1_values(mesh))
 
@@ -125,6 +127,23 @@ def _build_star1_values(mesh: TriangleMesh) -> np.ndarray:
     for k in range(3):
         np.add.at(vals, mesh.face_edges[:, (k + 1) % 3], 0.5 * cots[:, k])
     return vals
+
+
+def edge_mass(mesh: TriangleMesh) -> np.ndarray:
+    """``star1_values``, checked positive: the diagonal of the SPD edge mass B1.
+
+    ``laplacian1`` builds B1 from it, and the Hodge split calls it before its
+    first solve, so a mesh too poor for the one-form pencil fails before any
+    solve.
+    """
+    s1 = star1_values(mesh)
+    if (s1 <= 0).any():
+        bad = int((s1 <= 0).sum())
+        raise ExteriorError(
+            f"mesh quality insufficient for 1-form mass ({bad} nonpositive "
+            "edge star entries)"
+        )
+    return s1
 
 
 def exact_map(mesh: TriangleMesh):
@@ -173,20 +192,15 @@ def laplacian1(mesh: TriangleMesh):
 
     A = coexact_map d1 + exact_map d0^T star1, i.e. d1^T star2 d1 +
     star1 d0 star0^-1 d0^T star1, and B = star1. Requires all star1 entries
-    positive so that B is SPD.
+    positive so that B is SPD (``edge_mass``). The Hodge split never
+    assembles it: its gate applies A1 through the two maps; this pair is the
+    reference pencil that dense solves compare against.
     """
     return mesh.memoized("laplacian1", lambda: _build_laplacian1(mesh))
 
 
 def _build_laplacian1(mesh: TriangleMesh):
-    s1 = star1_values(mesh)
-    if (s1 <= 0).any():
-        bad = int((s1 <= 0).sum())
-        raise ExteriorError(
-            f"mesh quality insufficient for 1-form mass ({bad} nonpositive "
-            "edge star entries)"
-        )
-    S1 = sp.diags(s1)
+    S1 = sp.diags(edge_mass(mesh))
     A = coexact_map(mesh) @ d1(mesh) + exact_map(mesh) @ d0(mesh).T @ S1
     return SparseOperator(A.tocsr()), SparseOperator(S1.tocsr())
 

@@ -50,7 +50,11 @@ directions, and single precision halves the storage of their values.
 Residuals, convergence tests, the Rayleigh-Ritz step and the returned
 vectors stay in float64, so the preconditioner changes the number of
 iterations, never the accuracy of a converged pair (multigrid-preconditioned
-eigensolvers: Knyazev and Neymeyr, ETNA 15, 2003).
+eigensolvers: Knyazev and Neymeyr, ETNA 15, 2003). The sparse-LU stack
+(``scipy.sparse.linalg``) is imported at the first LU, not with this module:
+a run whose pencils all carry a subdivision hierarchy (``spectrum`` and
+``converge`` on 0-forms, ``mesh``) never loads it, and ``verify``, the face
+pencil and ``--form 1`` load it when they first factor.
 
 A caller that already holds approximate eigenvectors (the Hodge split holds
 the scalar spectrum's) passes them as ``start``; they replace the leading
@@ -84,7 +88,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .exterior import SparseOperator
 
@@ -301,6 +304,10 @@ def _shifted_lu_preconditioner(Atil):
     hierarchy: the face pencil and any pencil of a mesh not built by
     subdivision.
     """
+    # imported here, not at module top: a run whose every pencil has a
+    # subdivision hierarchy never factors, and so never loads the LU stack
+    from scipy.sparse.linalg import splu
+
     try:
         lu = splu(_shifted(Atil).tocsc().astype(np.float32),
                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,

@@ -29,8 +29,12 @@ the merge takes. A side's residual maps to its one-form's residual through
 ``exterior.exact_map`` or ``exterior.coexact_map``, the two maps A1 is built
 from, so each side stops on the one-form residual itself; every merged
 pair's residual against the true one-form pencil must then meet the solver
-tolerance, or the split fails. The pairs carry an exact/coexact tag used by
-the multiplicity records. Both vertex-pencil solves pass the mesh's
+tolerance, or the split fails. That gate applies A1 through the same two
+maps, A1 x = coexact_map d1 x + exact_map d0^T star1 x, without assembling
+it. The edge mass star1 is checked positive (``exterior.edge_mass``) before
+the first solve, so a mesh too poor for the one-form pencil fails before
+any solve. The pairs carry an exact/coexact tag used by the multiplicity
+records. Both vertex-pencil solves pass the mesh's
 subdivision hierarchy, so they run the multigrid preconditioner; the face
 pencil runs the LU.
 ``report["run"]["solves"]`` records every solve: its pencil, size,
@@ -244,7 +248,11 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     Returns (SpectrumResult, exact_flags); exact_flags[i] is True when
     eigenvector i is an exact form d0 u. Every returned pair's residual
     against the true one-form pencil (A1, B1) is at most ``tol``, or
-    VerifyError names the worst one.
+    VerifyError names the worst one. That gate applies A1 as
+    ``coexact_map @ (d1 @ x) + exact_map @ (d0.T @ (star1 x))``, with the
+    maps the side solves stop on, each built once; A1 is never assembled.
+    Before any solve, ``exterior.edge_mass`` checks that star1 is positive,
+    so a mesh whose B1 is not SPD raises its ExteriorError first.
 
     ``scalar``: the mesh's ``scalar_spectrum`` with at least ``max(m, 4)``
     pairs, or all of them. Its nonkernel eigenvalues are the exact one-form
@@ -270,14 +278,18 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     start = scalar.eigenvectors[:, 1:]
     scalar_window = _window(scalar)
 
+    # a mesh whose edge mass is not SPD fails here, before any solve
+    s1 = exterior.edge_mass(mesh)
     # each side stops on the one-form residual of its pairs, which the
-    # side's exterior map sends its own residual to
+    # side's exterior map sends its own residual to; the gate applies A1
+    # through the same two maps
+    coexact_map = exterior.coexact_map(mesh)
     face_pencil = exterior.laplacian2(mesh)
     face_start = _face_average(mesh, start)
     m_face, why = max(m // 2 + 1, 2), "first"
     for _ in range(SPLIT_PASSES):
         face = _side_solve("face side", why, face_pencil, m_face, tol, seed, face_start,
-                           exterior.coexact_map(mesh), solves)
+                           coexact_map, solves)
         values = np.concatenate([exact, face.eigenvalues[1:]])
         order = np.argsort(values, kind="stable")
         # ties at the window edge (cut degenerate pairs) are legitimate: any
@@ -296,9 +308,9 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     del face_start
 
     n_exact = int((order[:m] < exact.size).sum())
+    exact_map = exterior.exact_map(mesh)
     vert = _side_solve("vertex side", "first", exterior.laplacian0(mesh), n_exact + 1, tol,
-                       seed, start, exterior.exact_map(mesh), solves,
-                       mesh.vertex_prolongations())
+                       seed, start, exact_map, solves, mesh.vertex_prolongations())
 
     # the m lowest of the vertex side's exact and the face side's coexact pairs
     values = np.concatenate([vert.eigenvalues[1:], face.eigenvalues[1:]])
@@ -306,7 +318,6 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     taken = order[:m]
     vals = values[taken]
     flags = taken < n_exact
-    s1 = exterior.star1_values(mesh)
     D0, D1 = exterior.d0(mesh), exterior.d1(mesh)
     vecs = np.empty((mesh.n_edges, m))
     vecs[:, flags] = D0 @ vert.eigenvectors[:, 1 + taken[flags]]
@@ -318,14 +329,18 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     next_estimate = min(values[order[m]] if values.size > m else np.inf,
                         vert_window, _window(face))
 
-    # ||A1 x - lambda B1 x|| / ||B1 x||, with B1 x scaled by lambda and
-    # subtracted from A1 x in its own buffer, so the gate holds three E x m
-    # arrays (vecs, B1 x and A1 x) instead of five
-    A1, _ = exterior.laplacian1(mesh)
+    # ||A1 x - lambda B1 x|| / ||B1 x||, with A1 x applied as
+    # exact_map d0^T (B1 x) + coexact_map d1 x, never assembled; each half
+    # is added to -lambda B1 x in its buffer, so the gate holds three E x m
+    # arrays (vecs, the residual and one half of A1 x)
     Bx = vecs * s1[:, None]
     bx_norms = np.linalg.norm(Bx, axis=0)
-    Bx *= vals
-    residuals = np.linalg.norm(np.subtract(A1.matrix @ vecs, Bx, out=Bx), axis=0) / bx_norms
+    divergence = D0.T @ Bx
+    Bx *= -vals
+    Bx += exact_map @ divergence
+    del divergence
+    Bx += coexact_map @ (D1 @ vecs)
+    residuals = np.linalg.norm(Bx, axis=0) / bx_norms
     if residuals.max() > tol:
         raise VerifyError(f"Hodge-split residuals above {tol:g} "
                           f"(worst {residuals.max():.3g})")

@@ -206,6 +206,27 @@ def test_spectrum_seed_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("command, loaded", [
+    (["spectrum", "--level", "2", "--form", "0"], False),
+    (["verify", "--level", "3"], True),
+])
+def test_sparse_lu_stack_loads_at_the_first_lu(command, loaded, tmp_path):
+    # a scalar run preconditions every solve with the V-cycle and never
+    # imports scipy.sparse.linalg; verify factors the face pencil
+    out = tmp_path / "out"
+    script = ("import sys\nfrom hodgelab import cli\n"
+              f"code = cli.main({command + ['--out', str(out)]!r})\n"
+              "print(code, 'scipy.sparse.linalg' in sys.modules)")
+    env = dict(os.environ)
+    env.pop("HODGELAB_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (SRC, env.get("PYTHONPATH")) if path)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loaded}"
+
+
 def test_verify_level3_pass(tmp_path):
     report_path = tmp_path / "report.json"
     proc = run_cli("verify", "--level", "3", "--out", str(report_path))

@@ -257,6 +257,24 @@ def test_hodge_split_names_a_short_scalar_spectrum(sphere_mesh):
         oneform_spectrum_hodge_split(m, 16, 1e-6, scalar)
 
 
+def test_hodge_split_checks_the_edge_mass_before_solving(monkeypatch, sphere_mesh):
+    # plain axis scaling of an icosphere stretches angle pairs past pi, so
+    # some star1 entries are nonpositive and B1 is not SPD
+    base = sphere_mesh(4)
+    stretched = mesh.TriangleMesh(vertices=base.vertices * np.array([1.0, 1.0, 2.0]),
+                                  faces=base.faces)
+    assert (exterior.star1_values(stretched) <= 0).any()
+    scalar = _scalar_spectrum(base)  # the split reads only its size before the check
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a side solve ran before the edge-mass check")
+
+    monkeypatch.setattr(verify, "solve_lowest", no_solve)
+    with pytest.raises(exterior.ExteriorError, match="mesh quality insufficient for "
+                                                     "1-form mass"):
+        oneform_spectrum_hodge_split(stretched, 16, 1e-6, scalar)
+
+
 def test_eigenform_alignment_mixture_oracle(sphere_mesh):
     # mixing eigenvectors of two clusters with equal weight puts the Rayleigh
     # quotient at the midpoint and the alignment residual at
@@ -427,6 +445,17 @@ def test_run_suite_level3_passes(sphere_mesh):
     assert rep["spectra"]["oneform"]["max_residual"] <= verify.SOLVER_TOL
     assert rep["run"]["seed"] == cfg.seed
     assert set(rep["run"]["versions"]) == {"python", "numpy", "scipy"}
+
+
+def test_run_suite_never_assembles_the_oneform_stiffness(monkeypatch):
+    # the split's gate applies A1 through the side maps; laplacian1 is only
+    # the reference pencil of the tests and the benchmark's frozen spectra
+    def assembled(*args):
+        raise AssertionError("laplacian1 assembled on the verify path")
+
+    monkeypatch.setattr(exterior, "laplacian1", assembled)
+    rep = run_suite(_level3_config())
+    assert rep["pass"], rep["failures"]
 
 
 def test_run_suite_records_peak_rss_per_stage(caplog):
