@@ -32,6 +32,8 @@ from . import exterior, mesh as mesh_mod, spectral, verify as verify_mod
 from .config import ConfigError, RunConfig, default_config
 from .mesh import MeshError, SurfaceSpec
 
+log = logging.getLogger("hodgelab.cli")  # also when run as __main__
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILURE = 2
@@ -295,6 +297,19 @@ def _format_report_table(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _format_stage_summary(report: dict) -> str:
+    """Each stage's seconds and the peak RSS when it ended, on one line, from
+    ``run.stages`` and ``run.peak_rss_mb``; the per-field stages are summed
+    into one ``fields`` entry, whose peak RSS is the last field's."""
+    run = report["run"]
+    entries: dict = {}
+    for label, seconds in run["stages"].items():
+        key = "fields" if label.startswith("field ") else label
+        entries[key] = (entries.get(key, (0.0, 0.0))[0] + seconds, run["peak_rss_mb"][label])
+    return "stages: " + ", ".join(f"{label} {seconds:.3f} s {rss:.1f} MB"
+                                  for label, (seconds, rss) in entries.items())
+
+
 def cmd_verify(args) -> int:
     if args.config:
         with open(args.config) as fh:
@@ -313,6 +328,8 @@ def cmd_verify(args) -> int:
         if fh is not None:
             json.dump(report, fh, indent=1, default=float)
             fh.write("\n")
+    # run-dependent, so on the verbose log: stdout stays the same run to run
+    log.info("%s", _format_stage_summary(report))
     print(_format_report_table(report))
     return EXIT_OK if report["pass"] else EXIT_FAILURE
 

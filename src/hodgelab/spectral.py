@@ -24,16 +24,19 @@ others a little: on the verify pencils a solve sometimes takes one more
 iteration, but each iteration is cheaper.
 
 Memory is set by how many n-row blocks are live at once, so each dies at
-its last use (_lobpcg lists what each step holds): the start block once the
-first Rayleigh-Ritz step has rotated it, A X once the residual has
+its last use (_lobpcg lists what each step holds): the start block and the
+unprojected W once SVQB has formed their bases (each is handed over in a
+one-element list, so no caller keeps it), A X once the residual has
 overwritten it, the float64 residual once it is converted to the
 preconditioner's float32, and A W and A P once their Gram products are
-taken. The fullest steps, the first pass of W's orthonormalization and the
-start of the update, then hold five blocks. On the level-4 sphere the
-scalar solve's traced peak, above the memory held before it (the pencil
-and hierarchy), is 7.4 blocks of n x 21 doubles, the standard form and the
-preconditioner included, against 10.1 when every block lived to the end of
-its step.
+taken. From the first Rayleigh-Ritz step on, X keeps one buffer: each
+update writes the next X over it, a block of rows at a time. Every step
+then holds at most four blocks. The scalar solve's traced peak, above the
+memory held before it (the pencil and hierarchy), is 6.9 blocks of
+n x 21 doubles on the level-4 sphere and 5.9 on the level-5 sphere, the
+standard form and the preconditioner included; with five blocks in the
+fullest steps it was 7.4 and 6.7, and 10.1 at level 4 when every block
+lived to the end of its step.
 
 The preconditioner approximates the inverse of the shifted matrix
 Atil + shift I. The shift, 1e-6 times the mean |diagonal| of Atil, makes it
@@ -105,6 +108,9 @@ ORTHO_TOL = 1e-14
 MG_OMEGA = 0.8
 MG_SWEEPS = 2
 MG_DIRECT_LEVEL = 2
+# rows of [X W P] per block of the in-place update: 512 rows of about 60
+# columns is about 260 KB, which stays in a core's L2 cache
+UPDATE_ROWS = 512
 # residual at which each coarse level of a nested start stops (or at the
 # fine tol, if that is looser)
 NESTED_TOL = 1e-2
@@ -220,13 +226,22 @@ def group_multiplicities(eigenvalues):
 
 
 def _orthonormalize(V, drop_tol=1e-12):
-    """SVQB orthonormalization with rank dropping; returns Q.
+    """SVQB orthonormalization of the block V (see _svqb); returns Q."""
+    return _svqb([V], drop_tol)
 
-    The Gram matrix is scaled to unit diagonal (not the columns of V, which
-    would cost an n x k copy) so that the rank filter measures angles only;
-    otherwise the refinement directions of nearly converged pairs (tiny
-    residual columns) would be dropped next to unconverged ones.
+
+def _svqb(held, drop_tol=1e-12):
+    """SVQB orthonormalization with rank dropping of the block that the
+    one-element list ``held`` hands over; returns Q.
+
+    The block, V, is taken out of the list, so it dies once Q is formed,
+    before the refinement product. The Gram matrix is scaled to unit
+    diagonal (not the columns of V, which would cost an n x k copy) so that
+    the rank filter measures angles only; otherwise the refinement
+    directions of nearly converged pairs (tiny residual columns) would be
+    dropped next to unconverged ones.
     """
+    V = held.pop()
     G = V.T @ V
     nonzero = G.diagonal() > 0.0
     if not nonzero.all():
@@ -241,6 +256,7 @@ def _orthonormalize(V, drop_tol=1e-12):
     if not keep.any():
         return V[:, :0]
     Q = V @ (U[:, keep] * (scale[:, None] / np.sqrt(w[keep])))
+    del V
     # one refinement pass keeps orthogonality near machine precision
     G2 = Q.T @ Q
     G2 = 0.5 * (G2 + G2.T)
@@ -256,9 +272,13 @@ def _project_out(V, Q):
     return V
 
 
-def _orthonormalize_against(W, blocks):
-    """W made orthogonal to the orthonormal, mutually orthogonal ``blocks``
-    and orthonormalized (SVQB).
+def _orthonormalize_against(held, blocks):
+    """The block that the one-element list ``held`` hands over, made
+    orthogonal to the orthonormal, mutually orthogonal ``blocks`` and
+    orthonormalized (SVQB).
+
+    The list is emptied, and each pass hands the projected block on to
+    _svqb, so the unprojected block dies once SVQB has formed Q.
 
     One projection leaves a component of relative size eps ||W|| / ||W'||
     in the span of the blocks, where W' is the projected W, and the SVQB
@@ -271,15 +291,15 @@ def _orthonormalize_against(W, blocks):
     usually enough.
     """
     blocks = [Q for Q in blocks if Q is not None and Q.shape[1]]
-    overlaps = [Q.T @ W for Q in blocks]
+    overlaps = [Q.T @ held[0] for Q in blocks]
     for _ in range(ORTHO_PASSES):
         for Q, c in zip(blocks, overlaps):
-            W -= Q @ c
-        W = _orthonormalize(W)
-        overlaps = [Q.T @ W for Q in blocks]
+            held[0] -= Q @ c
+        held.append(_svqb(held))
+        overlaps = [Q.T @ held[0] for Q in blocks]
         if all(np.abs(c).max(initial=0.0) <= ORTHO_TOL for c in overlaps):
             break
-    return W
+    return held.pop()
 
 
 def _residual_norms(R, X, G):
@@ -321,6 +341,22 @@ def _shifted_lu_preconditioner(Atil):
     return precond
 
 
+def _level_residual(A, r, x):
+    """r - A x, in the one temporary that A x allocates."""
+    t = A @ x
+    np.subtract(r, t, out=t)
+    return t
+
+
+def _jacobi_sweeps(A, wdinv, r, x, sweeps):
+    """``sweeps`` damped-Jacobi sweeps x += wdinv (r - A x), in place."""
+    for _ in range(sweeps):
+        t = _level_residual(A, r, x)
+        t *= wdinv
+        x += t
+        del t  # before the next sweep's A x, so one temporary is live
+
+
 def _multigrid_preconditioner(Atil, s, hierarchy):
     """Approximate inverse of Atil: one float32 V(2,2) cycle on Atil + shift I.
 
@@ -335,6 +371,11 @@ def _multigrid_preconditioner(Atil, s, hierarchy):
     Cholesky. Equal pre- and post-smoothing make the cycle a symmetric
     positive operator (Briggs, Henson and McCormick, A Multigrid Tutorial,
     SIAM 2000).
+
+    The cycle smooths in place: each sweep updates x through one float32
+    temporary, r - A x, and each level's (r, x) is released after its
+    ascent, so the finest level holds r, x and one temporary before the
+    float64 copy of the result.
 
     The cycle is a loop over a flat list of levels, not a recursive
     closure: a closure that refers to itself is a reference cycle and would
@@ -357,15 +398,16 @@ def _multigrid_preconditioner(Atil, s, hierarchy):
         descent = []
         for A, P, Pt, wdinv in levels:
             x = wdinv * r
-            for _ in range(MG_SWEEPS - 1):
-                x += wdinv * (r - A @ x)
+            _jacobi_sweeps(A, wdinv, r, x, MG_SWEEPS - 1)
             descent.append((r, x))
-            r = Pt @ (r - A @ x)
+            r = Pt @ _level_residual(A, r, x)
         x = scipy.linalg.cho_solve(coarse, r.astype(np.float64))
-        for (A, P, Pt, wdinv), (r, x_pre) in zip(reversed(levels), reversed(descent)):
-            x = x_pre + P @ x.astype(np.float32, copy=False)
-            for _ in range(MG_SWEEPS):
-                x += wdinv * (r - A @ x)
+        for A, P, Pt, wdinv in reversed(levels):
+            r, x_fine = descent.pop()
+            x_fine += P @ x.astype(np.float32, copy=False)
+            x = x_fine
+            _jacobi_sweeps(A, wdinv, r, x, MG_SWEEPS)
+        del r
         return x.astype(np.float64)
 
     return precond
@@ -387,14 +429,36 @@ def _direction_coefficients(C, nb, active):
     return _orthonormalize(rest @ (rest[nb:].T @ C[nb:, :nb][:, active]))
 
 
+def _update_in_place(X, W, P, Cx, Z):
+    """Write X <- S Cx over X and return the new P = S Z, for S = [X W P].
+
+    Row i of S Cx and of S Z depends only on row i of S, so S is copied
+    UPDATE_ROWS rows at a time into one fixed buffer and both products are
+    written straight into their rows: the new P is the only new n-row block.
+    The row blocks round differently in the last bit from whole-block
+    products for some widths (the BLAS picks its kernel by shape), which
+    moves eigenvalues well within ``tol``.
+    """
+    n = X.shape[0]
+    P_next = np.empty((n, Z.shape[1]))
+    buffer = np.empty((min(UPDATE_ROWS, n), Cx.shape[0]))
+    for r0 in range(0, n, UPDATE_ROWS):
+        r1 = min(r0 + UPDATE_ROWS, n)
+        rows = buffer[:r1 - r0]
+        np.concatenate((X[r0:r1], W[r0:r1], P[r0:r1]), axis=1, out=rows)
+        np.matmul(rows, Z, out=P_next[r0:r1])
+        np.matmul(rows, Cx, out=X[r0:r1])
+    return P_next
+
+
 def _lobpcg(Amat, start, n_wanted, tol, maxiter, precond, gram,
             constraints=None):
     """Standard-problem LOBPCG with soft locking and one Rayleigh-Ritz step
     per iteration.
 
     ``start`` is a one-element list holding the n x nb starting block. The
-    block is taken out of the list and orthonormalized in place, so no
-    frame keeps it once the first Rayleigh-Ritz step has rotated it.
+    block is taken out of the list and handed on to the SVQB, so no frame
+    keeps it once its orthonormal basis is formed.
 
     Returns (theta, X, residuals, iterations), where ``residuals`` are the
     ``_residual_norms(R, X, gram)`` of every column of X, read by the
@@ -422,21 +486,23 @@ def _lobpcg(Amat, start, n_wanted, tol, maxiter, precond, gram,
     Rayleigh quotient, so a rounding-level kernel component would otherwise
     be amplified back in.
 
-    Every n-row block is released at its last use. An iteration enters
-    holding X, A X and P, and its steps hold:
+    Every n-row block is released at its last use, and no step holds more
+    than four. An iteration enters holding X, A X and P, and its steps hold:
 
-    - residual: X^T A X is taken first, then R overwrites A X, so X, R, P;
+    - residual: X^T A X is taken first, then R overwrites A X, so X, R, P
+      and the product X theta;
     - preconditioner: R is converted to float32 and cut to its active
       columns, and the float64 R released before the preconditioner runs,
       so X, P, the float32 residual and the preconditioner's own blocks;
-    - orthonormalization: X, P, W and SVQB's two products of W;
+    - orthonormalization: X, P, W and one projection product; W is handed
+      over and dies once SVQB has formed its basis, so SVQB's refinement
+      holds X, P and its two products;
     - Rayleigh-Ritz: X, W, P and one image, A W and then A P, each released
       after its Gram products;
-    - update: the next X and P are accumulated block by block from X, W
-      and P, each released once consumed, so the update starts with X, W,
-      P and the next X and P; then A X is formed.
+    - update: X, W, P and the next P; the next X is written over X (see
+      _update_in_place), then W and the old P are released and A X formed.
     """
-    X = _orthonormalize(_project_out(start.pop(), constraints))
+    X = _svqb([_project_out(start.pop(), constraints)])
     if X.shape[1] < n_wanted:
         raise SpectralError("starting block lost rank under deflation")
     nb = X.shape[1]
@@ -462,10 +528,9 @@ def _lobpcg(Amat, start, n_wanted, tol, maxiter, precond, gram,
         if iteration == maxiter:
             break
         R = R.astype(np.float32)[:, active]
-        W = precond(R)
+        W = [precond(R)]  # handed over, so it dies inside the SVQB
         del R
         W = _orthonormalize_against(W, (constraints, X, P))
-        nw = W.shape[1]
         AW = Amat @ W
         XAW, WAW = X.T @ AW, W.T @ AW
         del AW
@@ -476,16 +541,9 @@ def _lobpcg(Amat, start, n_wanted, tol, maxiter, precond, gram,
         vals, C = np.linalg.eigh(0.5 * (G + G.T))
         theta = vals[:nb]
         Z = _direction_coefficients(C, nb, active)
-        Cx = C[:, :nb]
-        # X <- S Cx and P <- S Z, consuming S = [X W P] one block at a time
-        X_next, P_next = X @ Cx[:nb], X @ Z[:nb]
-        del X
-        X_next += W @ Cx[nb:nb + nw]
-        P_next += W @ Z[nb:nb + nw]
+        P = _update_in_place(X, W, P, np.ascontiguousarray(C[:, :nb]), Z)
         del W
-        X_next += P @ Cx[nb + nw:]
-        P_next += P @ Z[nb + nw:]
-        X, P = _project_out(X_next, constraints), P_next
+        _project_out(X, constraints)
         AX = Amat @ X
     best = ", ".join(f"{r:.3g}" for r in res[:n_wanted])  # one line, unlike numpy's repr
     raise ConvergenceError(
@@ -587,7 +645,9 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
     original variables and orthogonal to the known kernel. Its columns fill
     the leading columns of the LOBPCG starting block (as many as its m + 5
     columns hold); seeded random columns pad the rest. A start already
-    converged to ``tol`` ends the solve within one iteration.
+    converged to ``tol`` ends the solve within one iteration. The block is
+    not kept once copied, so a caller that keeps no reference to it (the
+    Hodge split's face side) has it released before the iteration.
 
     ``hierarchy``: the vertex prolongations of the mesh's subdivision
     hierarchy, coarsest first (``TriangleMesh.vertex_prolongations()``),
@@ -650,6 +710,7 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
             X0 = [np.random.default_rng(seed).standard_normal((n, block))]
             k = min(start.shape[1], block)
             X0[0][:, :k] = start[:, :k] * s[:, None]
+            del start  # copied: a caller that kept no reference frees it here
         theta, X, res, iterations, preconditioner = _iterate(
             Atil, s, kernel, X0, n_iter, tol, maxiter, hierarchy, G)
         vals = theta[:n_iter]

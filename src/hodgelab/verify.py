@@ -92,6 +92,11 @@ ORACLE_DIMENSIONS = (2, 3, 5)
 ORACLE_RADII = (1.0, 2.0)
 ORACLE_SEED = 7  # the battery's fields and sample points
 SPLIT_PASSES = 6  # face-side solves of the Hodge split: the first and its extensions
+# 2 pi - fl(2 pi), the part of 2 pi that the double 2.0 * np.pi =
+# 6.283185307179586 drops: 2 pi = 6.28318530717958647692528676655900577...,
+# so the remainder rounds to this double. Every angle defect is formed from
+# fl(2 pi), so a sum of V defects is short by V times it.
+TWO_PI_LOW = 2.4492935982947064e-16
 
 
 log = logging.getLogger(__name__)
@@ -231,11 +236,18 @@ def _window(result: SpectrumResult) -> float:
 
 def _side_solve(label, why, pencil, m, tol, seed, start, residual_map, solves,
                 hierarchy=None) -> SpectrumResult:
-    """One seeded solve of a Hodge-split pencil, stopped on its one-form residual."""
+    """One seeded solve of a Hodge-split pencil, stopped on its one-form residual.
+
+    ``start`` is a one-element list holding the start block; it is emptied,
+    so no frame here keeps the block once the solve has copied it (CPython
+    3.11 and later hand a call's arguments over to the callee's frame; 3.10
+    keeps them in the caller's until the call returns).
+    """
     A, B = pencil
     n = A.shape[0]
     result = solve_lowest(A, B, min(m, n), tol, seed=seed, known_kernel=np.ones(n),
-                          start=start, hierarchy=hierarchy, residual_map=residual_map)
+                          start=start.pop(), hierarchy=hierarchy,
+                          residual_map=residual_map)
     if solves is not None:
         solves.append(_solve_record(label, why, result, tol))
     return result
@@ -249,8 +261,9 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     eigenvector i is an exact form d0 u. Every returned pair's residual
     against the true one-form pencil (A1, B1) is at most ``tol``, or
     VerifyError names the worst one. That gate applies A1 as
-    ``coexact_map @ (d1 @ x) + exact_map @ (d0.T @ (star1 x))``, with the
-    maps the side solves stop on, each built once; A1 is never assembled.
+    ``coexact_map @ (d1 @ x) + exact_map @ (d0.T @ (star1 x))``, one column
+    at a time, with the maps the side solves stop on, each built once; A1
+    is never assembled.
     Before any solve, ``exterior.edge_mass`` checks that star1 is positive,
     so a mesh whose B1 is not SPD raises its ExteriorError first.
 
@@ -285,11 +298,12 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     # through the same two maps
     coexact_map = exterior.coexact_map(mesh)
     face_pencil = exterior.laplacian2(mesh)
-    face_start = _face_average(mesh, start)
     m_face, why = max(m // 2 + 1, 2), "first"
     for _ in range(SPLIT_PASSES):
-        face = _side_solve("face side", why, face_pencil, m_face, tol, seed, face_start,
-                           coexact_map, solves)
+        # each pass averages its own start, which dies once the solve has
+        # copied it, instead of one kept beside every face solve
+        face = _side_solve("face side", why, face_pencil, m_face, tol, seed,
+                           [_face_average(mesh, start)], coexact_map, solves)
         values = np.concatenate([exact, face.eigenvalues[1:]])
         order = np.argsort(values, kind="stable")
         # ties at the window edge (cut degenerate pairs) are legitimate: any
@@ -305,12 +319,12 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
         why = "extension"
     else:
         raise VerifyError("Hodge-split window did not cover the requested count")
-    del face_start
+    del face_pencil
 
     n_exact = int((order[:m] < exact.size).sum())
     exact_map = exterior.exact_map(mesh)
     vert = _side_solve("vertex side", "first", exterior.laplacian0(mesh), n_exact + 1, tol,
-                       seed, start, exact_map, solves, mesh.vertex_prolongations())
+                       seed, [start], exact_map, solves, mesh.vertex_prolongations())
 
     # the m lowest of the vertex side's exact and the face side's coexact pairs
     values = np.concatenate([vert.eigenvalues[1:], face.eigenvalues[1:]])
@@ -328,18 +342,20 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     vert_window = _window(vert) if n_exact else (exact[0] if exact.size else scalar_window)
     next_estimate = min(values[order[m]] if values.size > m else np.inf,
                         vert_window, _window(face))
+    del face, vert
 
     # ||A1 x - lambda B1 x|| / ||B1 x||, with A1 x applied as
     # exact_map d0^T (B1 x) + coexact_map d1 x, never assembled; each half
-    # is added to -lambda B1 x in its buffer, so the gate holds three E x m
-    # arrays (vecs, the residual and one half of A1 x)
+    # is added to -lambda B1 x in its buffer one column at a time, so the
+    # gate holds two E x m arrays (vecs and the residual)
     Bx = vecs * s1[:, None]
     bx_norms = np.linalg.norm(Bx, axis=0)
     divergence = D0.T @ Bx
     Bx *= -vals
-    Bx += exact_map @ divergence
+    for j in range(m):
+        Bx[:, j] += exact_map @ divergence[:, j]
+        Bx[:, j] += coexact_map @ (D1 @ vecs[:, j])
     del divergence
-    Bx += coexact_map @ (D1 @ vecs)
     residuals = np.linalg.norm(Bx, axis=0) / bx_norms
     if residuals.max() > tol:
         raise VerifyError(f"Hodge-split residuals above {tol:g} "
@@ -609,7 +625,10 @@ def _mesh_stage(report, surface):
 def _curvature_stage(report, mesh, surface, alpha):
     """(rho, P) from angle defects, checked against the exact extrema."""
     bounds = curvature_mod.angle_defect_curvature(mesh)
-    defect_err = abs(curvature_mod.angle_defects(mesh).sum() - 4.0 * np.pi)
+    # the low part of 2 pi, added once for all V defects, so the error does
+    # not grow with the vertex count
+    defect_sum = curvature_mod.angle_defects(mesh).sum() + mesh.n_vertices * TWO_PI_LOW
+    defect_err = abs(defect_sum - 4.0 * np.pi)
     entry = {"rho": bounds.rho, "P": bounds.P_max, "gauss_bonnet_error": float(defect_err)}
     checks = {"gauss_bonnet": bool(defect_err < 1e-10)}
     if alpha is not None:

@@ -3,6 +3,8 @@ computed once per session and cached."""
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -72,6 +74,25 @@ def default_report():
 @pytest.fixture(scope="session")
 def spheroid_report():
     return _spheroid_report()
+
+
+def _traced_peak(fn):
+    """(fn(), the traced peak in bytes above the memory traced when fn starts)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        value = fn()
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    return value, peak
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    return _traced_peak
 
 
 @pytest.fixture()

@@ -269,6 +269,32 @@ def test_verbose_logs_progress_to_stderr_only(tmp_path, monkeypatch, capsys):
     assert sum("nested start: " in line for line in v_verify.err.splitlines()) == 2
 
 
+def test_verbose_verify_logs_one_stage_summary(tmp_path, monkeypatch, capsys):
+    # --verbose ends with one line of every stage's seconds and peak RSS,
+    # read from the report's run block, the eleven field stages summed into
+    # one entry; a quiet run logs nothing
+    from hodgelab import cli
+
+    monkeypatch.delenv("HODGELAB_SEED", raising=False)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--level", "3", "--verbose", "--out", str(out)]) == 0
+    summaries = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("hodgelab.cli: stages: ")]
+    run = json.loads(out.read_text())["run"]
+    fields = [label for label in run["stages"] if label.startswith("field ")]
+    assert len(fields) == 11
+    entries = [(label, run["stages"][label], run["peak_rss_mb"][label])
+               for label in ("mesh", "curvature", "scalar spectrum", "one-form spectrum")]
+    entries.append(("fields", sum(run["stages"][label] for label in fields),
+                    run["peak_rss_mb"][fields[-1]]))
+    entries += [(label, run["stages"][label], run["peak_rss_mb"][label])
+                for label in ("oracle", "multiplicity")]
+    assert summaries == ["hodgelab.cli: stages: " + ", ".join(
+        f"{label} {seconds:.3f} s {rss:.1f} MB" for label, seconds, rss in entries)]
+    assert cli.main(["verify", "--level", "3"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_config_file_and_override(tmp_path):
     cfg = {
         "surface": {"kind": "icosphere", "level": 2, "radius": 1.0},

@@ -668,3 +668,36 @@ def test_scalar_solve_working_set(sphere_mesh):
         tracemalloc.stop()
     assert result.block == 16 + spectral.BLOCK_PADDING
     assert peak / (m.n_vertices * result.block * 8) < 8.0
+
+
+def test_scalar_solve_working_set_level5(sphere_mesh, traced_peak):
+    # every step holds at most four n-row blocks: X is updated in place, W
+    # dies once SVQB has formed its basis, and the V-cycle smooths in place.
+    # The traced peak above the memory held at entry, in n x block doubles,
+    # reads 5.9 at level 5; it read 6.7 with a new X per step
+    m = sphere_mesh(5)
+    exterior.laplacian0(m)
+    m.vertex_prolongations()
+    result, peak = traced_peak(lambda: verify.scalar_spectrum(m, 16, 1e-6))
+    assert result.block == 16 + spectral.BLOCK_PADDING
+    assert peak / (m.n_vertices * result.block * 8) < 6.3
+
+
+@pytest.mark.parametrize("case", ["generic", "near the span"])
+def test_orthonormalize_against_empties_its_list(case):
+    # the block is handed over in a list that the call empties; the result is
+    # orthonormal and orthogonal to the given blocks, also when the block lies
+    # almost in their span and one pass leaves too large an overlap
+    rng = np.random.default_rng(11)
+    S, _ = np.linalg.qr(rng.standard_normal((500, 12)))
+    kernel, X, P = S[:, :1], S[:, 1:8], S[:, 8:]
+    W = rng.standard_normal((500, 5))
+    if case == "near the span":
+        W = X @ rng.standard_normal((7, 5)) + 1e-10 * W
+    held = [W]
+    del W
+    Q = spectral._orthonormalize_against(held, (kernel, X, None, P))
+    assert held == []
+    assert Q.shape == (500, 5)
+    assert np.abs(Q.T @ Q - np.eye(5)).max() <= spectral.ORTHO_TOL
+    assert np.abs(S.T @ Q).max() <= spectral.ORTHO_TOL

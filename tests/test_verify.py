@@ -275,6 +275,34 @@ def test_hodge_split_checks_the_edge_mass_before_solving(monkeypatch, sphere_mes
         oneform_spectrum_hodge_split(stretched, 16, 1e-6, scalar)
 
 
+def test_hodge_split_working_set(traced_peak):
+    # each face solve holds at most four n-row blocks and its start dies once
+    # copied, and the gate applies A1 one column at a time. The traced peak
+    # above the memory held at entry, in blocks of n_faces x 14 doubles (the
+    # face solve's block), reads 7.1 on the level-5 sphere; it read 9.4 with
+    # a new X per step, the face start kept and the whole A1 x formed
+    m = mesh.build_icosphere(5)
+    scalar = verify.scalar_spectrum(m, verify.EIGENPAIRS, verify.SOLVER_TOL)
+    solves = []
+    _, peak = traced_peak(lambda: oneform_spectrum_hodge_split(
+        m, verify.EIGENPAIRS, verify.SOLVER_TOL, scalar, solves=solves))
+    block = solves[0]["block"]
+    assert (solves[0]["pencil"], block) == ("face side", 14)
+    assert peak / (m.n_faces * block * 8) < 7.5
+
+
+def test_gauss_bonnet_error_does_not_grow_with_the_vertex_count(sphere_mesh):
+    # each defect is formed from fl(2 pi), short of 2 pi by 2.4e-16; the
+    # check adds that back once for all V, so on the level-6 sphere the
+    # error is 2.4e-13, where the V copies made it 1.03e-11
+    m = sphere_mesh(6)
+    report = {"notes": []}
+    surface = SurfaceSpec(kind="icosphere", level=6, radius=1.0)
+    _, checks = verify._curvature_stage(report, m, surface, 1.0)
+    assert report["curvature"]["gauss_bonnet_error"] < 1e-12
+    assert checks["gauss_bonnet"]
+
+
 def test_eigenform_alignment_mixture_oracle(sphere_mesh):
     # mixing eigenvectors of two clusters with equal weight puts the Rayleigh
     # quotient at the midpoint and the alignment residual at
