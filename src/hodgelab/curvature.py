@@ -38,6 +38,10 @@ class CurvatureBounds:
 
 def angle_defects(mesh: TriangleMesh) -> np.ndarray:
     """2 pi minus the sum of incident corner angles, per vertex."""
+    return mesh.memoized("angle_defects", lambda: _build_angle_defects(mesh))
+
+
+def _build_angle_defects(mesh: TriangleMesh) -> np.ndarray:
     angles = mesh.corner_angles()
     total = np.zeros(mesh.n_vertices)
     for k in range(3):

@@ -152,15 +152,13 @@ class TriangleMesh:
     def n_faces(self) -> int:
         return self.faces.shape[0]
 
-    def face_normals_areas(self):
-        """Unnormalized face normals and areas (counterclockwise convention)."""
-        p = self.vertices[self.faces]
-        cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        areas = 0.5 * np.linalg.norm(cross, axis=1)
-        return cross, areas
-
     def face_areas(self) -> np.ndarray:
-        return self.memoized("face_areas", lambda: self.face_normals_areas()[1])
+        def build():
+            p = self.vertices[self.faces]
+            return 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]),
+                                        axis=1)
+
+        return self.memoized("face_areas", build)
 
     def vertex_areas(self) -> np.ndarray:
         """Barycentric lumped vertex areas: one third of incident face areas."""

@@ -22,10 +22,11 @@ coexact ones through star1^-1 d1^T; with b1 = 0 nothing else exists. Every
 split starts from the scalar spectrum (``scalar_spectrum``): its nonkernel
 eigenvalues are the exact spectrum below its window, and its nonkernel
 eigenvectors seed both sides, as they are on the vertex side (which then
-converges in about one iteration) and averaged over each face's corners on
-the face side. The face side is solved first, and widened while its window
-cuts the merge short; the vertex side is solved once, for the exact pairs
-the merge takes. A side's residual maps to its one-form's residual through
+converges in one or two iterations: one at level 4, two at levels 5 to 7)
+and averaged over each face's corners on the face side. The face side is
+solved first, and widened, to at most m + 1 pairs, while its window cuts
+the merge short; the vertex side is solved once, for the exact pairs the
+merge takes. A side's residual maps to its one-form's residual through
 ``exterior.exact_map`` or ``exterior.coexact_map``, the two maps A1 is built
 from, so each side stops on the one-form residual itself; every merged
 pair's residual against the true one-form pencil must then meet the solver
@@ -91,7 +92,6 @@ N_DIM = 2  # intrinsic dimension of every built-in surface
 ORACLE_DIMENSIONS = (2, 3, 5)
 ORACLE_RADII = (1.0, 2.0)
 ORACLE_SEED = 7  # the battery's fields and sample points
-SPLIT_PASSES = 6  # face-side solves of the Hodge split: the first and its extensions
 # 2 pi - fl(2 pi), the part of 2 pi that the double 2.0 * np.pi =
 # 6.283185307179586 drops: 2 pi = 6.28318530717958647692528676655900577...,
 # so the remainder rounds to this double. Every angle defect is formed from
@@ -270,9 +270,10 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     ``scalar``: the mesh's ``scalar_spectrum`` with at least ``max(m, 4)``
     pairs, or all of them. Its nonkernel eigenvalues are the exact one-form
     spectrum below its window (``next_estimate``), and its nonkernel
-    eigenvectors seed both sides. The face side is solved first and widened
-    until the exact and coexact values below both windows hold the m lowest;
-    if the scalar window is the one that falls short, VerifyError says so.
+    eigenvectors seed both sides. The face side is solved first and widened,
+    to at most m + 1 pairs, until the exact and coexact values below both
+    windows hold the m lowest; m + 1 face pairs always reach their window,
+    so if the scalar window falls short, VerifyError says so.
     The vertex side is then solved once, for the exact pairs the merge takes.
     ``next_estimate`` is the lowest of the first pair not taken and the
     sides' windows, the lowest exact value standing in for the vertex side's
@@ -299,7 +300,7 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     coexact_map = exterior.coexact_map(mesh)
     face_pencil = exterior.laplacian2(mesh)
     m_face, why = max(m // 2 + 1, 2), "first"
-    for _ in range(SPLIT_PASSES):
+    while True:
         # each pass averages its own start, which dies once the solve has
         # copied it, instead of one kept beside every face solve
         face = _side_solve("face side", why, face_pencil, m_face, tol, seed,
@@ -311,14 +312,13 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
         if (values.size >= m and values[order[m - 1]]
                 <= min(scalar_window, _window(face)) * (1 + 1e-9)):
             break
-        if scalar_window <= _window(face):
+        # m + 1 face pairs hold m coexact values, each at or below the face window
+        if scalar_window <= _window(face) or m_face > m:
             raise VerifyError(
                 f"the {exact.size} exact eigenvalues below the scalar window "
                 f"{scalar_window:.6g} do not cover the {m} lowest one-form eigenvalues")
-        m_face += max(2, m // 8)
+        m_face = min(m_face + max(2, m // 8), m + 1)
         why = "extension"
-    else:
-        raise VerifyError("Hodge-split window did not cover the requested count")
     del face_pencil
 
     n_exact = int((order[:m] < exact.size).sum())
@@ -402,19 +402,17 @@ def multiplicity_check(spectrum: SpectrumResult, n: int, exact_flags) -> list:
     """
     groups = spectrum.groups
     if len(groups) < 2:
-        raise VerifyError("refine mesh or loosen grouping: clusters unresolved")
+        raise VerifyError("refine mesh: clusters unresolved")
     g1, g2 = groups[0], groups[1]
     ratio = g2.representative / g1.representative
     expected_ratio = 2.0 * (n + 1) / n
     if abs(ratio - expected_ratio) > 0.2 * expected_ratio:
-        raise VerifyError(
-            "refine mesh or loosen grouping: leading clusters are not at the "
-            f"expected eigenvalue ratio (got {ratio:.3f}, want {expected_ratio:.3f})"
-        )
+        raise VerifyError("refine mesh: leading clusters are not at the expected eigenvalue "
+                          f"ratio (got {ratio:.3f}, want {expected_ratio:.3f})")
     if len(groups) == 2 and spectrum.next_estimate is not None:
         gap_ok = spectrum.next_estimate > g2.representative * 1.2
         if not gap_ok:
-            raise VerifyError("refine mesh or loosen grouping: trailing cluster open")
+            raise VerifyError("refine mesh: trailing cluster open")
     flags = np.asarray(exact_flags, dtype=bool)
     killing_in_g1 = int((~flags[list(g1.indices)]).sum())
     exact_in_g2 = int(flags[list(g2.indices)].sum())

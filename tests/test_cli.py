@@ -316,11 +316,16 @@ def test_verify_malformed_config(tmp_path):
     assert proc.returncode == 1
 
 
-def test_verify_invalid_config_values(tmp_path):
+def test_verify_invalid_config_values(tmp_path, monkeypatch, capsys):
+    # the first case runs the module entry point in its own process; the
+    # tables run through cli.main in this one
+    from hodgelab import cli
+
     path = tmp_path / "bad2.json"
     path.write_text(json.dumps({"surface": {"kind": "torus", "level": 1}}))
     proc = run_cli("verify", "--config", str(path))
     assert proc.returncode == 1
+    monkeypatch.delenv("HODGELAB_SEED", raising=False)
     # json writes NaN and Infinity literals, which json.load accepts
     sphere = {"kind": "icosphere", "level": 1, "radius": 1.0}
     for cfg, message in (
@@ -387,9 +392,8 @@ def test_verify_invalid_config_values(tmp_path):
         ({"surface": sphere, "report_path": 1}, "report_path must be a string, got 1"),
     ):
         path.write_text(json.dumps(cfg))
-        proc = run_cli("verify", "--config", str(path))
-        assert proc.returncode == 1
-        assert proc.stderr == f"error: {message}\n"
+        assert cli.main(["verify", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
     # a flag value of 0 is rejected, not replaced by the config's value
     spheroid = ["--kind", "spheroid", "--level", "1"]
     for argv, message in (
@@ -401,9 +405,8 @@ def test_verify_invalid_config_values(tmp_path):
         ([*spheroid, "--a", "1", "--c", "2", "--radius", "1"],
          "spheroid takes semi-axes a, c, not a radius"),
     ):
-        proc = run_cli("verify", *argv)
-        assert proc.returncode == 1
-        assert proc.stderr == f"error: {message}\n"
+        assert cli.main(["verify", *argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 SPHERE = {"kind": "icosphere", "level": 1, "radius": 1.0}

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hodgelab import exterior, mesh
+from hodgelab import exterior, mesh, verify
+from hodgelab.config import RunConfig
 from hodgelab.curvature import (
     CurvatureError,
     angle_defect_curvature,
@@ -11,6 +12,7 @@ from hodgelab.curvature import (
     voronoi_vertex_areas,
 )
 from hodgelab.exterior import Cochain
+from hodgelab.mesh import SurfaceSpec
 
 
 @pytest.mark.parametrize("build", [
@@ -22,6 +24,22 @@ from hodgelab.exterior import Cochain
 def test_gauss_bonnet_exact(build):
     m = build()
     assert abs(angle_defects(m).sum() - 4 * np.pi) < 1e-10
+
+
+def test_angle_defects_are_computed_once_per_mesh(monkeypatch):
+    # the Gauss-Bonnet check and the curvature bounds read one memoized array
+    m = mesh.build_icosphere(1)
+    assert angle_defects(m) is angle_defects(m)
+    calls = []
+    corner_angles = mesh.TriangleMesh.corner_angles
+
+    def counting(self):
+        calls.append(self.n_vertices)
+        return corner_angles(self)
+
+    monkeypatch.setattr(mesh.TriangleMesh, "corner_angles", counting)
+    verify.run_suite(RunConfig(surface=SurfaceSpec(kind="icosphere", level=3, radius=1.0)))
+    assert calls == [642]
 
 
 def test_sphere_curvature_level5(sphere_mesh):

@@ -652,7 +652,7 @@ def test_scalar_solve_working_set(sphere_mesh):
     # once rotated, A X once the residual overwrites it, the float64 residual
     # before the preconditioner runs, and A W and A P after their Gram
     # products. The traced peak above the memory held at entry (operators
-    # and hierarchy already built), in n x block doubles, reads 7.40 at
+    # and hierarchy already built), in n x block doubles, reads 6.91 at
     # level 4; keeping all of them alive read 10.11.
     m = sphere_mesh(4)
     exterior.laplacian0(m)
