@@ -5,7 +5,8 @@ a stable contract: 0 success/pass, 1 usage or configuration error (an
 unwritable output path included), 2 verification or solver failure. The
 random seed comes from the environment variable ``HODGELAB_SEED`` if it is
 set, even when ``--seed`` is given, then from ``--seed``, then from the
-config; a seed that is not a non-negative integer is a usage error.
+config; a seed that is not a non-negative integer is a usage error, and so
+is a ``--count`` larger than the pencil at the (smallest) level.
 ``verify`` reads an optional JSON RunConfig (see :mod:`hodgelab.config`,
 which owns the RunConfig type); the surface and seed flags override config
 values. Its eigenpair count and tolerances are the frozen constants of
@@ -191,6 +192,19 @@ def _lowest_eigenpairs(built, args, seed: int):
                                                    seed=seed)[0]
 
 
+def _check_count(args, level: int) -> None:
+    """Reject a ``--count`` larger than the pencil at ``level``, before any mesh
+    is built: V = 10*4^level + 2 vertices for ``--form 0``, E = 30*4^level
+    edges for ``--form 1``, on either surface kind."""
+    if args.form == 0:
+        limit, what = 10 * 4 ** level + 2, "vertices"
+    else:
+        limit, what = 30 * 4 ** level, "edges"
+    if args.count > limit:
+        raise ConfigError(f"--count {args.count} exceeds the {limit} {what} "
+                          f"of a level-{level} mesh")
+
+
 def _history_line(history) -> str:
     """The last HISTORY_SHOWN entries of a ConvergenceError history."""
     shown = history[-HISTORY_SHOWN:]
@@ -210,6 +224,7 @@ def _print_solve_error(exc, where: str = "") -> None:
 
 def cmd_spectrum(args) -> int:
     surface = _surface_from_args(args, args.level)
+    _check_count(args, args.level)
     seed = _seed(args.seed)
     with _open_out(args.out) as fh:
         built = mesh_mod.build_surface(surface)
@@ -339,6 +354,7 @@ def cmd_converge(args) -> int:
     reordered = ordered != args.levels
     seed = _seed(args.seed)
     surfaces = [_surface_from_args(args, level) for level in ordered]
+    _check_count(args, ordered[0])
     rows = []
     with _open_out(args.out) as fh:
         for surface in surfaces:

@@ -43,7 +43,7 @@ Atil + shift I. The shift, 1e-6 times the mean |diagonal| of Atil, makes it
 nonsingular even when Atil has a kernel (the constants of the 0-form
 Laplacian); the iteration count barely depends on its size. A vertex pencil
 given the mesh's subdivision hierarchy gets one multigrid V-cycle (Galerkin
-coarse operators, damped-Jacobi smoothing, a dense Cholesky at level 2; see
+coarse operators, damped-Jacobi smoothing, a dense solve at level 2; see
 _multigrid_preconditioner), whose setup and application grow linearly with
 the mesh. Any other pencil (the face pencil, a mesh not built by
 subdivision) gets a sparse LU factorization, whose fill grows faster: on
@@ -54,10 +54,13 @@ Residuals, convergence tests, the Rayleigh-Ritz step and the returned
 vectors stay in float64, so the preconditioner changes the number of
 iterations, never the accuracy of a converged pair (multigrid-preconditioned
 eigensolvers: Knyazev and Neymeyr, ETNA 15, 2003). The sparse-LU stack
-(``scipy.sparse.linalg``) is imported at the first LU, not with this module:
-a run whose pencils all carry a subdivision hierarchy (``spectrum`` and
-``converge`` on 0-forms, ``mesh``) never loads it, and ``verify``, the face
-pencil and ``--form 1`` load it when they first factor.
+(``scipy.sparse.linalg``, which loads ``scipy.linalg``) is imported at the
+first LU, not with this module, and nothing else here uses scipy's dense
+linear algebra: the V-cycle's coarse solve and ``dense_reference`` use
+``numpy.linalg``. So a run whose pencils all carry a subdivision hierarchy
+(``spectrum`` and ``converge`` on 0-forms, ``mesh``) loads neither module,
+and ``verify``, the face pencil and ``--form 1`` load both when they first
+factor.
 
 A caller that already holds approximate eigenvectors (the Hodge split holds
 the scalar spectrum's) passes them as ``start``; they replace the leading
@@ -89,7 +92,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .exterior import SparseOperator
@@ -367,10 +369,11 @@ def _multigrid_preconditioner(Atil, s, hierarchy):
     next finer one. Every level above MG_DIRECT_LEVEL is smoothed by
     MG_SWEEPS damped-Jacobi sweeps (weight MG_OMEGA) before and after its
     coarse correction; the operator at MG_DIRECT_LEVEL (or the pencil
-    itself, on a mesh that coarse or coarser) is solved by a dense float64
-    Cholesky. Equal pre- and post-smoothing make the cycle a symmetric
-    positive operator (Briggs, Henson and McCormick, A Multigrid Tutorial,
-    SIAM 2000).
+    itself, on a mesh that coarse or coarser) is solved exactly, in float64,
+    by one product with its inverse, formed once from its Cholesky factor
+    (162 x 162 on the subdivided icosahedron). Equal pre- and post-smoothing
+    make the cycle a symmetric positive operator (Briggs, Henson and
+    McCormick, A Multigrid Tutorial, SIAM 2000).
 
     The cycle smooths in place: each sweep updates x through one float32
     temporary, r - A x, and each level's (r, x) is released after its
@@ -391,7 +394,10 @@ def _multigrid_preconditioner(Atil, s, hierarchy):
                        Pt.astype(np.float32),
                        (MG_OMEGA / A.diagonal()).astype(np.float32)[:, None]))
         A = (Pt @ A @ P).tocsr()
-    coarse = scipy.linalg.cho_factor(A.toarray())
+    # A^-1 = L^-T L^-1 for the Cholesky factor L, which raises LinAlgError
+    # when the coarse operator is not SPD
+    Linv = np.linalg.inv(np.linalg.cholesky(A.toarray()))
+    coarse_inverse = Linv.T @ Linv
 
     def precond(R):
         r = R.astype(np.float32, copy=False)
@@ -401,7 +407,7 @@ def _multigrid_preconditioner(Atil, s, hierarchy):
             _jacobi_sweeps(A, wdinv, r, x, MG_SWEEPS - 1)
             descent.append((r, x))
             r = Pt @ _level_residual(A, r, x)
-        x = scipy.linalg.cho_solve(coarse, r.astype(np.float64))
+        x = coarse_inverse @ r.astype(np.float64)
         for A, P, Pt, wdinv in reversed(levels):
             r, x_fine = descent.pop()
             x_fine += P @ x.astype(np.float32, copy=False)
@@ -743,12 +749,13 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
 def dense_reference(A, B, m: int | None = None):
     """Dense full diagonalization of B^(-1/2) A B^(-1/2): the solver oracle.
 
-    Independent code path (LAPACK eigh on the dense matrix); intended for
-    meshes small enough to densify.
+    Independent code path (LAPACK's symmetric eigensolver, through
+    ``numpy.linalg.eigvalsh``, on the dense matrix); intended for meshes
+    small enough to densify.
     """
     Amat = _as_matrix(A)
     d = _diagonal_spd(B)
     inv_s = 1.0 / np.sqrt(d)
     dense = Amat.toarray() * inv_s[:, None] * inv_s[None, :]
-    w = scipy.linalg.eigh(dense, eigvals_only=True)
+    w = np.linalg.eigvalsh(dense)
     return w if m is None else w[:m]

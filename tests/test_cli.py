@@ -152,6 +152,44 @@ def test_count_must_be_a_positive_integer(command, count, tmp_path, monkeypatch,
     assert out.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("command, count, message", [
+    (["spectrum", "--level", "1"], 43, "the 42 vertices of a level-1 mesh"),
+    (["spectrum", "--level", "1", "--form", "1"], 121, "the 120 edges of a level-1 mesh"),
+    (["spectrum", "--kind", "spheroid", "--a", "1", "--c", "2", "--level", "0", "--form", "1"],
+     31, "the 30 edges of a level-0 mesh"),
+    (["converge", "--levels", "2,1"], 43, "the 42 vertices of a level-1 mesh"),
+    (["converge", "--levels", "1,2", "--form", "1"], 121, "the 120 edges of a level-1 mesh"),
+])
+def test_count_must_fit_the_pencil(command, count, message, tmp_path, monkeypatch, capsys):
+    # the pencil's size follows from the level alone: rejected with one error
+    # line, before any mesh is built, with --out left intact
+    from hodgelab import cli
+
+    def no_build(surface):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.delenv("HODGELAB_SEED", raising=False)
+    monkeypatch.setattr(cli.mesh_mod, "build_surface", no_build)
+    out = tmp_path / "kept.csv"
+    out.write_text("kept\n")
+    assert cli.main(command + ["--count", str(count), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --count {count} exceeds {message}\n"
+    assert captured.out == ""
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("form, count", [(0, 42), (1, 120)])
+def test_count_equal_to_the_pencil_size_runs(form, count, tmp_path, monkeypatch):
+    from hodgelab import cli
+
+    monkeypatch.delenv("HODGELAB_SEED", raising=False)
+    out = tmp_path / "spec.csv"
+    assert cli.main(["spectrum", "--level", "1", "--form", str(form),
+                     "--count", str(count), "--out", str(out)]) == 0
+    assert len(out.read_text().strip().splitlines()) == count + 1
+
+
 @pytest.mark.parametrize("level", [2, 3])
 def test_spectrum_oneform_count_one_matches_dense(level, tmp_path, monkeypatch):
     # with one requested pair the face side still solves one nonkernel pair,
@@ -211,12 +249,14 @@ def test_spectrum_seed_determinism(tmp_path):
     (["verify", "--level", "3"], True),
 ])
 def test_sparse_lu_stack_loads_at_the_first_lu(command, loaded, tmp_path):
-    # a scalar run preconditions every solve with the V-cycle and never
-    # imports scipy.sparse.linalg; verify factors the face pencil
+    # a scalar run preconditions every solve with the V-cycle, whose coarse
+    # solve is numpy's, and imports neither scipy.sparse.linalg nor
+    # scipy.linalg; verify factors the face pencil, which loads both
     out = tmp_path / "out"
     script = ("import sys\nfrom hodgelab import cli\n"
               f"code = cli.main({command + ['--out', str(out)]!r})\n"
-              "print(code, 'scipy.sparse.linalg' in sys.modules)")
+              "print(code, 'scipy.sparse.linalg' in sys.modules, "
+              "'scipy.linalg' in sys.modules)")
     env = dict(os.environ)
     env.pop("HODGELAB_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -224,7 +264,7 @@ def test_sparse_lu_stack_loads_at_the_first_lu(command, loaded, tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"0 {loaded}"
+    assert proc.stdout.splitlines()[-1] == f"0 {loaded} {loaded}"
 
 
 def test_verify_level3_pass(tmp_path):
