@@ -185,9 +185,8 @@ def _lowest_eigenpairs(built, args, seed: int):
     """The ``args.count`` lowest eigenpairs of the degree-``args.form`` Laplacian."""
     if args.form == 0:
         return verify_mod.scalar_spectrum(built, args.count, args.tol, seed=seed)
-    pairs = max(args.count, 4)  # the split's minimum, see its docstring
-    scalar = verify_mod.scalar_spectrum(built, min(pairs, built.n_vertices),
-                                        args.tol, seed=seed)
+    scalar = verify_mod.scalar_spectrum(
+        built, verify_mod.split_scalar_pairs(built, args.count), args.tol, seed=seed)
     return verify_mod.oneform_spectrum_hodge_split(built, args.count, args.tol, scalar,
                                                    seed=seed)[0]
 
@@ -242,6 +241,11 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _num(x) -> str:
+    """A table number, or a dash where the report has none."""
+    return f"{x:9.3g}" if isinstance(x, float) else f"{'-':>9s}"
+
+
 def _format_report_table(report: dict) -> str:
     lines = []
     meshinfo = report.get("mesh") or {}
@@ -271,26 +275,24 @@ def _format_report_table(report: dict) -> str:
     lines.append(header)
     for f in report.get("fields", []):
         b = f.get("bounds") or {}
-        if b.get("note") == "hypothesis Δω = λω violated":
+        if b.get("note") == verify_mod.HYPOTHESIS_VIOLATED:
             btxt = "skipped: hypothesis violated"
         elif b.get("mode") == "projective":
-            printed = "INCONSISTENT" if b.get("note") == "inconsistent as printed" \
+            printed = "INCONSISTENT" if b.get("note") == verify_mod.INCONSISTENT_AS_PRINTED \
                 else ("ok" if b.get("satisfied_printed") else "violated")
             btxt = f"proj {b.get('attainment')}/printed → {printed}"
         elif b.get("mode") == "conformal":
             btxt = f"conf {b.get('attainment')}"
         else:
             btxt = "-"
-        def num(x):
-            return f"{x:9.3g}" if isinstance(x, float) else f"{'-':>9s}"
         idents = f.get("identities") or {}
         lines.append(
-            f"{f['name']:18s} {str(f.get('class')):9s} {num(f.get('lambda'))} "
-            f"{num(f.get('eigenform_residual'))} {btxt:30s} "
-            f"{num(idents.get('yano_2_2'))} {num(idents.get('lichnerowicz_3_2'))}"
+            f"{f['name']:18s} {str(f.get('class')):9s} {_num(f.get('lambda'))} "
+            f"{_num(f.get('eigenform_residual'))} {btxt:30s} "
+            f"{_num(idents.get('yano_2_2'))} {_num(idents.get('lichnerowicz_3_2'))}"
         )
     if any(
-        (f.get("bounds") or {}).get("note") == "inconsistent as printed"
+        (f.get("bounds") or {}).get("note") == verify_mod.INCONSISTENT_AS_PRINTED
         for f in report.get("fields", [])
     ):
         lines.append("projective upper (printed): INCONSISTENT (empty interval); "

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exterior import Cochain, star1_values
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, per_mesh
 
 
 class CurvatureError(Exception):
@@ -36,12 +36,9 @@ class CurvatureBounds:
     P_max: float
 
 
+@per_mesh
 def angle_defects(mesh: TriangleMesh) -> np.ndarray:
     """2 pi minus the sum of incident corner angles, per vertex."""
-    return mesh.memoized("angle_defects", lambda: _build_angle_defects(mesh))
-
-
-def _build_angle_defects(mesh: TriangleMesh) -> np.ndarray:
     angles = mesh.corner_angles()
     total = np.zeros(mesh.n_vertices)
     for k in range(3):
@@ -62,12 +59,9 @@ def voronoi_vertex_areas(mesh: TriangleMesh) -> np.ndarray:
     return out
 
 
+@per_mesh
 def angle_defect_curvature(mesh: TriangleMesh) -> CurvatureBounds:
     """Ricci eigenvalue bounds from ring-summed angle defects over areas."""
-    return mesh.memoized("curvature_bounds", lambda: _build_bounds(mesh))
-
-
-def _build_bounds(mesh: TriangleMesh) -> CurvatureBounds:
     areas = voronoi_vertex_areas(mesh)
     if (areas <= 0).any():
         raise CurvatureError("vertex with nonpositive Voronoi area")

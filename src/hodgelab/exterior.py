@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, per_mesh
 
 
 class ExteriorError(Exception):
@@ -68,12 +68,9 @@ class SparseOperator:
         return self.matrix.shape
 
 
+@per_mesh
 def d0(mesh: TriangleMesh) -> sp.csr_matrix:
     """Coboundary on 0-cochains: row per canonical edge (i, j), -1 at i, +1 at j."""
-    return mesh.memoized("d0", lambda: _build_d0(mesh))
-
-
-def _build_d0(mesh: TriangleMesh) -> sp.csr_matrix:
     ne = mesh.n_edges
     rows = np.repeat(np.arange(ne), 2)
     cols = mesh.edges.reshape(-1)
@@ -81,12 +78,9 @@ def _build_d0(mesh: TriangleMesh) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(ne, mesh.n_vertices))
 
 
+@per_mesh
 def d1(mesh: TriangleMesh) -> sp.csr_matrix:
     """Coboundary on 1-cochains: +-1 per boundary edge of each face."""
-    return mesh.memoized("d1", lambda: _build_d1(mesh))
-
-
-def _build_d1(mesh: TriangleMesh) -> sp.csr_matrix:
     nf = mesh.n_faces
     rows = np.repeat(np.arange(nf), 3)
     cols = mesh.face_edges.reshape(-1)
@@ -104,16 +98,13 @@ def _cotangents(mesh: TriangleMesh) -> np.ndarray:
     return dot / cross
 
 
+@per_mesh
 def star1_values(mesh: TriangleMesh) -> np.ndarray:
     """Diagonal edge star: (cot a + cot b)/2 over the two opposite angles.
 
     Negative entries are permitted here; consumers that need an SPD edge mass
     (the 1-form Laplacian) read it through ``edge_mass``, which checks them.
     """
-    return mesh.memoized("star1_values", lambda: _build_star1_values(mesh))
-
-
-def _build_star1_values(mesh: TriangleMesh) -> np.ndarray:
     cots = _cotangents(mesh)
     vals = np.zeros(mesh.n_edges)
     # corner k of face f is opposite the edge stored in face_edges[f, k+1]
@@ -160,6 +151,7 @@ def coexact_map(mesh: TriangleMesh):
     return d1(mesh).T @ sp.diags(1.0 / mesh.face_areas())
 
 
+@per_mesh
 def laplacian0(mesh: TriangleMesh):
     """Weak-form 0-form Hodge Laplacian pair (A, B).
 
@@ -167,10 +159,6 @@ def laplacian0(mesh: TriangleMesh):
     kernel), B = star0, the barycentric lumped vertex areas (SPD diagonal
     mass). Generalized pencil for the scalar spectrum.
     """
-    return mesh.memoized("laplacian0", lambda: _build_laplacian0(mesh))
-
-
-def _build_laplacian0(mesh: TriangleMesh):
     D0 = d0(mesh)
     S1 = sp.diags(star1_values(mesh))
     A = (D0.T @ S1 @ D0).tocsr()
@@ -180,6 +168,7 @@ def _build_laplacian0(mesh: TriangleMesh):
     return SparseOperator(A), SparseOperator(sp.diags(areas).tocsr())
 
 
+@per_mesh
 def laplacian1(mesh: TriangleMesh):
     """Weak-form 1-form Hodge Laplacian pair (A, B).
 
@@ -189,10 +178,6 @@ def laplacian1(mesh: TriangleMesh):
     assembles it: its gate applies A1 through the two maps; this pair is the
     reference pencil that dense solves compare against.
     """
-    return mesh.memoized("laplacian1", lambda: _build_laplacian1(mesh))
-
-
-def _build_laplacian1(mesh: TriangleMesh):
     S1 = sp.diags(edge_mass(mesh))
     A = (coexact_map(mesh) @ d1(mesh) + exact_map(mesh) @ d0(mesh).T @ S1).tocsr()
     # the products round asymmetrically; their mean is exactly symmetric
@@ -203,8 +188,7 @@ def laplacian2(mesh: TriangleMesh):
     """Face pencil (A2, B2) = (d1 star1^-1 d1^T, diag(face areas)).
 
     Its eigenpairs (lambda, g) map through star1^-1 d1^T to the coexact
-    one-form eigenpairs; its kernel is the constants. Not memoized: only the
-    Hodge split solves it.
+    one-form eigenpairs; its kernel is the constants.
     """
     D1 = d1(mesh)
     # each off-diagonal entry is one product, so A2 is exactly symmetric

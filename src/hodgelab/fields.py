@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exterior import Cochain
-from .mesh import SurfaceSpec, TriangleMesh
+from .mesh import SurfaceSpec, TriangleMesh, per_mesh
 
 ON_SURFACE_TOL = 1e-10
 
@@ -160,6 +160,7 @@ def _projected_chord(surface: SurfaceSpec, p0, p1, t):
     return gamma, dgamma
 
 
+@per_mesh
 def _edge_quadrature(mesh: TriangleMesh):
     """(points, velocities) at the edge quadrature nodes of the mesh's surface.
 
@@ -167,15 +168,12 @@ def _edge_quadrature(mesh: TriangleMesh):
     (n_edges, nodes, 3) shape. They depend on the mesh alone, so they are
     computed, and the points checked on the surface, once per mesh.
     """
-    def build():
-        p0 = mesh.vertices[mesh.edges[:, 0]]
-        p1 = mesh.vertices[mesh.edges[:, 1]]
-        gamma, dgamma = _projected_chord(mesh.source, p0, p1, _GL_NODES)
-        points = gamma.reshape(-1, 3)
-        _check_on_surface(mesh.source, points)
-        return points, dgamma
-
-    return mesh.memoized("edge_quadrature", build)
+    p0 = mesh.vertices[mesh.edges[:, 0]]
+    p1 = mesh.vertices[mesh.edges[:, 1]]
+    gamma, dgamma = _projected_chord(mesh.source, p0, p1, _GL_NODES)
+    points = gamma.reshape(-1, 3)
+    _check_on_surface(mesh.source, points)
+    return points, dgamma
 
 
 def sample_oneform(field: AnalyticField, mesh: TriangleMesh) -> Cochain:

@@ -9,6 +9,7 @@ immutable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from io import BytesIO
 
@@ -90,6 +91,28 @@ class SurfaceSpec:
         return (self.a, self.a, self.c)
 
 
+def per_mesh(build):
+    """Cache ``build(mesh)`` on the mesh, keyed by the function's module and qualname.
+
+    Memory policy: a mesh never changes, so each quantity decorated here is
+    built at its first call and kept for the mesh's lifetime: the
+    coboundaries, star1, the vertex and one-form pencils, the areas, the
+    subdivision prolongations, the angle defects and curvature bounds, and
+    the edge quadrature. What only the Hodge split reads is built per use
+    and released with the split: the face pencil (``exterior.laplacian2``)
+    and the two residual maps (``exterior.exact_map``,
+    ``exterior.coexact_map``). ``TriangleMesh.memoized`` is looked up at
+    each call, so a tracer that replaces it counts every attempt.
+    """
+    key = f"{build.__module__}.{build.__qualname__}"
+
+    @functools.wraps(build)
+    def cached(mesh):
+        return mesh.memoized(key, lambda: build(mesh))
+
+    return cached
+
+
 @dataclass(frozen=True)
 class TriangleMesh:
     """Oriented closed triangulated surface embedded in R^3.
@@ -129,13 +152,12 @@ class TriangleMesh:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "face_edges", f_edges)
         object.__setattr__(self, "face_edge_signs", f_signs)
-        # memo space for derived immutable quantities (operators, areas)
         object.__setattr__(self, "_memo", {})
         v.setflags(write=False)
         f.setflags(write=False)
 
     def memoized(self, key, build):
-        """Cache derived immutable data on the mesh (geometry never changes)."""
+        """``build()``, computed once per ``key`` and mesh; see ``per_mesh``."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
@@ -152,24 +174,19 @@ class TriangleMesh:
     def n_faces(self) -> int:
         return self.faces.shape[0]
 
+    @per_mesh
     def face_areas(self) -> np.ndarray:
-        def build():
-            p = self.vertices[self.faces]
-            return 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]),
-                                        axis=1)
+        p = self.vertices[self.faces]
+        return 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
 
-        return self.memoized("face_areas", build)
-
+    @per_mesh
     def vertex_areas(self) -> np.ndarray:
         """Barycentric lumped vertex areas: one third of incident face areas."""
-        def build():
-            areas = self.face_areas()
-            out = np.zeros(self.n_vertices)
-            for k in range(3):
-                np.add.at(out, self.faces[:, k], areas / 3.0)
-            return out
-
-        return self.memoized("vertex_areas", build)
+        areas = self.face_areas()
+        out = np.zeros(self.n_vertices)
+        for k in range(3):
+            np.add.at(out, self.faces[:, k], areas / 3.0)
+        return out
 
     def edge_lengths(self) -> np.ndarray:
         d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
@@ -194,6 +211,7 @@ class TriangleMesh:
         """Interior angle at each face corner, shape (n_faces, 3)."""
         return np.arctan2(*self.corner_cross_dot())
 
+    @per_mesh
     def vertex_prolongations(self) -> tuple | None:
         """Vertex prolongations of the subdivision hierarchy, coarsest first.
 
@@ -205,23 +223,18 @@ class TriangleMesh:
         """
         if self.coarse_edges is None:
             return None
-
-        def build():
-            prolongations = []
-            n_fine = self.n_vertices
-            for edges in reversed(self.coarse_edges):
-                n_mid = edges.shape[0]
-                n_old = n_fine - n_mid
-                indptr = np.concatenate([np.arange(n_old),
-                                         n_old + 2 * np.arange(n_mid + 1)])
-                indices = np.concatenate([np.arange(n_old), edges.ravel()])
-                data = np.concatenate([np.ones(n_old), np.full(2 * n_mid, 0.5)])
-                prolongations.append(sp.csr_matrix((data, indices, indptr),
-                                                   shape=(n_fine, n_old)))
-                n_fine = n_old
-            return tuple(reversed(prolongations))
-
-        return self.memoized("vertex_prolongations", build)
+        prolongations = []
+        n_fine = self.n_vertices
+        for edges in reversed(self.coarse_edges):
+            n_mid = edges.shape[0]
+            n_old = n_fine - n_mid
+            indptr = np.concatenate([np.arange(n_old), n_old + 2 * np.arange(n_mid + 1)])
+            indices = np.concatenate([np.arange(n_old), edges.ravel()])
+            data = np.concatenate([np.ones(n_old), np.full(2 * n_mid, 0.5)])
+            prolongations.append(sp.csr_matrix((data, indices, indptr),
+                                               shape=(n_fine, n_old)))
+            n_fine = n_old
+        return tuple(reversed(prolongations))
 
 
 def _half_edges(faces: np.ndarray) -> np.ndarray:

@@ -85,6 +85,9 @@ ONEFORM_CLUSTER_RTOL = (0.01, 0.015)
 IDENTITY_SMALL = 0.05
 IDENTITY_LARGE = 0.3
 HYPOTHESIS_TOL = 0.1
+# the notes a field's bound entry can carry, which the CLI table reads
+HYPOTHESIS_VIOLATED = "hypothesis Δω = λω violated"
+INCONSISTENT_AS_PRINTED = "inconsistent as printed"
 ORACLE_EXACT_TOL = 1e-12
 ORACLE_LARGE = 0.1
 MIN_SPECTRAL_LEVEL = 3
@@ -150,7 +153,7 @@ def check_bounds(lambda_hat: float, rho: float, P: float, n: int, mode: str,
         "attainment": attainment,
     }
     if not bounds.consistent:
-        entry["note"] = "inconsistent as printed"
+        entry["note"] = INCONSISTENT_AS_PRINTED
     return entry
 
 
@@ -234,14 +237,18 @@ def _window(result: SpectrumResult) -> float:
     return np.inf if result.next_estimate is None else result.next_estimate
 
 
+def split_scalar_pairs(mesh: mesh_mod.TriangleMesh, m: int) -> int:
+    """The scalar pairs the Hodge split of ``m`` pairs needs: max(m, 4), or all of them."""
+    return min(max(m, 4), mesh.n_vertices)
+
+
 def _side_solve(label, why, pencil, m, tol, seed, start, residual_map, solves,
                 hierarchy=None) -> SpectrumResult:
     """One seeded solve of a Hodge-split pencil, stopped on its one-form residual.
 
-    ``start`` is a one-element list holding the start block; it is emptied,
-    so no frame here keeps the block once the solve has copied it (CPython
-    3.11 and later hand a call's arguments over to the callee's frame; 3.10
-    keeps them in the caller's until the call returns).
+    ``start`` is a one-element list holding the start block. Popping it as
+    the argument drops this frame's reference, so the solve holds the only
+    one and the block dies once the solve has copied it.
     """
     A, B = pencil
     n = A.shape[0]
@@ -284,7 +291,7 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     """
     if m < 1:
         raise VerifyError(f"m={m}: the Hodge split needs at least one pair")
-    if scalar.eigenvalues.size < min(max(m, 4), mesh.n_vertices):
+    if scalar.eigenvalues.size < split_scalar_pairs(mesh, m):
         raise VerifyError(f"the Hodge split of {m} pairs needs max(m, 4) scalar pairs, "
                           f"got {scalar.eigenvalues.size}")
     # column 0 of every solve is its deflated kernel, the constants
@@ -690,7 +697,7 @@ def _bounds_entry(kind: str, lam_hat: float, align: float, curv, round_sphere: b
             "mode": None, "lower": None, "upper_printed": None,
             "upper_rederived": None, "satisfied_printed": None,
             "satisfied_rederived": None, "attainment": "none",
-            "note": "hypothesis Δω = λω violated",
+            "note": HYPOTHESIS_VIOLATED,
         }, True
     mode = "conformal" if kind == "conformal_gradient" else "projective"
     entry = check_bounds(lam_hat, *curv, N_DIM, mode, BOUND_REL)

@@ -6,6 +6,9 @@ name or attribute that code under ``src/`` and ``scripts/`` refers to.
 Docstrings are strings, not references, so a mention there does not count.
 A name is matched by its last component, so a scan can miss an unused name
 that shares a name with a used one, but never flags a used one.
+
+A second scan checks that the package caches per-mesh data in one place:
+its only call of ``memoized`` is the one in ``mesh.per_mesh``.
 """
 
 import ast
@@ -69,3 +72,12 @@ def test_allowlist_names_exist_and_are_unreferenced():
     referenced = _referenced_names()
     assert all(qualified in definitions for qualified in ALLOWED)
     assert [q for q in ALLOWED if definitions[q] in referenced] == []
+
+
+def test_only_the_per_mesh_decorator_calls_memoized():
+    # every cached quantity goes through mesh.per_mesh, so no module writes a memo key
+    callers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "memoized"]
+    assert callers == ["mesh.py"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from hodgelab import mesh
+from hodgelab import curvature, exterior, fields, mesh
 from hodgelab.mesh import (
     MeshError,
     ResourceGuardError,
@@ -187,7 +187,6 @@ def test_vertex_prolongations_are_averaging(builder):
     # from the icosahedron to the mesh
     m = builder(4)
     prolongations = m.vertex_prolongations()
-    assert m.vertex_prolongations() is prolongations  # memoized on the mesh
     assert [P.shape for P in prolongations] == [
         (10 * 4**k + 2, 10 * 4**(k - 1) + 2) for k in range(1, 5)]
     for P in prolongations:
@@ -207,6 +206,29 @@ def test_vertex_prolongations_give_the_midpoints():
         assert np.array_equal(mid[:coarse.shape[0]], coarse)
         projected = mid / np.linalg.norm(mid, axis=1, keepdims=True)
         assert np.abs(projected - build_icosphere(level + 1, 1.0).vertices).max() <= 1e-15
+
+
+# every per-mesh quantity, each after the ones it is built from
+PER_MESH = [
+    TriangleMesh.face_areas, TriangleMesh.vertex_areas, TriangleMesh.vertex_prolongations,
+    exterior.d0, exterior.d1, exterior.star1_values, exterior.laplacian0,
+    exterior.laplacian1, curvature.angle_defects, curvature.angle_defect_curvature,
+    fields._edge_quadrature,
+]
+
+
+@pytest.mark.parametrize("index", range(len(PER_MESH)),
+                         ids=[f.__qualname__ for f in PER_MESH])
+def test_per_mesh_quantity_is_built_once_and_kept(index):
+    m = build_spheroid(2, 1.0, 2.0)
+    for earlier in PER_MESH[:index]:
+        earlier(m)
+    before = dict(m._memo)
+    value = PER_MESH[index](m)
+    added = m._memo.keys() - before.keys()
+    assert len(added) == 1 and m._memo[added.pop()] is value
+    assert PER_MESH[index](m) is value
+    assert len(m._memo) == len(before) + 1
 
 
 def test_raw_mesh_has_no_prolongations():
