@@ -421,7 +421,7 @@ def build_parser() -> _Parser:
     p_spec.add_argument("--level", type=int, required=True)
     p_spec.add_argument("--form", type=int, default=0, choices=[0, 1])
     p_spec.add_argument("--count", type=_positive_int, default=16)
-    p_spec.add_argument("--tol", type=_finite_positive, default=1e-6)
+    p_spec.add_argument("--tol", type=_finite_positive, default=verify_mod.SOLVER_TOL)
     p_spec.add_argument("--seed", type=int, default=None)
     p_spec.add_argument("--out", default=None, help="CSV output path")
     p_spec.add_argument("--verbose", action="store_true",
@@ -445,7 +445,7 @@ def build_parser() -> _Parser:
     p_conv.add_argument("--form", type=int, default=0, choices=[0, 1])
     p_conv.add_argument("--count", type=_positive_int, default=16)
     p_conv.add_argument("--target", type=_finite, default=2.0)
-    p_conv.add_argument("--tol", type=_finite_positive, default=1e-6)
+    p_conv.add_argument("--tol", type=_finite_positive, default=verify_mod.SOLVER_TOL)
     p_conv.add_argument("--seed", type=int, default=None)
     p_conv.add_argument("--out", default=None, help="CSV output path")
     p_conv.set_defaults(func=cmd_converge)

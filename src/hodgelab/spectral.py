@@ -24,19 +24,31 @@ others a little: on the verify pencils a solve sometimes takes one more
 iteration, but each iteration is cheaper.
 
 Memory is set by how many n-row blocks are live at once, so each dies at
-its last use (_lobpcg lists what each step holds): the start block and the
-unprojected W once SVQB has formed their bases (each is handed over in a
-one-element list, so no caller keeps it), A X once the residual has
-overwritten it, the float64 residual once it is converted to the
-preconditioner's float32, and A W and A P once their Gram products are
-taken. From the first Rayleigh-Ritz step on, X keeps one buffer: each
-update writes the next X over it, a block of rows at a time. Every step
-then holds at most four blocks. The scalar solve's traced peak, above the
-memory held before it (the pencil and hierarchy), is 6.9 blocks of
-n x 21 doubles on the level-4 sphere and 5.9 on the level-5 sphere, the
-standard form and the preconditioner included; with five blocks in the
-fullest steps it was 7.4 and 6.7, and 10.1 at level 4 when every block
-lived to the end of its step.
+its last use, and every other n-row product is written over a block that
+dies with it or formed a block of rows at a time (_lobpcg lists what each
+step holds):
+
+- SVQB writes Q, then its refinement, over the block it is handed (the
+  start block or the preconditioned W, each handed over in a one-element
+  list, so no caller keeps it);
+- the residual overwrites A X, and X theta and every projection Q c are
+  subtracted UPDATE_ROWS rows at a time;
+- the float64 residual dies once converted to float32, and the float32
+  one is handed to the preconditioner, which drops it before it forms its
+  float64 result;
+- A W, A P and a residual map's G V are formed PRODUCT_ROWS rows at a
+  time, each row block entering its Gram products at once;
+- each update writes the next X over X and the next P over the dying P
+  (or W), a block of rows at a time.
+
+Every step then holds at most three n-row blocks, X, W and P, beside the
+preconditioner's float32 blocks and row-block temporaries. The scalar
+solve's traced peak, above the memory held before it (the pencil and
+hierarchy), is 6.5 blocks of n x 21 doubles on the level-4 sphere and 5.3
+on the level-5 sphere, the standard form and the preconditioner included;
+at level 5 the V-cycle's fine level sets it. With four blocks in the
+fullest steps it was 6.9 and 5.9, with five 7.4 and 6.7, and 10.1 at level
+4 when every block lived to the end of its step.
 
 The preconditioner approximates the inverse of the shifted matrix
 Atil + shift I. The shift, 1e-6 times the mean |diagonal| of Atil, makes it
@@ -110,9 +122,14 @@ ORTHO_TOL = 1e-14
 MG_OMEGA = 0.8
 MG_SWEEPS = 2
 MG_DIRECT_LEVEL = 2
-# rows of [X W P] per block of the in-place update: 512 rows of about 60
+# rows per block of every dense n-row product written in place or
+# subtracted (the update, SVQB, the projections): 512 rows of about 60
 # columns is about 260 KB, which stays in a core's L2 cache
 UPDATE_ROWS = 512
+# rows of the sparse operator per block of its product with an n-row block
+# (A W, A P and a map Gram's G V); a pencil of at most this many rows, every
+# coarse level of a level-5 nested start among them, runs as one block
+PRODUCT_ROWS = 2048
 # residual at which each coarse level of a nested start stops (or at the
 # fine tol, if that is looser)
 NESTED_TOL = 1e-2
@@ -227,27 +244,63 @@ def group_multiplicities(eigenvalues):
     return groups
 
 
+def _row_blocks(n, step):
+    """Consecutive slices of at most ``step`` rows that cover n rows."""
+    return [slice(r0, min(r0 + step, n)) for r0 in range(0, n, step)]
+
+
+def _leading_view(V, k):
+    """An n x k C-ordered view of the first n k entries of the C-ordered
+    n-row block V's buffer.
+
+    For k at most V's width, row i of the view ends at or before row i of
+    V ends, so a product written into it a block of rows at a time, each
+    block formed in full before it is written, overwrites only rows of V
+    that it has already read.
+    """
+    return V.reshape(-1)[:V.shape[0] * k].reshape(V.shape[0], k)
+
+
+def _product_in_place(V, M):
+    """V @ M, written over the buffer of the C-ordered block V, which it
+    spends, UPDATE_ROWS rows at a time; M has at most V's columns (see
+    _leading_view)."""
+    out = _leading_view(V, M.shape[1])
+    for rows in _row_blocks(V.shape[0], UPDATE_ROWS):
+        out[rows] = V[rows] @ M
+    return out
+
+
+def _subtract_product(V, Q, c):
+    """V -= Q @ c in place, UPDATE_ROWS rows at a time, so that Q @ c is
+    never formed whole."""
+    for rows in _row_blocks(V.shape[0], UPDATE_ROWS):
+        V[rows] -= Q[rows] @ c
+
+
 def _orthonormalize(V, drop_tol=1e-12):
-    """SVQB orthonormalization of the block V (see _svqb); returns Q."""
-    return _svqb([V], drop_tol)
+    """SVQB orthonormalization of a C-ordered copy of the block V (see
+    _svqb), which the caller keeps; returns Q."""
+    return _svqb([np.array(V, dtype=float, order="C")], drop_tol)
 
 
 def _svqb(held, drop_tol=1e-12):
     """SVQB orthonormalization with rank dropping of the block that the
     one-element list ``held`` hands over; returns Q.
 
-    The block, V, is taken out of the list, so it dies once Q is formed,
-    before the refinement product. The Gram matrix is scaled to unit
-    diagonal (not the columns of V, which would cost an n x k copy) so that
-    the rank filter measures angles only; otherwise the refinement
-    directions of nearly converged pairs (tiny residual columns) would be
-    dropped next to unconverged ones.
+    The block, V, is taken out of the list and spent: both n-row products,
+    Q and its refinement, are written over its buffer (_product_in_place),
+    so the orthonormalization allocates no n-row block of its own when V is
+    C-ordered. The Gram matrix is scaled to unit diagonal (not the columns
+    of V, which would cost an n x k copy) so that the rank filter measures
+    angles only; otherwise the refinement directions of nearly converged
+    pairs (tiny residual columns) would be dropped next to unconverged ones.
     """
-    V = held.pop()
+    V = np.ascontiguousarray(held.pop())
     G = V.T @ V
     nonzero = G.diagonal() > 0.0
     if not nonzero.all():
-        V, G = V[:, nonzero], G[np.ix_(nonzero, nonzero)]
+        V, G = np.compress(nonzero, V, axis=1), G[np.ix_(nonzero, nonzero)]
     if V.shape[1] == 0:
         return V
     scale = 1.0 / np.sqrt(G.diagonal())
@@ -257,20 +310,20 @@ def _svqb(held, drop_tol=1e-12):
     keep = w > drop_tol * max(w.max(), 0.0)
     if not keep.any():
         return V[:, :0]
-    Q = V @ (U[:, keep] * (scale[:, None] / np.sqrt(w[keep])))
+    Q = _product_in_place(V, U[:, keep] * (scale[:, None] / np.sqrt(w[keep])))
     del V
     # one refinement pass keeps orthogonality near machine precision
     G2 = Q.T @ Q
     G2 = 0.5 * (G2 + G2.T)
     w2, U2 = np.linalg.eigh(G2)
     keep2 = w2 > drop_tol
-    return Q @ (U2[:, keep2] / np.sqrt(w2[keep2]))
+    return _product_in_place(Q, U2[:, keep2] / np.sqrt(w2[keep2]))
 
 
 def _project_out(V, Q):
     """Remove from V, in place, its component in the span of orthonormal Q."""
     if Q is not None and Q.shape[1]:
-        V -= Q @ (Q.T @ V)
+        _subtract_product(V, Q, Q.T @ V)
     return V
 
 
@@ -296,7 +349,7 @@ def _orthonormalize_against(held, blocks):
     overlaps = [Q.T @ held[0] for Q in blocks]
     for _ in range(ORTHO_PASSES):
         for Q, c in zip(blocks, overlaps):
-            held[0] -= Q @ c
+            _subtract_product(held[0], Q, c)
         held.append(_svqb(held))
         overlaps = [Q.T @ held[0] for Q in blocks]
         if all(np.abs(c).max(initial=0.0) <= ORTHO_TOL for c in overlaps):
@@ -304,13 +357,45 @@ def _orthonormalize_against(held, blocks):
     return held.pop()
 
 
-def _residual_norms(R, X, G):
+def _row_products(A, V):
+    """(rows, A[rows] @ V) for consecutive blocks of PRODUCT_ROWS rows of the
+    sparse A, so that A V is never formed whole; A of at most PRODUCT_ROWS
+    rows is applied as it is, with no copy of its rows."""
+    n = A.shape[0]
+    if n <= PRODUCT_ROWS:
+        yield slice(None), A @ V
+        return
+    for rows in _row_blocks(n, PRODUCT_ROWS):
+        yield rows, A[rows] @ V
+
+
+def _image_grams(A, V, blocks):
+    """[S^T (A V) for S in blocks], with A V formed a block of rows at a time."""
+    grams = [np.zeros((S.shape[1], V.shape[1])) for S in blocks]
+    for rows, AV in _row_products(A, V):
+        for gram, S in zip(grams, blocks):
+            gram += S[rows].T @ AV
+    return grams
+
+
+def _quadratic_forms(G, V):
+    """v^T G v per column of V, with G V formed a block of rows at a time."""
+    return sum(np.einsum("ij,ij->j", V[rows], GV) for rows, GV in _row_products(G, V))
+
+
+def _residual_norms(R, X, gram):
     """sqrt(r^T G r) / sqrt(x^T G x) per column, for a Gram operator G = N^T N.
 
     That is ||N r|| / ||N x||, evaluated without forming the N-images, whose
     rows may outnumber those of R (the Hodge split's maps land on the edges).
+    ``gram`` is either G as a sparse matrix, applied a block of rows at a
+    time, or, for a diagonal G (the mass of a solve without a residual map),
+    its diagonal vector, read by one einsum that forms no n-row temporary.
     """
-    return np.sqrt(np.einsum("ij,ij->j", R, G @ R) / np.einsum("ij,ij->j", X, G @ X))
+    if isinstance(gram, np.ndarray):
+        return np.sqrt(np.einsum("ij,ij,i->j", R, R, gram)
+                       / np.einsum("ij,ij,i->j", X, X, gram))
+    return np.sqrt(_quadratic_forms(gram, R) / _quadratic_forms(gram, X))
 
 
 def _shifted(Atil):
@@ -338,7 +423,11 @@ def _shifted_lu_preconditioner(Atil):
         raise SpectralError(f"shifted pencil cannot be factored: {exc}") from exc
 
     def precond(R):
-        return lu.solve(R.astype(np.float32, copy=False)).astype(np.float64)
+        x = lu.solve(R.astype(np.float32, copy=False))
+        del R  # a block the caller handed over dies before the float64 copy
+        # SuperLU returns a Fortran-ordered block; the solver writes in place
+        # into C-ordered ones
+        return x.astype(np.float64, order="C")
 
     return precond
 
@@ -377,8 +466,9 @@ def _multigrid_preconditioner(Atil, s, hierarchy):
 
     The cycle smooths in place: each sweep updates x through one float32
     temporary, r - A x, and each level's (r, x) is released after its
-    ascent, so the finest level holds r, x and one temporary before the
-    float64 copy of the result.
+    ascent, so the finest level holds r, x and one temporary. The finest r
+    is the argument itself, and it is released before the float64 copy of
+    the result, so an argument that the caller handed over dies there.
 
     The cycle is a loop over a flat list of levels, not a recursive
     closure: a closure that refers to itself is a reference cycle and would
@@ -401,6 +491,7 @@ def _multigrid_preconditioner(Atil, s, hierarchy):
 
     def precond(R):
         r = R.astype(np.float32, copy=False)
+        del R  # r holds it: a block the caller handed over dies with r
         descent = []
         for A, P, Pt, wdinv in levels:
             x = wdinv * r
@@ -440,20 +531,28 @@ def _update_in_place(X, W, P, Cx, Z):
 
     Row i of S Cx and of S Z depends only on row i of S, so S is copied
     UPDATE_ROWS rows at a time into one fixed buffer and both products are
-    written straight into their rows: the new P is the only new n-row block.
-    The row blocks round differently in the last bit from whole-block
-    products for some widths (the BLAS picks its kernel by shape), which
-    moves eigenvalues well within ``tol``.
+    written straight into their rows. The new P is written over the buffer
+    of the dying P (see _leading_view) when P has at least as many
+    columns, else over W's, and only when neither has is it a new n-row
+    block. Since the active columns rarely grow, P keeps one buffer from
+    the second iteration on, and the short-lived blocks of each step (the
+    residual, the preconditioner's, W) come and go around it. Writing it
+    over the wider of the two instead, W on a tie, so that P's buffer
+    changed with W's, read 599 MB peak RSS for level-7 ``verify`` in one
+    run against 549-566 MB in six, with the same traced peaks. The row blocks
+    round differently in the last bit from whole-block products for some
+    widths (the BLAS picks its kernel by shape), which moves eigenvalues
+    well within ``tol``.
     """
-    n = X.shape[0]
-    P_next = np.empty((n, Z.shape[1]))
+    n, k = X.shape[0], Z.shape[1]
+    dying = P if k <= P.shape[1] else W
+    P_next = _leading_view(dying, k) if k <= dying.shape[1] else np.empty((n, k))
     buffer = np.empty((min(UPDATE_ROWS, n), Cx.shape[0]))
-    for r0 in range(0, n, UPDATE_ROWS):
-        r1 = min(r0 + UPDATE_ROWS, n)
-        rows = buffer[:r1 - r0]
-        np.concatenate((X[r0:r1], W[r0:r1], P[r0:r1]), axis=1, out=rows)
-        np.matmul(rows, Z, out=P_next[r0:r1])
-        np.matmul(rows, Cx, out=X[r0:r1])
+    for r in _row_blocks(n, UPDATE_ROWS):
+        rows = buffer[:r.stop - r.start]
+        np.concatenate((X[r], W[r], P[r]), axis=1, out=rows)
+        np.matmul(rows, Z, out=P_next[r])
+        np.matmul(rows, Cx, out=X[r])
     return P_next
 
 
@@ -493,20 +592,24 @@ def _lobpcg(Amat, start, n_wanted, tol, maxiter, precond, gram,
     be amplified back in.
 
     Every n-row block is released at its last use, and no step holds more
-    than four. An iteration enters holding X, A X and P, and its steps hold:
+    than three, beside the preconditioner's float32 blocks and temporaries
+    of UPDATE_ROWS or PRODUCT_ROWS rows. Every block is kept C-ordered,
+    because a Fortran-ordered one would turn the in-place writes back into
+    copies. An iteration enters holding X, A X and P, and its steps hold:
 
-    - residual: X^T A X is taken first, then R overwrites A X, so X, R, P
-      and the product X theta;
-    - preconditioner: R is converted to float32 and cut to its active
-      columns, and the float64 R released before the preconditioner runs,
-      so X, P, the float32 residual and the preconditioner's own blocks;
-    - orthonormalization: X, P, W and one projection product; W is handed
-      over and dies once SVQB has formed its basis, so SVQB's refinement
-      holds X, P and its two products;
-    - Rayleigh-Ritz: X, W, P and one image, A W and then A P, each released
-      after its Gram products;
-    - update: X, W, P and the next P; the next X is written over X (see
-      _update_in_place), then W and the old P are released and A X formed.
+    - residual: X^T A X is taken first, then R overwrites A X and X theta
+      is subtracted from it a block of rows at a time, so X, R and P;
+    - preconditioner: R is converted to float32, which releases the
+      float64 R, and compressed to its active columns; that block is
+      handed over, and the preconditioner drops it before it forms its
+      float64 result, W, so X, P and the preconditioner's blocks;
+    - orthonormalization: X, P and W; each projection Q c is subtracted a
+      block of rows at a time, and SVQB writes both its products over W's
+      buffer;
+    - Rayleigh-Ritz: X, W and P; A W and A P are formed a block of rows at
+      a time (_image_grams);
+    - update: X, W and P; the next X is written over X and the next P over
+      the dying P's or W's buffer (see _update_in_place), then A X formed.
     """
     X = _svqb([_project_out(start.pop(), constraints)])
     if X.shape[1] < n_wanted:
@@ -525,7 +628,8 @@ def _lobpcg(Amat, start, n_wanted, tol, maxiter, precond, gram,
         XAX = X.T @ AX
         R = AX  # A X has no further use: the residual overwrites it
         del AX
-        R -= X * theta
+        for rows in _row_blocks(R.shape[0], UPDATE_ROWS):
+            R[rows] -= X[rows] * theta
         res = _residual_norms(R, X, gram)
         active = res > tol
         history.append((float(res[:n_wanted].max()), int(active.sum())))
@@ -533,16 +637,15 @@ def _lobpcg(Amat, start, n_wanted, tol, maxiter, precond, gram,
             return theta, X, res, iteration
         if iteration == maxiter:
             break
-        R = R.astype(np.float32)[:, active]
-        W = [precond(R)]  # handed over, so it dies inside the SVQB
-        del R
+        R = R.astype(np.float32)  # the float64 residual dies here
+        # compress, unlike R[:, active], keeps the block C-ordered
+        R = [np.compress(active, R, axis=1)]
+        # each block is handed over: R dies inside the preconditioner, W
+        # inside the SVQB
+        W = [precond(R.pop())]
         W = _orthonormalize_against(W, (constraints, X, P))
-        AW = Amat @ W
-        XAW, WAW = X.T @ AW, W.T @ AW
-        del AW
-        AP = Amat @ P
-        XAP, WAP, PAP = X.T @ AP, W.T @ AP, P.T @ AP
-        del AP
+        XAW, WAW = _image_grams(Amat, W, (X, W))
+        XAP, WAP, PAP = _image_grams(Amat, P, (X, W, P))
         G = np.block([[XAX, XAW, XAP], [XAW.T, WAW, WAP], [XAP.T, WAP.T, PAP]])
         vals, C = np.linalg.eigh(0.5 * (G + G.T))
         theta = vals[:nb]
@@ -629,7 +732,7 @@ def _nested_start(Amat, d, known_kernel, block, n_wanted, tol, seed, maxiter, hi
     try:
         _theta, X, _res, iterations, _ = _iterate(Atil, s, kernel, X0, n_wanted,
                                                   max(tol, NESTED_TOL), maxiter, coarser,
-                                                  sp.diags(dc))
+                                                  dc)
     except ConvergenceError as exc:
         # the fine solve never ran: say which pencil the residuals belong to
         raise ConvergenceError(f"nested start, coarse level of {n_coarse} vertices: {exc}",
@@ -688,9 +791,10 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
 
     Atil, s, kernel = _standard_form(Amat, d, known_kernel)
     # residual Gram operator (M S)^T (M S) of the transformed variables,
-    # where the original residual is S r and B x is S y, with S = diag(s)
+    # where the original residual is S r and B x is S y, with S = diag(s);
+    # without a map it is S^2 = diag(d), passed as the vector d
     if residual_map is None:
-        G = sp.diags(d)
+        G = d
     else:
         G = residual_map @ sp.diags(s)
         G = (G.T @ G).tocsr()
@@ -730,7 +834,7 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
         vals = np.concatenate([np.zeros(n_kernel), vals])
         vecs_t = np.concatenate([kernel, vecs_t], axis=1)
         residuals = np.concatenate(
-            [_residual_norms(Atil @ kernel, kernel, sp.diags(d)), residuals])
+            [_residual_norms(Atil @ kernel, kernel, d), residuals])
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
     return SpectrumResult(

@@ -80,7 +80,7 @@ BOUND_REL = 0.02  # bound attainment and round-sphere curvature, relative
 CLASS_TOL = 0.01  # closedness / coclosedness norm for classification
 SOLVER_TOL = 1e-6  # eigenpair residual of both spectra
 EIGENPAIRS = 16  # eigenpairs per form degree
-SCALAR_CLUSTER_RTOL = (0.005, 0.01)
+SCALAR_CLUSTER_RTOL = (0.005, 0.01, 0.02)
 ONEFORM_CLUSTER_RTOL = (0.01, 0.015)
 IDENTITY_SMALL = 0.05
 IDENTITY_LARGE = 0.3
@@ -524,13 +524,15 @@ def _oracle_records() -> list:
 
 
 def _clusters_match(groups, alpha: float, sizes, rtols) -> bool:
-    """True if ``groups`` open with the first two round-sphere clusters.
+    """True if ``groups`` open with the first ``len(sizes)`` round-sphere
+    clusters (at most three).
 
-    Their eigenvalues are n alpha and 2 (n + 1) alpha; ``sizes`` and
-    ``rtols`` give each cluster's multiplicity and relative tolerance.
+    Their eigenvalues are l (l + n - 1) alpha for l = 1, 2, 3: n alpha,
+    2 (n + 1) alpha and 3 (n + 2) alpha; ``sizes`` and ``rtols`` give each
+    cluster's multiplicity and relative tolerance.
     """
-    targets = (N_DIM * alpha, 2.0 * (N_DIM + 1) * alpha)
-    return len(groups) >= 2 and all(
+    targets = [l * (l + N_DIM - 1) * alpha for l in (1, 2, 3)]
+    return len(groups) >= len(sizes) and all(
         abs(g.representative - target) <= rtol * target and g.multiplicity == size
         for g, target, size, rtol in zip(groups, targets, sizes, rtols)
     )
@@ -670,7 +672,8 @@ def _scalar_stage(report, mesh, config, alpha, solves):
     if alpha is None:
         return result, {}
     return result, {"scalar_spectrum": _clusters_match(
-        result.groups[1:], alpha, (N_DIM + 1, 2 * N_DIM + 1), SCALAR_CLUSTER_RTOL,
+        result.groups[1:], alpha, (N_DIM + 1, 2 * N_DIM + 1, 3 * N_DIM + 1),
+        SCALAR_CLUSTER_RTOL,
     )}
 
 

@@ -372,6 +372,47 @@ def test_orthonormalize_drops_what_the_normalized_filter_drops(case):
         assert np.abs(Q @ Q.T - ref @ ref.T).max() < 1e-10
 
 
+@pytest.mark.parametrize("case", ["square", "rank-dropping", "fortran"])
+def test_product_in_place_is_the_product(case):
+    # V @ M written over V's buffer a block of rows at a time, for an M that
+    # keeps every column and one that drops some (SVQB's rank filter); a
+    # Fortran-ordered V is read through a C-ordered copy, never misread
+    rng = np.random.default_rng(2)
+    V = rng.standard_normal((3 * spectral.UPDATE_ROWS + 17, 9))
+    M = rng.standard_normal((9, 6 if case == "rank-dropping" else 9))
+    if case == "fortran":
+        V = np.asfortranarray(V)
+    expected = V @ M
+    Q = spectral._product_in_place(V, M)
+    assert Q.shape == expected.shape and Q.flags.c_contiguous
+    assert np.shares_memory(Q, V) == (case != "fortran")
+    np.testing.assert_allclose(Q, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["over P", "over W", "new block"])
+def test_update_in_place_writes_the_next_p_over_a_dying_block(case):
+    # X <- S Cx over X and P <- S Z for S = [X W P]: the next P goes over the
+    # dying P when it has room, else over W, else into a new block, and the
+    # products are those of S either way
+    rng = np.random.default_rng(4)
+    n, nb = 2 * spectral.UPDATE_ROWS + 5, 6
+    kw, kp, kz = {"over P": (4, 5, 5), "over W": (5, 3, 4), "new block": (3, 3, 5)}[case]
+    X, W, P = (rng.standard_normal((n, k)) for k in (nb, kw, kp))
+    S = np.hstack([X, W, P])
+    Cx = rng.standard_normal((nb + kw + kp, nb))
+    Z = rng.standard_normal((nb + kw + kp, kz))
+    X_next, P_next = S @ Cx, S @ Z
+    buffers = {"over P": P, "over W": W}
+    got = spectral._update_in_place(X, W, P, Cx, Z)
+    assert got.flags.c_contiguous
+    if case in buffers:
+        assert np.shares_memory(got, buffers[case])
+    else:
+        assert not any(np.shares_memory(got, B) for B in (X, W, P))
+    np.testing.assert_allclose(X, X_next, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, P_next, rtol=0, atol=1e-12)
+
+
 def test_direction_coefficients_build_p_in_coefficient_space():
     # S = [X W P] orthonormal and C orthogonal, as in a Rayleigh-Ritz step:
     # P = S Z is orthonormal, orthogonal to X = S C[:, :nb], and spans with
@@ -557,26 +598,34 @@ def test_residual_map_measures_the_mapped_one_forms(spheroid_mesh):
 
 def test_no_residual_map_keeps_the_weighted_norm(monkeypatch, spheroid_mesh):
     # without a map the Gram operator is diag(b), whose norm is the diagonal
-    # weighted norm the solver used before maps existed: the solve is
-    # bit-identical under it
+    # weighted norm the solver used before maps existed. The solver reads it
+    # from the mass vector itself, which forms no n-row temporary; a solve
+    # under the Gram-operator form of the same norm takes the same iterations
+    # to the same pairs, up to the rounding of the two formulas
     A2, B2 = exterior.laplacian2(spheroid_mesh(4))
     kernel = np.ones(A2.shape[0])
+    grams = []
+    norms = spectral._residual_norms
+
+    def recording(R, X, gram):
+        grams.append(gram)
+        return norms(R, X, gram)
+
+    monkeypatch.setattr(spectral, "_residual_norms", recording)
     result = solve_lowest(A2, B2, 9, 1e-6, seed=0, known_kernel=kernel)
+    assert len(grams) == result.iterations + 2  # every iteration, then the kernel pair
+    for gram in grams:
+        np.testing.assert_array_equal(gram, B2.matrix.diagonal())
 
-    def weighted_norms(R, X, G):
-        w = G.diagonal()
-        return (np.sqrt(np.einsum("ij,ij,i->j", R, R, w))
-                / np.sqrt(np.einsum("ij,ij,i->j", X, X, w)))
+    def gram_norms(R, X, b):
+        G = sp.diags(b)
+        return np.sqrt(np.einsum("ij,ij->j", R, G @ R) / np.einsum("ij,ij->j", X, G @ X))
 
-    monkeypatch.setattr(spectral, "_residual_norms", weighted_norms)
+    monkeypatch.setattr(spectral, "_residual_norms", gram_norms)
     reference = solve_lowest(A2, B2, 9, 1e-6, seed=0, known_kernel=kernel)
     assert result.iterations == reference.iterations
-    for got, want in [(result.eigenvalues, reference.eigenvalues),
-                      (result.eigenvectors, reference.eigenvectors)]:
-        assert np.array_equal(got, want)
-    # the returned residuals are the norms themselves, so they agree only to
-    # the rounding of the two formulas
-    np.testing.assert_allclose(result.residuals, reference.residuals, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(result.eigenvalues, reference.eigenvalues, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(result.residuals, reference.residuals, rtol=1e-6, atol=0)
 
 
 def _reference_residuals(A, B, result, residual_map=None):
@@ -650,10 +699,11 @@ def test_seeded_or_flat_solves_have_no_coarse_levels(sphere_mesh):
 def test_scalar_solve_working_set(sphere_mesh):
     # every n-row block of the solve dies at its last use: the start block
     # once rotated, A X once the residual overwrites it, the float64 residual
-    # before the preconditioner runs, and A W and A P after their Gram
-    # products. The traced peak above the memory held at entry (operators
-    # and hierarchy already built), in n x block doubles, reads 6.91 at
-    # level 4; keeping all of them alive read 10.11.
+    # before the preconditioner runs, and A W and A P are formed a block of
+    # rows at a time. The traced peak above the memory held at entry
+    # (operators and hierarchy already built), in n x block doubles, reads
+    # 6.46 at level 4; it read 6.89 with four blocks per step and 10.11 with
+    # every block alive to the end of its step.
     m = sphere_mesh(4)
     exterior.laplacian0(m)
     m.vertex_prolongations()
@@ -667,20 +717,23 @@ def test_scalar_solve_working_set(sphere_mesh):
     finally:
         tracemalloc.stop()
     assert result.block == 16 + spectral.BLOCK_PADDING
-    assert peak / (m.n_vertices * result.block * 8) < 8.0
+    assert peak / (m.n_vertices * result.block * 8) < 6.8
 
 
 def test_scalar_solve_working_set_level5(sphere_mesh, traced_peak):
-    # every step holds at most four n-row blocks: X is updated in place, W
-    # dies once SVQB has formed its basis, and the V-cycle smooths in place.
-    # The traced peak above the memory held at entry, in n x block doubles,
-    # reads 5.9 at level 5; it read 6.7 with a new X per step
+    # every step holds at most three n-row blocks, X, W and P: X and P are
+    # updated in place, SVQB writes over the block it is handed, A W and
+    # A P are formed a block of rows at a time, and the preconditioner drops
+    # the float32 residual it is handed before its float64 result. The
+    # traced peak above the memory held at entry, in n x block doubles,
+    # reads 5.30 at level 5, where the V-cycle's fine level sets it; it read
+    # 5.88 with four blocks per step and 6.7 with a new X per step
     m = sphere_mesh(5)
     exterior.laplacian0(m)
     m.vertex_prolongations()
     result, peak = traced_peak(lambda: verify.scalar_spectrum(m, 16, 1e-6))
     assert result.block == 16 + spectral.BLOCK_PADDING
-    assert peak / (m.n_vertices * result.block * 8) < 6.3
+    assert peak / (m.n_vertices * result.block * 8) < 5.6
 
 
 @pytest.mark.parametrize("case", ["generic", "near the span"])

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 from hodgelab import exterior, fields, mesh, spectral, verify
@@ -293,10 +294,11 @@ def test_hodge_split_checks_the_edge_mass_before_solving(monkeypatch, sphere_mes
 
 
 def test_hodge_split_working_set(traced_peak):
-    # each face solve holds at most four n-row blocks and its start dies once
-    # copied, and the gate applies A1 one column at a time. The traced peak
-    # above the memory held at entry, in blocks of n_faces x 14 doubles (the
-    # face solve's block), reads 7.1 on the level-5 sphere; it read 9.4 with
+    # each face solve holds at most three n-row blocks and its start dies
+    # once copied, and the gate applies A1 one column at a time. The traced
+    # peak above the memory held at entry, in blocks of n_faces x 14 doubles
+    # (the face solve's block), reads 6.25 on the level-5 sphere, where the
+    # gate sets it; it read 6.64 with four blocks per face step and 9.4 with
     # a new X per step, the face start kept and the whole A1 x formed
     m = mesh.build_icosphere(5)
     scalar = verify.scalar_spectrum(m, verify.EIGENPAIRS, verify.SOLVER_TOL)
@@ -305,7 +307,7 @@ def test_hodge_split_working_set(traced_peak):
         m, verify.EIGENPAIRS, verify.SOLVER_TOL, scalar, solves=solves))
     block = solves[0]["block"]
     assert (solves[0]["pencil"], block) == ("face side", 14)
-    assert peak / (m.n_faces * block * 8) < 7.5
+    assert peak / (m.n_faces * block * 8) < 6.6
 
 
 def test_gauss_bonnet_error_does_not_grow_with_the_vertex_count(sphere_mesh):
@@ -516,6 +518,28 @@ def test_run_suite_records_peak_rss_per_stage(caplog):
     logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stage ")]
     assert logged == [f"stage {label}: {seconds:.3f} s, peak RSS {peaks[label]:.1f} MB"
                       for label, seconds in rep["run"]["stages"].items()]
+
+
+@pytest.mark.parametrize("fault", [False, True])
+def test_scalar_gate_catches_a_uniform_vertex_mass(monkeypatch, fault):
+    # the vertex mass replaced by its mean is an inconsistent discretization
+    # whose first two scalar clusters still pass; its l = 3 cluster at
+    # 12 alpha breaks into 11.46 x3 + 12.10 x4 on the level-3 sphere, which
+    # only the gate's third cluster (multiplicity 7) catches
+    m = mesh.build_icosphere(3)
+    if fault:
+        laplacian0 = exterior.laplacian0
+
+        def uniform_mass(built):
+            A, B = laplacian0(built)
+            b = B.matrix.diagonal()
+            return A, exterior.SparseOperator(np.mean(b) * sp.identity(b.size, format="csr"))
+
+        monkeypatch.setattr(exterior, "laplacian0", uniform_mass)
+    report = {"spectra": {}}
+    result, checks = verify._scalar_stage(report, m, _level3_config(), 1.0, [])
+    assert [g.multiplicity for g in result.groups[1:3]] == [3, 5]
+    assert checks["scalar_spectrum"] is (not fault)
 
 
 def test_run_suite_insufficient_resolution():
