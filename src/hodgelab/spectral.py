@@ -37,14 +37,15 @@ step holds):
   one is handed to the preconditioner, which drops it before it forms its
   float64 result;
 - A W, A P and a residual map's G V are formed PRODUCT_ROWS rows at a
-  time, each row block entering its Gram products at once;
+  time, each row block entering its Gram products at once; each operator
+  is cut into row blocks once per solve, and the blocks share its nonzeros;
 - each update writes the next X over X and the next P over the dying P
   (or W), a block of rows at a time.
 
 Every step then holds at most three n-row blocks, X, W and P, beside the
 preconditioner's float32 blocks and row-block temporaries. The scalar
 solve's traced peak, above the memory held before it (the pencil and
-hierarchy), is 6.5 blocks of n x 21 doubles on the level-4 sphere and 5.3
+hierarchy), is 6.3 blocks of n x 21 doubles on the level-4 sphere and 5.3
 on the level-5 sphere, the standard form and the preconditioner included;
 at level 5 the V-cycle's fine level sets it. With four blocks in the
 fullest steps it was 6.9 and 5.9, with five 7.4 and 6.7, and 10.1 at level
@@ -127,8 +128,15 @@ MG_DIRECT_LEVEL = 2
 # columns is about 260 KB, which stays in a core's L2 cache
 UPDATE_ROWS = 512
 # rows of the sparse operator per block of its product with an n-row block
-# (A W, A P and a map Gram's G V); a pencil of at most this many rows, every
-# coarse level of a level-5 nested start among them, runs as one block
+# (A W, A P and a map Gram's G V); a pencil of at most this many rows runs
+# as one block. It is the largest power of two at which the product's
+# temporary no longer sets the scalar solve's traced peak: in blocks of
+# n x 21 doubles, the level-5 sphere (n = 10242; coarse levels of 42, 162,
+# 642 and 2562 vertices) reads 5.33 at 1024 and 2048 rows, 5.51 at 4096 and
+# 5.69 with whole products, and level 6 reads 5.19 from 1024 to 4096 rows
+# and 5.54 whole. Fewer, larger blocks mean fewer sparse product calls. The
+# row count also moves the rounding of the Gram sums: at 1024 rows the
+# level-5 fine solve takes 8 iterations, against 7 at the other counts
 PRODUCT_ROWS = 2048
 # residual at which each coarse level of a nested start stops (or at the
 # fine tol, if that is looser)
@@ -357,30 +365,44 @@ def _orthonormalize_against(held, blocks):
     return held.pop()
 
 
-def _row_products(A, V):
-    """(rows, A[rows] @ V) for consecutive blocks of PRODUCT_ROWS rows of the
-    sparse A, so that A V is never formed whole; A of at most PRODUCT_ROWS
-    rows is applied as it is, with no copy of its rows."""
+def _row_split(A):
+    """[(rows, A[rows])] over consecutive blocks of PRODUCT_ROWS rows of the
+    CSR matrix A, or [(all rows, A)] for A of at most PRODUCT_ROWS rows.
+
+    Each block shares A's column indices and values, and only its row
+    pointers are new, so a solve cuts each operator once and copies none of
+    its nonzeros (A[rows] would copy them at every product). The arrays are
+    set on an empty block, because the (data, indices, indptr) constructor
+    copies an array that is a small view of a larger one.
+    """
     n = A.shape[0]
     if n <= PRODUCT_ROWS:
-        yield slice(None), A @ V
-        return
+        return [(slice(None), A)]
+    split = []
     for rows in _row_blocks(n, PRODUCT_ROWS):
-        yield rows, A[rows] @ V
+        lo, hi = A.indptr[rows.start], A.indptr[rows.stop]
+        block = sp.csr_matrix((rows.stop - rows.start, A.shape[1]), dtype=A.dtype)
+        block.data, block.indices = A.data[lo:hi], A.indices[lo:hi]
+        block.indptr = A.indptr[rows.start:rows.stop + 1] - lo
+        split.append((rows, block))
+    return split
 
 
-def _image_grams(A, V, blocks):
-    """[S^T (A V) for S in blocks], with A V formed a block of rows at a time."""
+def _image_grams(A_rows, V, blocks):
+    """[S^T (A V) for S in blocks], with A V formed a block of rows at a time
+    from A's _row_split."""
     grams = [np.zeros((S.shape[1], V.shape[1])) for S in blocks]
-    for rows, AV in _row_products(A, V):
+    for rows, A in A_rows:
+        AV = A @ V
         for gram, S in zip(grams, blocks):
             gram += S[rows].T @ AV
     return grams
 
 
-def _quadratic_forms(G, V):
-    """v^T G v per column of V, with G V formed a block of rows at a time."""
-    return sum(np.einsum("ij,ij->j", V[rows], GV) for rows, GV in _row_products(G, V))
+def _quadratic_forms(G_rows, V):
+    """v^T G v per column of V, with G V formed a block of rows at a time
+    from G's _row_split."""
+    return sum(np.einsum("ij,ij->j", V[rows], G @ V) for rows, G in G_rows)
 
 
 def _residual_norms(R, X, gram):
@@ -388,9 +410,13 @@ def _residual_norms(R, X, gram):
 
     That is ||N r|| / ||N x||, evaluated without forming the N-images, whose
     rows may outnumber those of R (the Hodge split's maps land on the edges).
-    ``gram`` is either G as a sparse matrix, applied a block of rows at a
-    time, or, for a diagonal G (the mass of a solve without a residual map),
-    its diagonal vector, read by one einsum that forms no n-row temporary.
+    ``gram`` is either G's _row_split or, for a diagonal G (the mass of a
+    solve without a residual map), its diagonal vector, which the solve
+    holds anyway: one einsum reads it, with no temporary. Passing the mass
+    as a CSR diagonal through the row-block path instead raised the level-5
+    scalar solve's traced peak from 5.33 to 5.43 blocks of n x 21 doubles,
+    and the peak RSS of ``spectrum --level 5 --form 0`` by 0.12 MB, higher
+    in each of six alternating fresh-process pairs.
     """
     if isinstance(gram, np.ndarray):
         return np.sqrt(np.einsum("ij,ij,i->j", R, R, gram)
@@ -611,6 +637,7 @@ def _lobpcg(Amat, start, n_wanted, tol, maxiter, precond, gram,
     - update: X, W and P; the next X is written over X and the next P over
       the dying P's or W's buffer (see _update_in_place), then A X formed.
     """
+    A_rows = _row_split(Amat)  # cut once per solve
     X = _svqb([_project_out(start.pop(), constraints)])
     if X.shape[1] < n_wanted:
         raise SpectralError("starting block lost rank under deflation")
@@ -644,8 +671,8 @@ def _lobpcg(Amat, start, n_wanted, tol, maxiter, precond, gram,
         # inside the SVQB
         W = [precond(R.pop())]
         W = _orthonormalize_against(W, (constraints, X, P))
-        XAW, WAW = _image_grams(Amat, W, (X, W))
-        XAP, WAP, PAP = _image_grams(Amat, P, (X, W, P))
+        XAW, WAW = _image_grams(A_rows, W, (X, W))
+        XAP, WAP, PAP = _image_grams(A_rows, P, (X, W, P))
         G = np.block([[XAX, XAW, XAP], [XAW.T, WAW, WAP], [XAP.T, WAP.T, PAP]])
         vals, C = np.linalg.eigh(0.5 * (G + G.T))
         theta = vals[:nb]
@@ -797,7 +824,7 @@ def solve_lowest(A, B, m: int, tol: float = 1e-8, seed: int = 0,
         G = d
     else:
         G = residual_map @ sp.diags(s)
-        G = (G.T @ G).tocsr()
+        G = _row_split((G.T @ G).tocsr())
     n_kernel = 0 if kernel is None else kernel.shape[1]
 
     n_iter = m - n_kernel

@@ -637,15 +637,6 @@ def test_readme_examples_parse():
         parser.parse_args(argv)
 
 
-def test_solver_tolerance_default_is_verify_solver_tol():
-    """``spectrum --tol`` and ``converge --tol`` default to the one frozen solver tolerance."""
-    from hodgelab import cli, verify
-
-    parser = cli.build_parser()
-    for argv in (["spectrum", "--level", "3"], ["converge", "--levels", "3,4"]):
-        assert parser.parse_args(argv).tol == verify.SOLVER_TOL
-
-
 def test_runconfig_roundtrip():
     from hodgelab.config import RunConfig, default_config
 
