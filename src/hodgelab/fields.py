@@ -20,8 +20,7 @@ chord of each canonical edge projected to the mesh's own surface
 (``mesh.source``), with 4-point Gauss-Legendre quadrature; a field carries
 only its parameter. The integrand <V, gamma'> needs no tangential projection
 of V: the chord's velocity gamma' is tangent (n . gamma' = 0 by construction,
-see _projected_chord), so the normal part of V pairs to zero. A point value
-does need the projection, so ``evaluate`` takes the surface.
+see _projected_chord), so the normal part of V pairs to zero.
 """
 
 from __future__ import annotations
@@ -117,19 +116,6 @@ class ProjectiveGradient:
 
 
 AnalyticField = KillingRotation | ConformalGradient | ProjectiveGradient
-
-
-def evaluate(field: AnalyticField, surface: SurfaceSpec, points) -> np.ndarray:
-    """Tangential projection of the field's ambient formula at points of ``surface``."""
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    _check_on_surface(surface, pts)
-    grad = pts / np.square(surface.axes)
-    normals = grad / np.linalg.norm(grad, axis=-1, keepdims=True)
-    vals = field.ambient(pts)
-    vals = vals - normals * np.einsum("ij,ij->i", normals, vals)[:, None]
-    return vals[0] if single else vals
 
 
 def _projected_chord(surface: SurfaceSpec, p0, p1, t):

@@ -24,17 +24,18 @@ eigenvalues are the exact spectrum below its window, and its nonkernel
 eigenvectors seed both sides, as they are on the vertex side (which then
 converges in one or two iterations: one at level 4, two at levels 5 to 7)
 and averaged over each face's corners on the face side. The face side is
-solved first, and widened, to at most m + 1 pairs, while its window cuts
-the merge short; the vertex side is solved once, for the exact pairs the
-merge takes. A side's residual maps to its one-form's residual through
-``exterior.exact_map`` or ``exterior.coexact_map``, the two maps A1 is built
-from, so each side stops on the one-form residual itself; every merged
-pair's residual against the true one-form pencil must then meet the solver
-tolerance, or the split fails. That gate applies A1 through the same two
-maps, A1 x = coexact_map d1 x + exact_map d0^T star1 x, without assembling
-it. The edge mass star1 is checked positive (``exterior.edge_mass``) before
-the first solve, so a mesh too poor for the one-form pencil fails before
-any solve. The pairs carry an exact/coexact tag used by the multiplicity
+solved first, for max(m // 2 + 1, 2) pairs; when its window cuts the merge
+short, it is solved once more, wider by the shortfall. The vertex side is
+then solved once, for the exact pairs the merge takes. A side's residual
+maps to its one-form's residual through ``exterior.exact_map`` or
+``exterior.coexact_map``, the two maps A1 is built from, so each side stops
+on the one-form residual itself; every merged pair's residual against the
+true one-form pencil must then meet the solver tolerance, or the split
+fails. That gate applies A1 through the same two maps,
+A1 x = coexact_map d1 x + exact_map d0^T star1 x, one pair at a time,
+without assembling it. The edge mass star1 is checked positive
+(``exterior.edge_mass``) before the first solve, so a mesh too poor for the
+one-form pencil fails before any solve. The pairs carry an exact/coexact tag used by the multiplicity
 records. Both vertex-pencil solves pass the mesh's
 subdivision hierarchy, so they run the multigrid preconditioner; the face
 pencil runs the LU.
@@ -231,8 +232,7 @@ def _window(result: SpectrumResult) -> float:
     where inf is exact, and when it iterated no pair (m equal to the known
     kernel's size), where inf would be wrong. The split never passes a solve
     of the second kind: the scalar spectrum and the face side solve at least
-    two pairs, and a vertex side that iterated nothing is bounded by the
-    lowest exact value instead.
+    two pairs, and the vertex side's window is not read.
     """
     return np.inf if result.next_estimate is None else result.next_estimate
 
@@ -268,7 +268,7 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     eigenvector i is an exact form d0 u. Every returned pair's residual
     against the true one-form pencil (A1, B1) is at most ``tol``, or
     VerifyError names the worst one. That gate applies A1 as
-    ``coexact_map @ (d1 @ x) + exact_map @ (d0.T @ (star1 x))``, one column
+    ``coexact_map @ (d1 @ x) + exact_map @ (d0.T @ (star1 x))``, one pair
     at a time, with the maps the side solves stop on, each built once; A1
     is never assembled.
     Before any solve, ``exterior.edge_mass`` checks that star1 is positive,
@@ -277,14 +277,17 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     ``scalar``: the mesh's ``scalar_spectrum`` with at least ``max(m, 4)``
     pairs, or all of them. Its nonkernel eigenvalues are the exact one-form
     spectrum below its window (``next_estimate``), and its nonkernel
-    eigenvectors seed both sides. The face side is solved first and widened,
-    to at most m + 1 pairs, until the exact and coexact values below both
-    windows hold the m lowest; m + 1 face pairs always reach their window,
-    so if the scalar window falls short, VerifyError says so.
-    The vertex side is then solved once, for the exact pairs the merge takes.
-    ``next_estimate`` is the lowest of the first pair not taken and the
-    sides' windows, the lowest exact value standing in for the vertex side's
-    when the merge takes no exact pair.
+    eigenvectors seed both sides. The face side is solved first, for
+    max(m // 2 + 1, 2) pairs. If the exact and coexact values below both
+    windows fall s short of m and the face window is the lower, every missing
+    value may be coexact, so one pass s pairs wider holds them all below its
+    own window (s <= m + 1 - first pass); if the merge is still short, only
+    the scalar window can be, and VerifyError says so. The m lowest are a
+    prefix of each side, n_exact exact and m - n_exact coexact values; the
+    vertex side is then solved once, for those n_exact pairs.
+    ``next_estimate`` is the lower of each side's first value not taken, or
+    its window: the scalar spectrum's for the exact side, the face side's
+    for the coexact one.
 
     ``solves``: optional list; each side solve appends its ``run.solves``
     record to it as it ends, so the records survive a split that raises.
@@ -306,64 +309,57 @@ def oneform_spectrum_hodge_split(mesh: mesh_mod.TriangleMesh, m: int, tol: float
     # through the same two maps
     coexact_map = exterior.coexact_map(mesh)
     face_pencil = exterior.laplacian2(mesh)
-    m_face, why = max(m // 2 + 1, 2), "first"
-    while True:
-        # each pass averages its own start, which dies once the solve has
-        # copied it, instead of one kept beside every face solve
+
+    def solve_face(m_face, why):
+        # each pass averages its own start, which dies once the solve has copied it
         face = _side_solve("face side", why, face_pencil, m_face, tol, seed,
                            [_face_average(mesh, start)], coexact_map, solves)
         values = np.concatenate([exact, face.eigenvalues[1:]])
-        order = np.argsort(values, kind="stable")
         # ties at the window edge (cut degenerate pairs) are legitimate: any
         # m lowest-with-ties selection is a valid answer
-        if (values.size >= m and values[order[m - 1]]
-                <= min(scalar_window, _window(face)) * (1 + 1e-9)):
-            break
-        # m + 1 face pairs hold m coexact values, each at or below the face window
-        if scalar_window <= _window(face) or m_face > m:
-            raise VerifyError(
-                f"the {exact.size} exact eigenvalues below the scalar window "
-                f"{scalar_window:.6g} do not cover the {m} lowest one-form eigenvalues")
-        m_face = min(m_face + max(2, m // 8), m + 1)
-        why = "extension"
+        window = min(scalar_window, _window(face))
+        return face, values, m - int((values <= window * (1 + 1e-9)).sum())
+
+    face, values, shortfall = solve_face(max(m // 2 + 1, 2), "first")
+    if shortfall > 0 and _window(face) < scalar_window:
+        # every missing value may be coexact: shortfall more face pairs hold
+        # them all below their own window
+        face, values, shortfall = solve_face(face.eigenvalues.size + shortfall, "extension")
+    if shortfall > 0:
+        raise VerifyError(
+            f"the {exact.size} exact eigenvalues below the scalar window "
+            f"{scalar_window:.6g} do not cover the {m} lowest one-form eigenvalues")
     del face_pencil
 
-    n_exact = int((order[:m] < exact.size).sum())
+    # the m lowest are n_exact exact values, then m - n_exact coexact ones,
+    # a prefix of each side; the vertex side is solved for its prefix
+    flags = np.argsort(values, kind="stable")[:m] < exact.size
+    n_exact = int(flags.sum())
     exact_map = exterior.exact_map(mesh)
     vert = _side_solve("vertex side", "first", exterior.laplacian0(mesh), n_exact + 1, tol,
                        seed, [start], exact_map, solves, mesh.vertex_prolongations())
-
-    # the m lowest of the vertex side's exact and the face side's coexact pairs
-    values = np.concatenate([vert.eigenvalues[1:], face.eigenvalues[1:]])
-    order = np.argsort(values, kind="stable")
-    taken = order[:m]
-    vals = values[taken]
-    flags = taken < n_exact
+    vals = np.empty(m)
+    vals[flags] = vert.eigenvalues[1:]
+    vals[~flags] = face.eigenvalues[1:m - n_exact + 1]
     D0, D1 = exterior.d0(mesh), exterior.d1(mesh)
     vecs = np.empty((mesh.n_edges, m))
-    vecs[:, flags] = D0 @ vert.eigenvectors[:, 1 + taken[flags]]
-    vecs[:, ~flags] = (D1.T @ face.eigenvectors[:, 1 + taken[~flags] - n_exact]) / s1[:, None]
+    vecs[:, flags] = D0 @ vert.eigenvectors[:, 1:]
+    vecs[:, ~flags] = (D1.T @ face.eigenvectors[:, 1:m - n_exact + 1]) / s1[:, None]
     vecs /= np.sqrt(vals)
-    # a vertex side that iterated nothing (no exact pair taken) has no window;
-    # the lowest exact value, which the merge did not take, bounds it instead
-    vert_window = _window(vert) if n_exact else (exact[0] if exact.size else scalar_window)
-    next_estimate = min(values[order[m]] if values.size > m else np.inf,
-                        vert_window, _window(face))
+    # each side's next value is its first value not taken, or its window
+    next_estimate = min(np.append(exact, scalar_window)[n_exact],
+                        np.append(face.eigenvalues[1:], _window(face))[m - n_exact])
     del face, vert
 
-    # ||A1 x - lambda B1 x|| / ||B1 x||, with A1 x applied as
-    # exact_map d0^T (B1 x) + coexact_map d1 x, never assembled; each half
-    # is added to -lambda B1 x in its buffer one column at a time, so the
-    # gate holds two E x m arrays (vecs and the residual)
-    Bx = vecs * s1[:, None]
-    bx_norms = np.linalg.norm(Bx, axis=0)
-    divergence = D0.T @ Bx
-    Bx *= -vals
+    # ||A1 x - lambda B1 x|| / ||B1 x|| of each pair, with A1 x applied as
+    # exact_map d0^T (B1 x) + coexact_map d1 x, never assembled
+    residuals = np.empty(m)
     for j in range(m):
-        Bx[:, j] += exact_map @ divergence[:, j]
-        Bx[:, j] += coexact_map @ (D1 @ vecs[:, j])
-    del divergence
-    residuals = np.linalg.norm(Bx, axis=0) / bx_norms
+        bx = s1 * vecs[:, j]
+        r = bx * -vals[j]
+        r += exact_map @ (D0.T @ bx)
+        r += coexact_map @ (D1 @ vecs[:, j])
+        residuals[j] = np.linalg.norm(r) / np.linalg.norm(bx)
     if residuals.max() > tol:
         raise VerifyError(f"Hodge-split residuals above {tol:g} "
                           f"(worst {residuals.max():.3g})")

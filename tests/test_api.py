@@ -24,7 +24,6 @@ ALLOWED = {
                                            "tests check the residual formulas with",
     "sphere_oracle.tangent_frame": "orthonormal tangent frame the oracle tests "
                                    "build tangent tensors in",
-    "fields.evaluate": "point evaluation of a field that the field-formula tests use",
     "exterior.laplacian1": "the one-form pencil that perfbench/freeze.py and the tests "
                            "solve as the reference",
 }

